@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -296,17 +297,19 @@ def cmd_section(args, cfg: RunConfig) -> int:
         weights = section.x_weights or (1,) * len(section.x_vars)
         points = polysect.weighted_grid_points(radius, rows, weights)
         table = polysect.stratum_map(section, points)
-        writer = csv.writer(
-            open(args.csv, "w", newline="") if args.csv else sys.stdout
+        sink = (
+            open(args.csv, "w", newline="") if args.csv else nullcontext(sys.stdout)
         )
-        names = [str(v) for v in section.x_vars]
-        writer.writerow(names + ["u", "itinerary", "roots"])
-        uval = str(section.u) if section.u is not None else ""
-        for row in table:
-            writer.writerow(
-                [str(v) for v in row["point"]]
-                + [uval, row["label"], ";".join(f"{r:.12g}" for r in row["roots"])]
-            )
+        with sink as fh:
+            writer = csv.writer(fh)
+            names = [str(v) for v in section.x_vars]
+            writer.writerow(names + ["u", "itinerary", "roots"])
+            uval = str(section.u) if section.u is not None else ""
+            for row in table:
+                writer.writerow(
+                    [str(v) for v in row["point"]]
+                    + [uval, row["label"], ";".join(f"{r:.12g}" for r in row["roots"])]
+                )
     return EXIT_OK
 
 

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import spinalg, symgrp, triang
-from .spinalg import CliffordEven
+from .spinalg import CliffordEven, Spinor
 from .symgrp import Permutation
 
 __all__ = [
@@ -77,45 +77,6 @@ class NotAnAcbEvent(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Coefficient-vector representation of the even algebra
-# ---------------------------------------------------------------------------
-
-
-def _even_blades(n: int) -> list[tuple[int, ...]]:
-    out = []
-    for k in range(0, n + 2, 2):
-        out.extend(itertools.combinations(range(1, n + 2), k))
-    return sorted(out, key=lambda b: (len(b), b))
-
-
-def _to_vec(z: CliffordEven, index: dict) -> np.ndarray:
-    v = np.zeros(len(index))
-    for b, c in z.terms:
-        v[index[b]] = float(c)
-    return v
-
-
-def _from_vec(n: int, v: np.ndarray, blades: list) -> CliffordEven:
-    terms = {b: float(c) for b, c in zip(blades, v) if abs(c) > 1e-300}
-    return CliffordEven.make(n, terms)
-
-
-def _right_mult_matrix(n: int, a: CliffordEven, blades: list, index: dict) -> np.ndarray:
-    """Matrix of ``x -> x * a`` on the coefficient vector."""
-    m = np.zeros((len(blades), len(blades)))
-    for col, b in enumerate(blades):
-        prod = CliffordEven.make(n, {b: 1.0}) * a.to_float()
-        for bb, c in prod.terms:
-            m[index[bb], col] += float(c)
-    return m
-
-
-def _generator_bivector(n: int, j: int) -> CliffordEven:
-    """``frak a_j = (1/2) e_{j+1} e_j`` as an even element."""
-    return CliffordEven.make(n, {(j, j + 1): -0.5})
-
-
-# ---------------------------------------------------------------------------
 # FrameCurve
 # ---------------------------------------------------------------------------
 
@@ -124,7 +85,7 @@ def _generator_bivector(n: int, j: int) -> CliffordEven:
 class FrameCurve:
     """A sampled curve in Spin_{n+1} with optional exact evaluation.
 
-    ``ts`` is strictly increasing; ``zs[k]`` is the (float) unit spinor at
+    ``ts`` is strictly increasing; ``zs[k]`` is the unit :class:`Spinor` at
     ``ts[k]``.  If ``eval_fn`` is given it is used for off-grid
     evaluation, otherwise the curve is interpolated geodesically between
     neighbouring samples.
@@ -133,7 +94,7 @@ class FrameCurve:
     n: int
     ts: tuple
     zs: list
-    eval_fn: Optional[Callable[[float], CliffordEven]] = None
+    eval_fn: Optional[Callable[[float], Spinor]] = None
     _seg_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -144,7 +105,7 @@ class FrameCurve:
     def t1(self) -> float:
         return self.ts[-1]
 
-    def __call__(self, t: float) -> CliffordEven:
+    def __call__(self, t: float) -> Spinor:
         if not self.ts[0] - 1e-12 <= t <= self.ts[-1] + 1e-12:
             raise ValueError(f"t={t} outside [{self.ts[0]}, {self.ts[-1]}]")
         if self.eval_fn is not None:
@@ -160,51 +121,46 @@ class FrameCurve:
         return self.zs[k] * spinalg.clifford_exp(biv.scale(s))
 
     def matrix(self, t: float) -> np.ndarray:
-        return np.array(
-            [[float(x) for x in row] for row in spinalg.project(self(t))]
-        )
+        return spinalg.project(self(t))
 
     def minors(self, t: float) -> np.ndarray:
         return southwest_minors(self.matrix(t))
 
 
-def _spin_log(z: CliffordEven) -> CliffordEven:
+def _spin_log(z: Spinor) -> Spinor:
     """Bivector logarithm of a unit spinor close to the identity."""
     from scipy.linalg import logm
 
-    R = np.array([[float(x) for x in row] for row in spinalg.project(z)])
-    S = np.real(logm(R))
+    S = np.real(logm(spinalg.project(z)))
     terms = {}
     n = z.n
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
             if abs(S[i, j]) > 1e-15:
                 terms[(i + 1, j + 1)] = 0.5 * S[i, j]
-    biv = CliffordEven.make(n, terms)
+    biv = Spinor.from_terms(n, terms)
     # the matrix log determines the lift only up to sign; match z
     w = spinalg.clifford_exp(biv)
-    if triang._spin_distance(w, z.to_float()) > triang._spin_distance(-w, z.to_float()):
+    if triang._spin_distance(w, z) > triang._spin_distance(-w, z):
         raise ValueError("element too far from the identity for a bivector log")
     return biv
 
 
-def _lift_rotation(n: int, R: np.ndarray) -> CliffordEven:
+def _lift_rotation(n: int, R: np.ndarray) -> Spinor:
     """A spin lift of an arbitrary rotation (sign chosen arbitrarily)."""
     from scipy.linalg import sqrtm
 
     R = np.array(R, dtype=float)
     try:
         z = triang._lift_rotation_step(n, R)
-        M = np.array([[float(x) for x in row] for row in spinalg.project(z)])
-        if np.allclose(M, R, atol=1e-8):
+        if np.allclose(spinalg.project(z), R, atol=1e-8):
             return z
     except Exception:
         pass
     half = np.real(sqrtm(R))
     zh = _lift_rotation(n, half)
     z = zh * zh
-    M = np.array([[float(x) for x in row] for row in spinalg.project(z)])
-    if not np.allclose(M, R, atol=1e-6):
+    if not np.allclose(spinalg.project(z), R, atol=1e-6):
         raise ValueError("failed to lift rotation to Spin")
     return z
 
@@ -230,11 +186,10 @@ def integrate_frame(
     """
     if len(kappas) != n:
         raise ValueError(f"need {n} curvature functions, got {len(kappas)}")
-    blades = _even_blades(n)
-    index = {b: k for k, b in enumerate(blades)}
+    # right multiplication by frak a_j = (1/2) e_{j+1} e_j
     gens = [
-        _right_mult_matrix(n, _generator_bivector(n, j + 1), blades, index)
-        for j in range(n)
+        Spinor.from_terms(n, {(j, j + 1): -0.5}).right_matrix()
+        for j in range(1, n + 1)
     ]
 
     def amat(t: float) -> np.ndarray:
@@ -254,29 +209,28 @@ def integrate_frame(
         out = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         return out / np.linalg.norm(out)
 
-    start = (z0.to_float() if z0 is not None else CliffordEven.one(n, exact=False))
-    v = _to_vec(start, index)
+    v = (z0.to_float() if z0 is not None else Spinor.one(n)).v
     ts = np.linspace(t0, t1, steps + 1)
     vs = [v]
     for k in range(steps):
         v = rk4(v, ts[k], ts[k + 1] - ts[k])
         vs.append(v)
-    zs = [_from_vec(n, w, blades) for w in vs]
+    zs = [Spinor(n, w) for w in vs]
 
-    def eval_fn(t: float, _ts=ts, _vs=vs) -> CliffordEven:
+    def eval_fn(t: float, _ts=ts, _vs=vs) -> Spinor:
         k = int(np.searchsorted(_ts, t, side="right")) - 1
         k = max(0, min(k, len(_ts) - 1))
         w = _vs[k]
         dt = t - _ts[k]
         if abs(dt) < 1e-15:
-            return _from_vec(n, w, blades)
+            return Spinor(n, w)
         sub = 16
         h = dt / sub
         tt = _ts[k]
         for _ in range(sub):
             w = rk4(w, tt, h)
             tt += h
-        return _from_vec(n, w, blades)
+        return Spinor(n, w)
 
     return FrameCurve(n, tuple(float(t) for t in ts), zs, eval_fn)
 
@@ -302,7 +256,7 @@ def frame_curve_from_matrix_path(
     for prev, nxt in zip(qs, qs[1:]):
         zs.append(zs[-1] * triang._lift_rotation_step(n, prev.T @ nxt))
 
-    def eval_fn(t: float) -> CliffordEven:
+    def eval_fn(t: float) -> Spinor:
         k = bisect.bisect_right(ts, t) - 1
         k = max(0, min(k, len(ts) - 1))
         Q, R = triang.qr_positive([list(map(float, row)) for row in mfun(t)])
@@ -386,15 +340,19 @@ def _refine_dip(f, lo, hi):
     return t, abs(f(t))
 
 
-def _slope_mult(f, tstar, d0, cap, span):
-    """Vanishing order of f at tstar by log-log slope on both sides."""
+def _slope_mult(f, tstar, d0, cap, t0, t1):
+    """Vanishing order of f at tstar by log-log slope on both sides.
+
+    Only samples inside the domain ``[t0, t1]`` are used; a side with
+    fewer than 3 of them is skipped.
+    """
     ds = [d0 * (0.55 ** k) for k in range(6)]
     slopes = []
     for side in (+1.0, -1.0):
         xs, ys = [], []
         for d in ds:
             t = tstar + side * d
-            if not (tstar - span <= t <= tstar + span):
+            if not t0 <= t <= t1:
                 continue
             val = abs(f(t))
             xs.append(math.log(d))
@@ -501,8 +459,8 @@ def singular_events(
                 mult.append(0)
                 continue
             cap = (j + 1) * (n - j)  # mult_j of the top letter
-            k1 = _slope_mult(f, center, d0, cap, span)
-            k2 = _slope_mult(f, center, d0 / 3.0, cap, span)
+            k1 = _slope_mult(f, center, d0, cap, t0, t1)
+            k2 = _slope_mult(f, center, d0 / 3.0, cap, t0, t1)
             if k1 != k2:
                 raise UnresolvedCluster(
                     f"multiplicity unstable for m_{j + 1} at t={center}: {k1} vs {k2}"
@@ -659,7 +617,7 @@ def _corner_for_quat(n: int, eta_word, target: CliffordEven) -> list:
     Quat element ``target`` (a boundary corner of the positive cell)."""
     tf = target.to_float()
     for pat in itertools.product((0.0, math.pi), repeat=len(eta_word)):
-        z = CliffordEven.one(n, exact=False)
+        z = Spinor.one(n)
         for i, t in zip(eta_word, pat):
             if t != 0.0:
                 z = z * spinalg.alpha(n, i, t)
@@ -668,7 +626,7 @@ def _corner_for_quat(n: int, eta_word, target: CliffordEven) -> list:
     raise PathNotAccessible("endpoint is not a corner of the final chart")
 
 
-def _chart_product(n: int, q: CliffordEven, eta_word, thetas) -> CliffordEven:
+def _chart_product(n: int, q: Spinor, eta_word, thetas) -> Spinor:
     z = q
     for i, th in zip(eta_word, thetas):
         z = z * spinalg.alpha(n, i, float(th))
@@ -735,7 +693,7 @@ def _assemble_curve(table, times, d, r, c, samples) -> FrameCurve:
         return obj(min(max(t, lo), hi))
 
     ts_all: list[float] = []
-    zs_all: list[CliffordEven] = []
+    zs_all: list[Spinor] = []
     for lo, hi, obj in segments:
         for t in np.linspace(lo, hi, max(9, samples // 4 * 4 + 1)):
             if ts_all and t <= ts_all[-1] + 1e-12:
@@ -796,7 +754,7 @@ def u_invariant(
     for j in range(3):
         f = lambda t, j=j: float(curve.minors(t)[j])
         cap = (j + 1) * (4 - j)
-        k1 = _slope_mult(f, t_star, 0.2 * w, cap, span)
+        k1 = _slope_mult(f, t_star, 0.2 * w, cap, curve.t0, curve.t1)
         mult.append(k1)
     letter = symgrp.permutation_from_mult(tuple(mult), 3)
     if letter != _ACB:
@@ -813,9 +771,7 @@ def u_invariant(
     if q_found is None:
         raise NotAnAcbEvent("incoming branch is not in an open signed cell")
     z_chart = q_found * spinalg.acute(eta) * spinalg.acute(_ACB)
-    A0 = np.array(
-        [[float(x) for x in row] for row in spinalg.project(z_chart.to_float())]
-    )
+    A0 = spinalg.project(z_chart.to_float())
     A0inv = np.linalg.inv(A0)
 
     def Lfun(t: float) -> np.ndarray:

@@ -74,14 +74,9 @@ def necessary_conditions(
         )
     q0 = spinalg.q_of_word(w0, n)
     q1 = spinalg.q_of_word(w1, n)
-    if q0.to_float().terms != q1.to_float().terms and not _same_spinor(q0, q1):
+    if q0.terms != q1.terms:
         reasons.append("endpoint q_of_word differs")
     return (not reasons, reasons)
-
-
-def _same_spinor(a, b) -> bool:
-    d = a.to_float() - b.to_float()
-    return all(abs(float(c)) < 1e-12 for _, c in d.terms)
 
 
 # ---------------------------------------------------------------------------

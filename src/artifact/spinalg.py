@@ -11,19 +11,28 @@ Exact elements live over the ring ``{p + q*sqrt(2) : p, q rational}``
 generators ``alpha_j(+-pi/2)``.  The maps ``acute``, ``grave`` and
 ``hat`` (``hat(sigma) = acute(sigma) * grave(sigma)**-1``), the lifted
 signed-permutation group, the word table ``B(w, j)`` and the operators
-``chop`` / ``adv`` are all computed bit-exactly in this ring.  Floats
-are used only for curve-side evaluation (``alpha`` at generic angles,
-``clifford_exp``, ``theta_exit``).
+``chop`` / ``adv`` are all computed bit-exactly in this ring by
+:class:`CliffordEven`, whose products go blade by blade.
+
+Floats are used only for curve-side evaluation (``alpha`` at generic
+angles, ``clifford_exp``, ``project``, ``theta_exit``).  A float element
+is a :class:`Spinor`: a dense numpy vector of coefficients over the
+``2**n`` even blades in sorted order.  Its products, its reversion and the
+quadratic form of ``project`` are contractions with tables built once per
+n (:func:`_tables`) from the exact blade product.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
+
+import numpy as np
 
 from . import symgrp
 from .symgrp import Permutation
@@ -31,6 +40,7 @@ from .symgrp import Permutation
 __all__ = [
     "QSqrt2",
     "CliffordEven",
+    "Spinor",
     "SpinWordTable",
     "NotUnit",
     "NotInLiftedSignedGroup",
@@ -142,11 +152,23 @@ class QSqrt2:
     def __float__(self) -> float:
         return float(self.p) + float(self.q) * math.sqrt(2.0)
 
+    def sign(self) -> int:
+        """Exact sign of ``p + q*sqrt(2)``: when p and q have opposite
+        signs, the larger of ``p**2`` and ``2*q**2`` decides (they are never
+        equal, sqrt(2) being irrational)."""
+        sp = (self.p > 0) - (self.p < 0)
+        sq = (self.q > 0) - (self.q < 0)
+        if sp == sq or sq == 0:
+            return sp
+        if sp == 0:
+            return sq
+        return sp if self.p * self.p > 2 * self.q * self.q else sq
+
     def __lt__(self, other) -> bool:
-        return float(self) < float(_as_qs(other))
+        return (self - other).sign() < 0
 
     def __gt__(self, other) -> bool:
-        return float(self) > float(_as_qs(other))
+        return (self - other).sign() > 0
 
     def __repr__(self) -> str:
         return f"QSqrt2({self.p}, {self.q})"
@@ -203,7 +225,7 @@ def _blade_mul(I: Blade, J: Blade) -> tuple[int, Blade]:
 
 
 def _terms_mul(A: dict, B: dict) -> dict:
-    out: dict[Blade, Scalar] = {}
+    out: dict[Blade, QSqrt2] = {}
     for I, x in A.items():
         for J, y in B.items():
             s, K = _blade_mul(I, J)
@@ -212,64 +234,69 @@ def _terms_mul(A: dict, B: dict) -> dict:
                 out[K] = out[K] + c
             else:
                 out[K] = c
-    return {K: c for K, c in out.items() if not _is_zero(c)}
+    return {K: c for K, c in out.items() if c}
 
 
-def _is_zero(c: Scalar) -> bool:
-    if isinstance(c, QSqrt2):
-        return not bool(c)
-    return c == 0.0
+def _reversion_sign(I: Blade) -> int:
+    k = len(I)
+    return -1 if (k * (k - 1) // 2) % 2 else 1
 
 
 @dataclass(frozen=True)
 class CliffordEven:
-    """Element of the even Clifford algebra Cliff0_{n+1}.
+    """Exact element of the even Clifford algebra Cliff0_{n+1}.
 
-    ``terms`` maps even blades (sorted index tuples) to scalars, which
-    are either :class:`QSqrt2` (exact mode) or floats.
+    ``terms`` maps even blades (sorted index tuples) to :class:`QSqrt2`
+    scalars.  :meth:`make` with float coefficients returns a
+    :class:`Spinor` instead.
     """
 
     n: int
-    terms: tuple[tuple[Blade, Scalar], ...]
+    terms: tuple[tuple[Blade, QSqrt2], ...]
 
     @staticmethod
-    def make(n: int, terms: dict) -> "CliffordEven":
+    def make(n: int, terms: dict) -> "CliffordEven | Spinor":
         clean = {}
         for I, c in terms.items():
+            if isinstance(c, float):
+                return Spinor.from_terms(n, terms)
             if len(I) % 2 != 0:
                 raise ValueError(f"odd blade {I} in even element")
             if any(not 1 <= i <= n + 1 for i in I):
                 raise ValueError(f"blade index out of range in {I}")
-            if not _is_zero(c):
+            c = _as_qs(c)
+            if c:
                 clean[tuple(I)] = c
         return CliffordEven(n, tuple(sorted(clean.items())))
 
     @staticmethod
-    def one(n: int, exact: bool = True) -> "CliffordEven":
-        return CliffordEven.make(n, {(): _ONE if exact else 1.0})
+    def one(n: int) -> "CliffordEven":
+        return CliffordEven.make(n, {(): _ONE})
 
     def tdict(self) -> dict:
         return dict(self.terms)
 
-    @property
-    def exact(self) -> bool:
-        return all(isinstance(c, QSqrt2) for _, c in self.terms)
-
     def __mul__(self, other: "CliffordEven") -> "CliffordEven":
+        if not isinstance(other, CliffordEven):
+            return NotImplemented
         if self.n != other.n:
             raise ValueError("rank mismatch")
         return CliffordEven.make(self.n, _terms_mul(self.tdict(), other.tdict()))
 
     def __add__(self, other: "CliffordEven") -> "CliffordEven":
+        if not isinstance(other, CliffordEven):
+            return NotImplemented
         out = self.tdict()
         for I, c in other.terms:
-            out[I] = out.get(I, _ZERO if isinstance(c, QSqrt2) else 0.0) + c
+            out[I] = out.get(I, _ZERO) + c
         return CliffordEven.make(self.n, out)
 
     def __neg__(self) -> "CliffordEven":
         return CliffordEven.make(self.n, {I: -c for I, c in self.terms})
 
     def __sub__(self, other: "CliffordEven") -> "CliffordEven":
+        if not isinstance(other, CliffordEven):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, x) -> "CliffordEven":
@@ -277,19 +304,17 @@ class CliffordEven:
 
     def reverse(self) -> "CliffordEven":
         """Anti-automorphism reversing each blade; inverse on unit spinors."""
-        out = {}
-        for I, c in self.terms:
-            k = len(I)
-            out[I] = -c if (k * (k - 1) // 2) % 2 else c
-        return CliffordEven.make(self.n, out)
+        return CliffordEven.make(
+            self.n, {I: -c if _reversion_sign(I) < 0 else c for I, c in self.terms}
+        )
 
-    def scalar_part(self) -> Scalar:
+    def scalar_part(self) -> QSqrt2:
         for I, c in self.terms:
             if I == ():
                 return c
-        return _ZERO if self.exact else 0.0
+        return _ZERO
 
-    def norm_sq(self) -> Scalar:
+    def norm_sq(self) -> QSqrt2:
         prod = self * self.reverse()
         return prod.scalar_part()
 
@@ -299,25 +324,19 @@ class CliffordEven:
             raise NotUnit(f"not a unit spinor: {self}")
         return self.reverse()
 
-    def is_unit(self, tol: float = 1e-12) -> bool:
-        prod = (self * self.reverse()).tdict()
-        if self.exact:
-            return prod == {(): _ONE}
-        sc = prod.pop((), 0.0)
-        return abs(sc - 1.0) < tol and all(abs(c) < tol for c in prod.values())
+    def is_unit(self) -> bool:
+        return (self * self.reverse()).tdict() == {(): _ONE}
 
-    def to_float(self) -> "CliffordEven":
-        return CliffordEven.make(self.n, {I: float(c) for I, c in self.terms})
+    def to_float(self) -> "Spinor":
+        return Spinor.from_terms(self.n, {I: float(c) for I, c in self.terms})
 
-    def coefficient(self, blade: Blade) -> Scalar:
-        return self.tdict().get(tuple(sorted(blade)), _ZERO if self.exact else 0.0)
+    def coefficient(self, blade: Blade) -> QSqrt2:
+        return self.tdict().get(tuple(sorted(blade)), _ZERO)
 
     def to_json(self) -> str:
-        """Serialize exact elements as blades with num/halfpow coefficients."""
+        """Serialize as blades with num/halfpow coefficients."""
         terms = []
         for I, c in self.terms:
-            if not isinstance(c, QSqrt2):
-                raise ValueError("to_json requires exact coefficients")
             if c.q == 0 or c.p == 0:
                 m, k = c.as_half_power()
                 terms.append({"blade": list(I), "num": m, "halfpow": k})
@@ -330,7 +349,7 @@ class CliffordEven:
     @staticmethod
     def from_json(text: str) -> "CliffordEven":
         data = json.loads(text)
-        out: dict[Blade, Scalar] = {}
+        out: dict[Blade, QSqrt2] = {}
         for term in data["terms"]:
             m, k = term["num"], term["halfpow"]
             val = QSqrt2(Fraction(m, 2 ** (k // 2)))
@@ -341,16 +360,219 @@ class CliffordEven:
         return CliffordEven.make(data["n"], out)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for I, c in self.terms:
-            blade = "".join(f"e{i}" for i in I) or "1"
-            bits.append(f"({c})*{blade}")
-        return " + ".join(bits)
+        return _terms_str(self.terms)
 
 
-def alpha(n: int, j: int, theta: float) -> CliffordEven:
+def _terms_str(terms) -> str:
+    if not terms:
+        return "0"
+    bits = []
+    for I, c in terms:
+        blade = "".join(f"e{i}" for i in I) or "1"
+        bits.append(f"({c})*{blade}")
+    return " + ".join(bits)
+
+
+# ---------------------------------------------------------------------------
+# Dense float spinors
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Tables:
+    """Blade index and multiplication tables of Cliff0_{n+1}.
+
+    ``blades`` lists the even blades in sorted order (the order of
+    ``CliffordEven.terms``).  For each pair of blades a and c,
+    ``prod_index[a, c]`` is the one blade b with
+    ``blades[a] * blades[b] = prod_sign[a, c] * blades[c]``.
+    ``left @ v`` and ``right @ v`` are the flattened matrices of left and
+    right multiplication by the element with coefficients v.
+
+    ``quad`` holds quadratic forms of v (rows of ``quad @ outer(v, v)``,
+    flattened): first the coefficients of ``z rev(z)``, then, for each odd
+    blade (grade 1 first) and each column j, its coefficient in
+    ``z e_j rev(z)``.
+    """
+
+    blades: tuple
+    index: dict
+    prod_index: np.ndarray
+    prod_sign: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    rev_sign: np.ndarray
+    not_bivector: np.ndarray
+    quad: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(n: int) -> _Tables:
+    """Tables for rank n, built once from :func:`_blade_mul`."""
+    m = n + 1
+    by_grade = [list(itertools.combinations(range(1, m + 1), k)) for k in range(m + 1)]
+    blades = sorted(b for k in range(0, m + 1, 2) for b in by_grade[k])
+    odd = [b for k in range(1, m + 1, 2) for b in by_grade[k]]  # grade 1 first
+    index = {b: a for a, b in enumerate(blades)}
+    odd_index = {b: o for o, b in enumerate(odd)}
+    N = len(blades)
+    mul = np.zeros((N, N, N))  # mul[c, a, b]: sign of blade c in a * b
+    prod_index = np.zeros((N, N), dtype=np.intp)
+    prod_sign = np.zeros((N, N))
+    for a, A in enumerate(blades):
+        for b, B in enumerate(blades):
+            s, C = _blade_mul(A, B)
+            c = index[C]
+            mul[c, a, b] = s
+            prod_index[a, c] = b
+            prod_sign[a, c] = s
+    rev_sign = np.array([float(_reversion_sign(b)) for b in blades])
+    quad = np.zeros((N + len(odd) * m, N, N))
+    quad[:N] = mul * rev_sign
+    for j in range(1, m + 1):
+        for a, A in enumerate(blades):
+            s1, K = _blade_mul(A, (j,))
+            for b, B in enumerate(blades):
+                s2, C = _blade_mul(K, B)
+                quad[N + odd_index[C] * m + j - 1, a, b] += s1 * s2 * rev_sign[b]
+    tables = _Tables(
+        blades=tuple(blades),
+        index=index,
+        prod_index=prod_index,
+        prod_sign=prod_sign,
+        left=np.ascontiguousarray(mul.transpose(0, 2, 1)).reshape(N * N, N),
+        right=mul.reshape(N * N, N),
+        rev_sign=rev_sign,
+        not_bivector=np.array([a for a, b in enumerate(blades) if len(b) != 2]),
+        quad=quad.reshape(len(quad), N * N),
+    )
+    for value in vars(tables).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)  # shared by every caller
+    return tables
+
+
+class Spinor:
+    """Float element of Cliff0_{n+1}: the coefficient vector ``v`` over
+    the even blades ``_tables(n).blades``.  Treated as immutable.
+
+    The product accumulates, for each output blade, the blade products in
+    the order of the left factor's blades, as the exact blade-by-blade
+    product does, so it returns the same floats.
+
+    >>> (alpha(2, 1, math.pi) * alpha(2, 1, math.pi)).scalar_part()
+    -1.0
+    """
+
+    __slots__ = ("n", "v")
+
+    def __init__(self, n: int, v: np.ndarray) -> None:
+        self.n = n
+        self.v = v
+
+    @staticmethod
+    def from_terms(n: int, terms: dict) -> "Spinor":
+        index = _tables(n).index
+        v = np.zeros(len(index))
+        for I, c in terms.items():
+            if tuple(I) not in index:
+                raise ValueError(f"{I} is not a sorted even blade for n={n}")
+            v[index[tuple(I)]] = float(c)
+        return Spinor(n, v)
+
+    @staticmethod
+    def one(n: int) -> "Spinor":
+        return Spinor.from_terms(n, {(): 1.0})
+
+    @property
+    def terms(self) -> tuple[tuple[Blade, float], ...]:
+        """Nonzero coefficients in blade order, like ``CliffordEven.terms``."""
+        blades = _tables(self.n).blades
+        return tuple((blades[a], c) for a, c in enumerate(self.v.tolist()) if c != 0.0)
+
+    def coefficient(self, blade: Blade) -> float:
+        a = _tables(self.n).index.get(tuple(sorted(blade)))
+        return 0.0 if a is None else float(self.v[a])
+
+    def scalar_part(self) -> float:
+        return float(self.v[0])
+
+    def to_float(self) -> "Spinor":
+        return self
+
+    def _other(self, other) -> np.ndarray:
+        other = other.to_float()
+        if self.n != other.n:
+            raise ValueError("rank mismatch")
+        return other.v
+
+    def __mul__(self, other) -> "Spinor":
+        t = _tables(self.n)
+        w = self._other(other)
+        # row a holds the products of blade a with the matching blades of w;
+        # the sum over axis 0 adds them in blade order
+        terms = self.v[:, None] * (t.prod_sign * w[t.prod_index])
+        return Spinor(self.n, terms.sum(axis=0))
+
+    def __rmul__(self, other) -> "Spinor":
+        return other.to_float() * self
+
+    def __add__(self, other) -> "Spinor":
+        return Spinor(self.n, self.v + self._other(other))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Spinor":
+        return Spinor(self.n, -self.v)
+
+    def __sub__(self, other) -> "Spinor":
+        return Spinor(self.n, self.v - self._other(other))
+
+    def __rsub__(self, other) -> "Spinor":
+        return Spinor(self.n, self._other(other) - self.v)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Spinor):
+            return NotImplemented
+        return self.n == other.n and bool(np.array_equal(self.v, other.v))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.terms))
+
+    def scale(self, x: float) -> "Spinor":
+        return Spinor(self.n, self.v * x)
+
+    def reverse(self) -> "Spinor":
+        """Anti-automorphism reversing each blade; inverse on unit spinors."""
+        return Spinor(self.n, self.v * _tables(self.n).rev_sign)
+
+    def is_unit(self, tol: float = 1e-12) -> bool:
+        d = (self * self.reverse()).v
+        d[0] -= 1.0
+        return bool(np.abs(d).max() < tol)
+
+    def inverse(self) -> "Spinor":
+        """Inverse of a unit spinor (equals reverse)."""
+        if not self.is_unit():
+            raise NotUnit(f"not a unit spinor: {self}")
+        return self.reverse()
+
+    def left_matrix(self) -> np.ndarray:
+        """Matrix of ``y -> self * y`` on coefficient vectors."""
+        return (_tables(self.n).left @ self.v).reshape(len(self.v), -1)
+
+    def right_matrix(self) -> np.ndarray:
+        """Matrix of ``y -> y * self`` on coefficient vectors."""
+        return (_tables(self.n).right @ self.v).reshape(len(self.v), -1)
+
+    def __str__(self) -> str:
+        return _terms_str(self.terms)
+
+    def __repr__(self) -> str:
+        return f"Spinor({self.n}, {self.v!r})"
+
+
+def alpha(n: int, j: int, theta: float) -> Spinor:
     """``alpha_j(theta) = cos(theta/2) + sin(theta/2) e_{j+1} e_j`` (float).
 
     >>> z = alpha(2, 1, 2 * math.pi)
@@ -359,10 +581,12 @@ def alpha(n: int, j: int, theta: float) -> CliffordEven:
     """
     if not 1 <= j <= n:
         raise ValueError(f"generator index {j} out of range 1..{n}")
+    t = _tables(n)
+    v = np.zeros(len(t.blades))
+    v[0] = math.cos(theta / 2)
     # e_{j+1} e_j = -e_j e_{j+1}: canonical blade (j, j+1) with sign -1
-    return CliffordEven.make(
-        n, {(): math.cos(theta / 2), (j, j + 1): -math.sin(theta / 2)}
-    )
+    v[t.index[(j, j + 1)]] = -math.sin(theta / 2)
+    return Spinor(n, v)
 
 
 def alpha_exact(n: int, j: int, sign: int) -> CliffordEven:
@@ -403,38 +627,46 @@ def hat(sigma: Permutation) -> CliffordEven:
     return acute(sigma) * grave(sigma).inverse()
 
 
-def _basis_vector_terms(n: int, j: int, exact: bool) -> dict:
-    return {(j,): _ONE if exact else 1.0}
-
-
-def project(z: CliffordEven) -> list[list[Scalar]]:
+def project(z: "CliffordEven | Spinor") -> "list[list[QSqrt2]] | np.ndarray":
     """Rotation matrix of ``Pi(z)``: column j is ``z e_j rev(z)``.
 
-    Entries are :class:`QSqrt2` in exact mode, floats otherwise.
+    Exact elements give a list of rows of :class:`QSqrt2`; a
+    :class:`Spinor` gives a float array, up to a grade-3+ residue of 1e-9.
 
     >>> [[float(x) for x in row] for row in project(CliffordEven.one(2))]
     [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     """
+    if isinstance(z, Spinor):
+        return _project_float(z)
     if not z.is_unit():
         raise NotUnit(f"not a unit spinor: {z}")
     n = z.n
-    exact = z.exact
-    zero = _ZERO if exact else 0.0
     rev = z.reverse().tdict()
     zt = z.tdict()
     cols = []
     for j in range(1, n + 2):
-        col_terms = _terms_mul(_terms_mul(zt, _basis_vector_terms(n, j, exact)), rev)
-        col = [zero] * (n + 1)
+        col_terms = _terms_mul(_terms_mul(zt, {(j,): _ONE}), rev)
+        col = [_ZERO] * (n + 1)
         for I, c in col_terms.items():
-            if len(I) == 1:
-                col[I[0] - 1] = c
-            elif not _is_zero(c):
-                # float mode: tolerate roundoff residue in higher grades
-                if exact or abs(float(c)) > 1e-9:
-                    raise NotUnit("conjugation did not preserve grade 1")
+            if len(I) != 1:
+                raise NotUnit("conjugation did not preserve grade 1")
+            col[I[0] - 1] = c
         cols.append(col)
     return [[cols[j][i] for j in range(n + 1)] for i in range(n + 1)]
+
+
+def _project_float(z: Spinor, tol: float = 1e-12) -> np.ndarray:
+    t = _tables(z.n)
+    m, N = z.n + 1, len(t.blades)
+    forms = t.quad @ np.outer(z.v, z.v).ravel()
+    unit = forms[:N]
+    unit[0] -= 1.0
+    if np.abs(unit).max() >= tol:
+        raise NotUnit(f"not a unit spinor: {z}")
+    cols = forms[N:].reshape(-1, m)  # row: odd blade, grade 1 first
+    if np.abs(cols[m:]).max(initial=0.0) > 1e-9:
+        raise NotUnit("conjugation did not preserve grade 1")
+    return cols[:m]
 
 
 def is_quat(z: CliffordEven) -> bool:
@@ -442,9 +674,7 @@ def is_quat(z: CliffordEven) -> bool:
     if len(z.terms) != 1:
         return False
     _, c = z.terms[0]
-    if isinstance(c, QSqrt2):
-        return c == _ONE or c == -_ONE
-    return abs(abs(c) - 1.0) < 1e-12
+    return c == _ONE or c == -_ONE
 
 
 def signed_permutation_of(z: CliffordEven) -> Permutation:
@@ -458,7 +688,7 @@ def signed_permutation_of(z: CliffordEven) -> Permutation:
     n = z.n
     images = []
     for i in range(n + 1):
-        nz = [j for j in range(n + 1) if not _is_zero(M[i][j])]
+        nz = [j for j in range(n + 1) if M[i][j]]
         if len(nz) != 1:
             raise NotInLiftedSignedGroup(f"row {i + 1} is not signed-unit")
         images.append(nz[0] + 1)
@@ -548,7 +778,8 @@ def q_of_word(word: Sequence[Permutation], n: int | None = None) -> CliffordEven
     return q
 
 
-def h_bivector(n: int) -> CliffordEven:
+@functools.lru_cache(maxsize=None)
+def h_bivector(n: int) -> Spinor:
     """The bivector for ``frak h = sum sqrt(j(n+1-j)) frak a_j`` (float).
 
     ``frak a_j`` corresponds to ``(1/2) e_{j+1} e_j``.
@@ -556,34 +787,25 @@ def h_bivector(n: int) -> CliffordEven:
     terms = {}
     for j in range(1, n + 1):
         terms[(j, j + 1)] = -0.5 * math.sqrt(j * (n + 1 - j))
-    return CliffordEven.make(n, terms)
+    h = Spinor.from_terms(n, terms)
+    h.v.setflags(write=False)  # cached: shared by every caller
+    return h
 
 
-def clifford_exp(x: CliffordEven, terms: int = 40) -> CliffordEven:
-    """Series exponential of a float even element (scaling and squaring)."""
+def clifford_exp(x: "CliffordEven | Spinor") -> Spinor:
+    """Exponential of a bivector, ``exp(L) 1`` for its left multiplication L.
+
+    L is real skew-symmetric, so ``i L`` is Hermitian: with
+    ``i L = V diag(w) V^H``, ``exp(L) = V diag(exp(-i w)) V^H``.
+    """
     xf = x.to_float()
-    norm = sum(abs(c) for _, c in xf.terms)
-    squarings = 0
-    while norm > 0.5:
-        norm /= 2
-        squarings += 1
-    xs = xf.scale(0.5 ** squarings)
-    acc = CliffordEven.one(x.n, exact=False)
-    power = CliffordEven.one(x.n, exact=False)
-    fact = 1.0
-    for k in range(1, terms):
-        power = power * xs
-        fact *= k
-        term = power.scale(1.0 / fact)
-        acc = acc + term
-        if all(abs(c) < 1e-18 for _, c in term.terms):
-            break
-    for _ in range(squarings):
-        acc = acc * acc
-    return acc
+    if xf.v[_tables(xf.n).not_bivector].any():
+        raise ValueError(f"clifford_exp needs a bivector, got {xf}")
+    w, V = np.linalg.eigh(1j * xf.left_matrix())
+    return Spinor(xf.n, (V @ (np.exp(-1j * w) * V[0].conj())).real)
 
 
-def spin_exp_h(n: int, t: float) -> CliffordEven:
+def spin_exp_h(n: int, t: float) -> Spinor:
     """``exp(t * frak h)`` in Spin_{n+1} (float)."""
     return clifford_exp(h_bivector(n).scale(t))
 
@@ -603,8 +825,6 @@ def cell_of_matrix(M: Sequence[Sequence[Scalar]], tol: float = 1e-9) -> Permutat
     Uses ``rank(M[i:, :j]) = #{k >= i : k**sigma <= j}``:
     ``i**sigma`` is the least j at which deleting row i drops the rank.
     """
-    import numpy as np
-
     A = np.array(_float_matrix(M), dtype=float)
     m = A.shape[0]
 
@@ -655,10 +875,8 @@ def theta_exit(y: CliffordEven, i: int, rho: Permutation) -> float:
     original column i (resp. column i+1 substituted for it).  The root in
     (0, pi) is unique and computed in closed form.
     """
-    import numpy as np
-
     rows, cols = _pivot_minor_spec(rho, i)
-    M0 = np.array(_float_matrix(project(y.to_float())))
+    M0 = project(y.to_float())
     sub = M0[np.ix_(rows, cols)]
     a = float(np.linalg.det(sub))
     ki = cols.index(i - 1)
@@ -678,8 +896,6 @@ def theta_exit(y: CliffordEven, i: int, rho: Permutation) -> float:
 
 def quat_elements(n: int) -> list[CliffordEven]:
     """All elements of Quat_{n+1}: ``+-b`` over even blades b (exact)."""
-    import itertools
-
     out = []
     for k in range(0, n + 2, 2):
         for blade in itertools.combinations(range(1, n + 2), k):
@@ -712,8 +928,8 @@ def in_positive_cell(z: CliffordEven, tol: float = 1e-6) -> bool:
             return False
         cur = cur * alpha(n, i, -th)
         rho = symgrp.compose(rho, symgrp.coxeter_generator(n, i))
-    resid = max((abs(float(c)) for b, c in cur.terms if b), default=0.0)
-    return resid < tol and abs(float(cur.scalar_part()) - 1.0) < tol
+    resid = np.abs(cur.v[1:]).max(initial=0.0)
+    return bool(resid < tol and abs(cur.scalar_part() - 1.0) < tol)
 
 
 def positive_chart(z: CliffordEven, tol: float = 1e-6) -> list[float]:
@@ -732,7 +948,7 @@ def positive_chart(z: CliffordEven, tol: float = 1e-6) -> list[float]:
         thetas.append(th)
         cur = cur * alpha(n, i, -th)
         rho = symgrp.compose(rho, symgrp.coxeter_generator(n, i))
-    resid = max((abs(float(c)) for b, c in cur.terms if b), default=0.0)
-    if resid > tol or abs(float(cur.scalar_part()) - 1.0) > tol:
+    resid = np.abs(cur.v[1:]).max(initial=0.0)
+    if resid > tol or abs(cur.scalar_part() - 1.0) > tol:
         raise NotUnit("element is not in the positive open cell")
     return list(reversed(thetas))

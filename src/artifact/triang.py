@@ -538,7 +538,7 @@ def convex_connect(
     B: "spinalg.CliffordEven",
     samples: int = 64,
     c: float = math.pi / 4,
-) -> list["spinalg.CliffordEven"]:
+) -> list["spinalg.Spinor"]:
     """A sampled convex arc in Spin from A to B.
 
     Requires ``A^-1 B`` to lie in the open cell ``Bru_{acute eta}`` in
@@ -552,12 +552,8 @@ def convex_connect(
 
     n = A.n
     target = A.inverse() * B
-    Z = np.array(
-        [[float(v) for v in row] for row in spinalg.project(target.to_float())]
-    )
-    W = np.array(
-        [[float(v) for v in row] for row in spinalg.project(spinalg.spin_exp_h(n, c))]
-    )
+    Z = spinalg.project(target.to_float())
+    W = spinalg.project(spinalg.spin_exp_h(n, c))
     U1w, Pw, _ = bruhat_upw(W)
     U1z, Pz, _ = bruhat_upw(Z)
     if not np.allclose(Pw, Pz, atol=1e-9):
@@ -568,10 +564,7 @@ def convex_connect(
     mats = []
     for k in range(samples + 1):
         t = k / samples
-        Pt = np.array(
-            [[float(v) for v in row]
-             for row in spinalg.project(spinalg.spin_exp_h(n, t * c))]
-        )
+        Pt = spinalg.project(spinalg.spin_exp_h(n, t * c))
         mats.append(np.array(qr_positive((Uinv @ Pt).tolist())[0]))
     if not np.allclose(mats[-1], Z, atol=1e-8):
         raise NotConnectableInCell("arc endpoint mismatch")
@@ -589,7 +582,7 @@ def convex_connect(
     return out
 
 
-def _lift_rotation_step(n: int, R) -> "spinalg.CliffordEven":
+def _lift_rotation_step(n: int, R) -> "spinalg.Spinor":
     """Spin lift of a rotation close to the identity."""
     import numpy as np
     from scipy.linalg import logm
@@ -600,10 +593,10 @@ def _lift_rotation_step(n: int, R) -> "spinalg.CliffordEven":
         for j in range(i + 1, n + 1):
             if abs(S[i, j]) > 1e-15:
                 terms[(i + 1, j + 1)] = 0.5 * S[i, j]
-    biv = spinalg.CliffordEven.make(n, terms)
-    return spinalg.clifford_exp(biv)
+    return spinalg.clifford_exp(spinalg.Spinor.from_terms(n, terms))
 
 
-def _spin_distance(z: "spinalg.CliffordEven", w: "spinalg.CliffordEven") -> float:
-    d = z - w
-    return math.sqrt(sum(float(c) ** 2 for _, c in d.terms))
+def _spin_distance(z, w) -> float:
+    """Euclidean distance of the coefficient vectors of z and w."""
+    d = (z.to_float() - w.to_float()).v
+    return math.sqrt(float(d @ d))

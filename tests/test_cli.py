@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -179,3 +180,25 @@ class TestUsage:
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "--definitely-not-a-flag")
         assert code == 1
+
+
+class TestSectionCsv:
+    def test_grid_csv_written_and_closed(self, capsys, tmp_path, monkeypatch):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        csvfile = tmp_path / "map.csv"
+        code, _, _ = run(
+            capsys, "section", "aba", "--grid", "3x3", "--csv", str(csvfile)
+        )
+        assert code == 0
+        assert opened and all(fh.closed for fh in opened)
+        with csvfile.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["x1", "x2", "u", "itinerary", "roots"]
+        assert len(rows) == 1 + 9
+        assert all(len(row) == 5 for row in rows)

@@ -167,3 +167,16 @@ class TestUInvariant:
         curve = section_curve(section, (0, 0))
         with pytest.raises(curvelab.NotAnAcbEvent):
             curvelab.u_invariant(curve, 0.0)
+
+
+class TestSlopeProbeDomain:
+    def test_event_near_the_end_of_the_domain(self):
+        # an event within the slope step of t = -1: the probe must stay
+        # inside [-1, 1] and classify the event
+        aba = polysect.build_section(symgrp.letter_from_name(2, "aba"))
+        point = (Fraction(31, 128), Fraction(1, 4))
+        curve = section_curve(aba, point)
+        events = curvelab.singular_events(curve)
+        assert events[0].time < -0.98
+        numeric = symgrp.word_name(tuple(ev.letter for ev in events))
+        assert numeric == polysect.classify_point(aba, point).label == "bb"
