@@ -188,7 +188,7 @@ def _curve_from_spec(spec: dict, cfg: RunConfig) -> curvelab.FrameCurve:
         try:
             sigma = symgrp.letter_from_name(n, sigma_name)
             section = polysect.build_section(sigma)
-        except (ValueError, polysect.IdentityLetter) as exc:
+        except ValueError as exc:  # spinalg.IdentityLetter is a ValueError
             raise UsageError(str(exc)) from exc
         point_text = spec.get("point", "")
         point = [_parse_fraction(v) for v in point_text.split(",") if v.strip()]
@@ -272,7 +272,7 @@ def cmd_section(args, cfg: RunConfig) -> int:
         try:
             sigma = symgrp.letter_from_name(n, args.sigma)
             section = polysect.build_section(sigma)
-        except polysect.IdentityLetter as exc:
+        except spinalg.IdentityLetter as exc:
             raise UsageError(str(exc)) from exc
         except (ValueError, KeyError) as exc:
             raise UsageError(f"bad letter {args.sigma!r}: {exc}") from exc

@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 import sympy as sp
 
 from . import spinalg, symgrp
+from .spinalg import IdentityLetter
 from .symgrp import Permutation
 
 __all__ = [
@@ -52,10 +53,6 @@ class ZeroPolynomial(ValueError):
 
 class UnrecognizedMultPattern(ValueError):
     """A multiplicity vector not realizable by any permutation."""
-
-
-class IdentityLetter(ValueError):
-    """Sections require a non-identity letter."""
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +388,8 @@ def build_section(sigma: Permutation, q: "spinalg.CliffordEven | None" = None) -
     >>> sp.pprint  # doctest: +SKIP
     >>> build_section(aba).Mtilde_full
     Matrix([
-    [  1,   0, 0],
-    [x1,   1, 0],
+    [ 1,  0, 0],
+    [x1,  1, 0],
     [x2, x3, 1]])
     """
     if sigma.is_identity():

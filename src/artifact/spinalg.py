@@ -14,6 +14,12 @@ signed-permutation group, the word table ``B(w, j)`` and the operators
 ``chop`` / ``adv`` are all computed bit-exactly in this ring by
 :class:`CliffordEven`, whose products go blade by blade.
 
+Each ``hat(sigma)`` lies in the finite group Quat_{n+1} of signed even
+blades and is computed once per sigma.  The endpoint ``q_of_word(w) =
+acute(eta) hat(sigma_1) ... hat(sigma_l) acute(eta)`` is therefore a
+product of signed blades in Quat_{n+1}, followed by the map ``b ->
+acute(eta) b acute(eta)``, computed exactly once per signed blade b.
+
 Floats are used only for curve-side evaluation (``alpha`` at generic
 angles, ``clifford_exp``, ``project``, ``theta_exit``).  A float element
 is a :class:`Spinor`: a dense numpy vector of coefficients over the
@@ -81,7 +87,7 @@ class NotInLiftedSignedGroup(ValueError):
 
 
 class IdentityLetter(ValueError):
-    """A word letter equal to the identity permutation."""
+    """A letter (of a word or of a section) equal to the identity permutation."""
 
 
 class NoRootInInterval(ValueError):
@@ -617,14 +623,39 @@ def grave(sigma: Permutation) -> CliffordEven:
     return _acute_cached(sigma.images, -1)
 
 
+SignedBlade = tuple[Blade, int]
+
+
+def _signed_blade(z: CliffordEven) -> SignedBlade:
+    """``z = sign * blade`` as ``(blade, sign)``; raises
+    :class:`NotInLiftedSignedGroup` unless z is in Quat."""
+    if not is_quat(z):
+        raise NotInLiftedSignedGroup(f"{z} is not in Quat")
+    blade, c = z.terms[0]
+    return blade, 1 if c == _ONE else -1
+
+
+def _from_signed_blade(n: int, b: SignedBlade) -> CliffordEven:
+    blade, sign = b
+    return CliffordEven(n, ((blade, _ONE if sign > 0 else -_ONE),))
+
+
+@functools.lru_cache(maxsize=None)
+def _hat_cached(images: tuple[int, ...]) -> SignedBlade:
+    return _signed_blade(
+        _acute_cached(images, +1) * _acute_cached(images, -1).inverse()
+    )
+
+
 def hat(sigma: Permutation) -> CliffordEven:
-    """``hat(sigma) = acute(sigma) * grave(sigma)**-1``, an element of Quat.
+    """``hat(sigma) = acute(sigma) * grave(sigma)**-1``, an element of Quat
+    (computed once per sigma).
 
     >>> a1 = symgrp.coxeter_generator(2, 1)
     >>> hat(a1).terms
     (((1, 2), QSqrt2(-1, 0)),)
     """
-    return acute(sigma) * grave(sigma).inverse()
+    return _from_signed_blade(sigma.n, _hat_cached(sigma.images))
 
 
 def project(z: "CliffordEven | Spinor") -> "list[list[QSqrt2]] | np.ndarray":
@@ -737,15 +768,13 @@ class SpinWordTable:
         """Quat element with ``B(w, j + 1/2) = q_j acute(eta)``."""
         n = self.word[0].n if self.word else self.integer[0].n
         qj = self.half[j] * acute(symgrp.longest_element(n)).inverse()
-        assert is_quat(qj)
+        _signed_blade(qj)  # raises unless qj is in Quat
         return qj
 
 
-def word_table(word: Sequence[Permutation], n: int | None = None) -> SpinWordTable:
-    """Build the recursion B(w,0)=1, B(w,1/2)=acute(eta), B(w,j)=B(w,j-1/2)
-    acute(sigma_j), B(w,j+1/2)=B(w,j-1/2) hat(sigma_j), endpoint
-    B(w,l+1)=B(w,l+1/2) acute(eta).
-    """
+def _checked_word(
+    word: Sequence[Permutation], n: int | None
+) -> tuple[tuple[Permutation, ...], int]:
     word = tuple(word)
     if n is None:
         if not word:
@@ -756,6 +785,15 @@ def word_table(word: Sequence[Permutation], n: int | None = None) -> SpinWordTab
             raise IdentityLetter("identity letter in word")
         if sigma.n != n:
             raise ValueError("rank mismatch in word")
+    return word, n
+
+
+def word_table(word: Sequence[Permutation], n: int | None = None) -> SpinWordTable:
+    """Build the recursion B(w,0)=1, B(w,1/2)=acute(eta), B(w,j)=B(w,j-1/2)
+    acute(sigma_j), B(w,j+1/2)=B(w,j-1/2) hat(sigma_j), endpoint
+    B(w,l+1)=B(w,l+1/2) acute(eta).
+    """
+    word, n = _checked_word(word, n)
     eta = symgrp.longest_element(n)
     integer = [CliffordEven.one(n)]
     half = [acute(eta)]
@@ -766,16 +804,33 @@ def word_table(word: Sequence[Permutation], n: int | None = None) -> SpinWordTab
     return SpinWordTable(word, tuple(integer), tuple(half))
 
 
+@functools.lru_cache(maxsize=None)
+def _endpoint_cached(n: int, b: SignedBlade) -> CliffordEven:
+    a = acute(symgrp.longest_element(n))
+    q = a * _from_signed_blade(n, b) * a
+    _signed_blade(q)  # raises unless q is in Quat
+    return q
+
+
 def q_of_word(word: Sequence[Permutation], n: int | None = None) -> CliffordEven:
     """Endpoint ``acute(eta) hat(sigma_1) ... hat(sigma_l) acute(eta)``.
+
+    Each ``hat(sigma_j)`` is a signed blade of Quat_{n+1}, cached per
+    letter, so the middle product is a product of signed blades; the
+    conjugation-like map ``b -> acute(eta) b acute(eta)`` is computed
+    exactly once per signed blade b.  Equals ``word_table(word, n)``'s
+    endpoint.
 
     >>> is_quat(q_of_word((), 2))
     True
     """
-    table = word_table(word, n)
-    q = table.integer[-1]
-    assert is_quat(q)
-    return q
+    word, n = _checked_word(word, n)
+    blade, sign = (), 1
+    for sigma in word:
+        h_blade, h_sign = _hat_cached(sigma.images)
+        s, blade = _blade_mul(blade, h_blade)
+        sign *= s * h_sign
+    return _endpoint_cached(n, (blade, sign))
 
 
 @functools.lru_cache(maxsize=None)
@@ -905,6 +960,24 @@ def quat_elements(n: int) -> list[CliffordEven]:
     return out
 
 
+def _peel_positive(z: "CliffordEven | Spinor") -> tuple[list[float], Spinor]:
+    """Peel exit angles along the reduced word of eta, last letter first.
+
+    Returns the angles in peeling order and the residual spinor; raises
+    :class:`NoRootInInterval` when some exit angle does not exist.
+    """
+    n = z.n
+    rho = eta = symgrp.longest_element(n)
+    cur = z.to_float()
+    thetas = []
+    for i in reversed(symgrp.reduced_word(eta)):
+        th = theta_exit(cur, i, rho)
+        thetas.append(th)
+        cur = cur * alpha(n, i, -th)
+        rho = symgrp.compose(rho, symgrp.coxeter_generator(n, i))
+    return thetas, cur
+
+
 def in_positive_cell(z: CliffordEven, tol: float = 1e-6) -> bool:
     """Whether z lies in the signed open cell ``Bru_{acute eta}``.
 
@@ -912,22 +985,15 @@ def in_positive_cell(z: CliffordEven, tol: float = 1e-6) -> bool:
     reduced word of eta; z is in the cell iff the peeled residue is the
     spin identity (``-z`` and ``q z`` for nontrivial q in Quat all fail).
     """
-    n = z.n
-    eta = symgrp.longest_element(n)
     try:
-        if cell_of_matrix(project(z.to_float())) != eta:
+        if cell_of_matrix(project(z.to_float())) != symgrp.longest_element(z.n):
             return False
     except ValueError:
         return False
-    cur = z.to_float()
-    rho = eta
-    for i in reversed(symgrp.reduced_word(eta)):
-        try:
-            th = theta_exit(cur, i, rho)
-        except NoRootInInterval:
-            return False
-        cur = cur * alpha(n, i, -th)
-        rho = symgrp.compose(rho, symgrp.coxeter_generator(n, i))
+    try:
+        _, cur = _peel_positive(z)
+    except NoRootInInterval:
+        return False
     resid = np.abs(cur.v[1:]).max(initial=0.0)
     return bool(resid < tol and abs(cur.scalar_part() - 1.0) < tol)
 
@@ -937,17 +1003,7 @@ def positive_chart(z: CliffordEven, tol: float = 1e-6) -> list[float]:
     (0, pi)**l with ``z = prod alpha_{i_k}(theta_k)`` along the reduced
     word of eta.  Raises :class:`NoRootInInterval` / ValueError when z is
     not in the signed cell."""
-    n = z.n
-    eta = symgrp.longest_element(n)
-    word = symgrp.reduced_word(eta)
-    cur = z.to_float()
-    rho = eta
-    thetas = []
-    for i in reversed(word):
-        th = theta_exit(cur, i, rho)
-        thetas.append(th)
-        cur = cur * alpha(n, i, -th)
-        rho = symgrp.compose(rho, symgrp.coxeter_generator(n, i))
+    thetas, cur = _peel_positive(z)
     resid = np.abs(cur.v[1:]).max(initial=0.0)
     if resid > tol or abs(cur.scalar_part() - 1.0) > tol:
         raise NotUnit("element is not in the positive open cell")

@@ -221,7 +221,7 @@ def commute_identity(i: int, s1, s2, s3) -> tuple:
     with ``~s = (s2 s3/(s1+s3), s1+s3, s1 s2/(s1+s3))``.
 
     >>> commute_identity(1, Fraction(1), Fraction(1), Fraction(1))
-    (Fraction(1, 2), Fraction(2), Fraction(1, 2))
+    (Fraction(1, 2), Fraction(2, 1), Fraction(1, 2))
     """
     s = s1 + s3
     if _is_zero_entry(s):
@@ -314,7 +314,7 @@ def factor_along(L, word: Sequence[int], require_positive: bool = True) -> tuple
 
     >>> L = product_along(2, (1, 2, 1), (Fraction(2), Fraction(3), Fraction(5)))
     >>> factor_along(L, (1, 2, 1))
-    (Fraction(2), Fraction(3), Fraction(5))
+    (Fraction(2, 1), Fraction(3, 1), Fraction(5, 1))
     """
     if isinstance(L, UniTriMatrix):
         L = L.tolist()

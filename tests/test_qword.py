@@ -1,0 +1,93 @@
+"""The endpoint ``q_of_word`` as a product in Quat_{n+1}, checked against
+the exact word table and the literal product of spinors."""
+
+import functools
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from artifact import polysect, spinalg, symgrp
+from artifact.spinalg import CliffordEven, IdentityLetter, NotInLiftedSignedGroup
+
+
+@functools.lru_cache(maxsize=None)
+def letters(n):
+    return tuple(p for p in symgrp.all_permutations(n) if not p.is_identity())
+
+
+@st.composite
+def rank_and_word(draw):
+    n = draw(st.integers(2, 4))
+    return n, tuple(draw(st.lists(st.sampled_from(letters(n)), max_size=6)))
+
+
+class TestQOfWord:
+    @settings(max_examples=60, deadline=None)
+    @given(rank_and_word())
+    def test_matches_word_table(self, nw):
+        n, word = nw
+        assert spinalg.q_of_word(word, n) == spinalg.word_table(word, n).integer[-1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(rank_and_word())
+    def test_matches_literal_product(self, nw):
+        n, word = nw
+        a_eta = spinalg.acute(symgrp.longest_element(n))
+        z = a_eta
+        for sigma in word:
+            z = z * (spinalg.acute(sigma) * spinalg.grave(sigma).inverse())
+        z = z * a_eta
+        assert spinalg.q_of_word(word, n).terms == z.terms
+
+    @pytest.mark.parametrize("fn", [spinalg.q_of_word, spinalg.word_table])
+    def test_errors(self, fn):
+        a = symgrp.coxeter_generator(2, 1)
+        with pytest.raises(IdentityLetter):
+            fn((a, symgrp.identity(2)), 2)
+        with pytest.raises(ValueError) as exc:
+            fn((a, symgrp.coxeter_generator(3, 1)))
+        assert type(exc.value) is ValueError
+        with pytest.raises(ValueError) as exc:
+            fn(())
+        assert type(exc.value) is ValueError
+
+    def test_no_dense_product_when_warm(self, monkeypatch):
+        n = 3
+        word = symgrp.word_from_name(n, "a[cb]ab[ac]")
+        words = [word, word[::-1] + word, word[1:]]
+        expected = [spinalg.q_of_word(w, n) for w in words]
+
+        def forbidden(*args):
+            raise AssertionError("dense product after the caches are warm")
+
+        monkeypatch.setattr(CliffordEven, "__mul__", forbidden)
+        monkeypatch.setattr(spinalg, "_terms_mul", forbidden)
+        assert [spinalg.q_of_word(w, n) for w in words] == expected
+
+    def test_caches_bounded_by_group(self):
+        n = 3
+        spinalg._hat_cached.cache_clear()
+        spinalg._endpoint_cached.cache_clear()
+        pool = letters(n)
+        for k in range(len(pool)):
+            spinalg.q_of_word(pool[k:] + pool[:k], n)
+            spinalg.q_of_word(pool[: k + 1], n)
+        assert spinalg._hat_cached.cache_info().currsize <= math.factorial(n + 1) - 1
+        assert spinalg._endpoint_cached.cache_info().currsize <= 2 ** (n + 1)
+
+
+class TestSpinWordTableQ:
+    def test_table_q_outside_quat_raises(self):
+        n = 2
+        a = symgrp.coxeter_generator(n, 1)
+        one = CliffordEven.one(n)
+        table = spinalg.SpinWordTable((a,), (one, one, one), (one, one))
+        with pytest.raises(NotInLiftedSignedGroup):
+            table.q(0)
+
+
+def test_one_identity_letter_class():
+    assert polysect.IdentityLetter is spinalg.IdentityLetter
+    assert "IdentityLetter" in polysect.__all__
