@@ -22,7 +22,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import curvelab, polysect, poset, spinalg, symgrp
 
@@ -36,6 +36,28 @@ EXIT_INTERNAL = 3
 
 class UsageError(ValueError):
     """Malformed input: spec files, word syntax, flag values."""
+
+
+def _key_value_lines(path: str, what: str) -> Iterator[tuple[int, str, str]]:
+    """Yield ``(lineno, key, value)`` for each ``key = value`` line of a
+    flat file, in order, so the caller's errors keep their line order.
+
+    ``#`` starts a comment and blank lines are skipped; ``what`` names the
+    file in the error for an unreadable one.
+    """
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        yield lineno, key.strip(), value.strip()
 
 
 @dataclass
@@ -56,19 +78,7 @@ class RunConfig:
     def from_file(cls, path: str) -> "RunConfig":
         cfg = cls()
         ftypes = {f.name: f.type for f in fields(cls)}
-        try:
-            with open(path) as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise UsageError(f"cannot read config {path}: {exc}") from exc
-        for lineno, line in enumerate(lines, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
+        for lineno, key, value in _key_value_lines(path, "config"):
             if key not in ftypes:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
             kind = ftypes[key]
@@ -143,20 +153,7 @@ def _parse_word(n: int, text: str):
 
 
 def _read_spec(path: str) -> dict:
-    spec = {}
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read spec {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        spec[key.strip()] = value.strip()
+    spec = {key: value for _, key, value in _key_value_lines(path, "spec")}
     if "kind" not in spec:
         raise UsageError(f"{path}: missing 'kind'")
     return spec

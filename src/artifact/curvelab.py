@@ -147,22 +147,25 @@ def _spin_log(z: Spinor) -> Spinor:
 
 
 def _lift_rotation(n: int, R: np.ndarray) -> Spinor:
-    """A spin lift of an arbitrary rotation (sign chosen arbitrarily)."""
-    from scipy.linalg import sqrtm
+    """A spin lift of an arbitrary rotation (sign chosen arbitrarily).
 
-    R = np.array(R, dtype=float)
+    A rotation with an eigenvalue -1 is lifted as ``lift(R D) e_F``: D is
+    the diagonal sign matrix in SO_{n+1} with the largest ``det(I + R D)``
+    and e_F the blade of the coordinates it negates, so ``Pi(e_F) = D``.
+    Over all 2^(n+1) sign matrices ``det(I + R D)`` averages to 1 and
+    vanishes when ``det D = -1``, so the chosen D has ``det(I + R D) >= 2``.
+    """
+    R = np.asarray(R, dtype=float)
     try:
-        z = triang._lift_rotation_step(n, R)
-        if np.allclose(spinalg.project(z), R, atol=1e-8):
-            return z
-    except Exception:
+        return triang._lift_rotation_step(n, R)
+    except triang.NearHalfTurn:
         pass
-    half = np.real(sqrtm(R))
-    zh = _lift_rotation(n, half)
-    z = zh * zh
-    if not np.allclose(spinalg.project(z), R, atol=1e-6):
-        raise ValueError("failed to lift rotation to Spin")
-    return z
+    signs = np.array(
+        [d for d in itertools.product((1.0, -1.0), repeat=n + 1) if np.prod(d) > 0]
+    )
+    d = signs[np.argmax(np.linalg.det(np.eye(n + 1) + R * signs[:, None, :]))]
+    flipped = tuple(int(i) + 1 for i in np.flatnonzero(d < 0))
+    return triang._lift_rotation_step(n, R * d) * Spinor.from_terms(n, {flipped: 1.0})
 
 
 # ---------------------------------------------------------------------------

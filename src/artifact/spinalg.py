@@ -67,6 +67,7 @@ __all__ = [
     "q_of_word",
     "h_bivector",
     "clifford_exp",
+    "exterior_exp",
     "spin_exp_h",
     "theta_exit",
     "cell_of_matrix",
@@ -393,7 +394,9 @@ class _Tables:
     ``prod_index[a, c]`` is the one blade b with
     ``blades[a] * blades[b] = prod_sign[a, c] * blades[c]``.
     ``left @ v`` and ``right @ v`` are the flattened matrices of left and
-    right multiplication by the element with coefficients v.
+    right multiplication by the element with coefficients v.  ``grade``
+    holds each blade's grade; the bivectors come in the order of the
+    0-based pairs ``(i, j)``, i < j, that are the columns of ``bivector_ij``.
 
     ``quad`` holds quadratic forms of v (rows of ``quad @ outer(v, v)``,
     flattened): first the coefficients of ``z rev(z)``, then, for each odd
@@ -408,6 +411,8 @@ class _Tables:
     left: np.ndarray
     right: np.ndarray
     rev_sign: np.ndarray
+    grade: np.ndarray
+    bivector_ij: np.ndarray
     not_bivector: np.ndarray
     quad: np.ndarray
 
@@ -449,6 +454,8 @@ def _tables(n: int) -> _Tables:
         left=np.ascontiguousarray(mul.transpose(0, 2, 1)).reshape(N * N, N),
         right=mul.reshape(N * N, N),
         rev_sign=rev_sign,
+        grade=np.array([len(b) for b in blades]),
+        bivector_ij=np.array(by_grade[2]).T - 1,
         not_bivector=np.array([a for a, b in enumerate(blades) if len(b) != 2]),
         quad=quad.reshape(len(quad), N * N),
     )
@@ -858,6 +865,29 @@ def clifford_exp(x: "CliffordEven | Spinor") -> Spinor:
         raise ValueError(f"clifford_exp needs a bivector, got {xf}")
     w, V = np.linalg.eigh(1j * xf.left_matrix())
     return Spinor(xf.n, (V @ (np.exp(-1j * w) * V[0].conj())).real)
+
+
+def exterior_exp(C: np.ndarray) -> Spinor:
+    """Exterior exponential ``sum_k <b^k>_{2k} / k!`` of the bivector
+    ``b = sum_{i<j} C[i, j] e_{i+1} e_{j+1}`` (C is read above its diagonal).
+
+    Written as ``b = sum_k t_k B_k`` over orthogonal planes, it is the
+    product ``prod_k (1 + t_k B_k)``; for n <= 4 it is ``1 + b + <b^2>_4 / 2``.
+
+    >>> exterior_exp(np.array([[0.0, 1, 0], [-1, 0, 0], [0, 0, 0]])).terms
+    (((), 1.0), ((1, 2), 1.0))
+    """
+    n = len(C) - 1
+    t = _tables(n)
+    b = np.zeros(len(t.blades))
+    b[t.grade == 2] = C[t.bivector_ij[0], t.bivector_ij[1]]
+    b = Spinor(n, b)
+    power, total = b, b.v.copy()
+    total[0] = 1.0
+    for k in range(2, (n + 1) // 2 + 1):  # power = <b^k>_{2k} / k!
+        power = Spinor(n, np.where(t.grade == 2 * k, (power * b).v, 0.0) / k)
+        total += power.v
+    return Spinor(n, total)
 
 
 def spin_exp_h(n: int, t: float) -> Spinor:

@@ -30,6 +30,8 @@ __all__ = [
     "NotTotallyPositive",
     "NotLUDecomposable",
     "NotConnectableInCell",
+    "NotARotation",
+    "NearHalfTurn",
     "DegenerateSum",
     "identity_matrix",
     "jacobi",
@@ -67,6 +69,14 @@ class NotLUDecomposable(ValueError):
 
 class NotConnectableInCell(ValueError):
     """No convex arc connects the two points inside the open cell."""
+
+
+class NotARotation(ValueError):
+    """Matrix is not in SO_{n+1} within the lift's tolerance."""
+
+
+class NearHalfTurn(ValueError):
+    """Rotation with an eigenvalue at -1, where ``I + R`` is singular."""
 
 
 class DegenerateSum(ValueError):
@@ -583,17 +593,41 @@ def convex_connect(
 
 
 def _lift_rotation_step(n: int, R) -> "spinalg.Spinor":
-    """Spin lift of a rotation close to the identity."""
-    import numpy as np
-    from scipy.linalg import logm
+    """Spin lift of a rotation R with no eigenvalue -1, by the Cayley transform.
 
-    S = np.real(logm(np.array(R, dtype=float)))
-    terms = {}
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            if abs(S[i, j]) > 1e-15:
-                terms[(i + 1, j + 1)] = 0.5 * S[i, j]
-    return spinalg.clifford_exp(spinalg.Spinor.from_terms(n, terms))
+    ``C = (R - I)(R + I)^-1`` is skew; on each invariant plane of R with
+    angle theta it is ``tan(theta/2)`` times the plane's generator.  The
+    lift is the exterior exponential of ``b = sum_{i<j} C[i, j] e_{i+1}
+    e_{j+1}`` (``1 + b + <b^2>_4 / 2`` for n <= 4), normalised to a unit
+    spinor: on each plane ``(1 + tan(theta/2) B) cos(theta/2)`` is
+    ``exp(theta/2 B)``.  This is the lift with positive scalar part, the
+    product of the ``cos(theta/2)``, and equals the exponential of half the
+    principal logarithm ``logm(R)`` read as a bivector.
+
+    It is valid for every R in SO_{n+1} whose angles stay away from pi.
+    Raises :class:`NotARotation` when ``R^T R`` is not I within 1e-8 or
+    ``det R < 0``, and :class:`NearHalfTurn` when ``I + R`` is numerically
+    singular (an entry of C above 1e6: an angle within about 2e-6 of pi).
+    """
+    import numpy as np
+
+    R = np.asarray(R, dtype=float)
+    eye = np.eye(n + 1)
+    if R.shape != eye.shape or not np.abs(R.T @ R - eye).max() <= 1e-8:
+        raise NotARotation(f"not an orthogonal {n + 1}x{n + 1} matrix: {R}")
+    try:
+        C = np.linalg.solve(R + eye, R - eye)
+        singular = not np.abs(C).max() <= 1e6
+    except np.linalg.LinAlgError:
+        singular = True
+    if singular:
+        # an orthogonal R with I + R regular has det +1, so only a
+        # singular I + R needs the determinant
+        if np.linalg.det(R) < 0:
+            raise NotARotation(f"determinant of {R} is negative")
+        raise NearHalfTurn(f"I + R is singular for R = {R}")
+    psi = spinalg.exterior_exp((C - C.T) / 2)
+    return psi.scale(1.0 / np.linalg.norm(psi.v))
 
 
 def _spin_distance(z, w) -> float:
