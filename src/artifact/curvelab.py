@@ -253,8 +253,7 @@ def frame_curve_from_matrix_path(
     ts = [float(t) for t in ts]
     qs = []
     for t in ts:
-        Q, R = triang.qr_positive([list(map(float, row)) for row in mfun(t)])
-        qs.append(np.array(Q))
+        qs.append(triang.qr_positive(mfun(t))[0])
     zs = [_lift_rotation(n, qs[0])]
     for prev, nxt in zip(qs, qs[1:]):
         zs.append(zs[-1] * triang._lift_rotation_step(n, prev.T @ nxt))
@@ -262,8 +261,7 @@ def frame_curve_from_matrix_path(
     def eval_fn(t: float) -> Spinor:
         k = bisect.bisect_right(ts, t) - 1
         k = max(0, min(k, len(ts) - 1))
-        Q, R = triang.qr_positive([list(map(float, row)) for row in mfun(t)])
-        step = qs[k].T @ np.array(Q)
+        step = qs[k].T @ triang.qr_positive(mfun(t))[0]
         return zs[k] * triang._lift_rotation_step(n, step)
 
     return FrameCurve(n, tuple(ts), zs, eval_fn)
@@ -290,8 +288,7 @@ def frenet_frame(
         det = np.linalg.det(J)
         if det <= 1e-12:
             raise DegenerateJet(f"jet at t={t} has determinant {det:.2e}")
-        Q, R = triang.qr_positive(J.tolist())
-        return np.array(Q)
+        return triang.qr_positive(J)[0]
 
     return frame_curve_from_matrix_path(n, qfun, ts)
 
@@ -714,20 +711,6 @@ def _assemble_curve(table, times, d, r, c, samples) -> FrameCurve:
 _ACB = Permutation((3, 1, 4, 2))
 
 
-def _doolittle(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m = A.shape[0]
-    U = A.astype(float).copy()
-    L = np.eye(m)
-    for k in range(m):
-        if abs(U[k, k]) < 1e-12:
-            raise triang.NotLUDecomposable(f"zero pivot at {k}")
-        for i in range(k + 1, m):
-            f = U[i, k] / U[k, k]
-            L[i, k] = f
-            U[i] -= f * U[k]
-    return L, U
-
-
 def u_invariant(
     curve: FrameCurve,
     t_star: float,
@@ -779,8 +762,7 @@ def u_invariant(
 
     def Lfun(t: float) -> np.ndarray:
         M = curve.matrix(t)
-        L, _ = _doolittle(A0inv @ M)
-        return L
+        return np.array(triang.lu_of_rotation(A0inv @ M)[0])
 
     def beta(t: float) -> np.ndarray:
         # Richardson central difference for L'(t)

@@ -9,10 +9,13 @@ free variables fill the positions ``(i, j)`` with ``j < i**rho`` and
 last variable to zero.
 
 Southwest minors ``m_j``, their discriminants ``d_j`` and mutual
-resultants ``r_{i,j}`` are computed symbolically (sympy); classification
-of rational parameter points is exact, via square-free decomposition,
-coprime-basis refinement and Sturm root isolation over ``Fraction``
-arithmetic (fast enough for dense grids).
+resultants ``r_{i,j}`` are computed symbolically (sympy).  Classification
+of rational parameter points is exact: the minors at the point are
+polynomials in t over QQ, and sympy's continued-fraction real-root
+isolation (``dup_isolate_real_roots_list``) returns, for every root in the
+curve's domain, an isolating interval, the root's irreducible integer
+factor and its multiplicity in each minor.  A rational root is reported
+exactly, as a Fraction.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import sympy as sp
+from sympy.polys.densebasic import dup_strip
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.rootisolation import dup_isolate_real_roots_list, dup_refine_real_root
 
 from . import spinalg, symgrp
 from .spinalg import IdentityLetter
@@ -53,288 +59,6 @@ class ZeroPolynomial(ValueError):
 
 class UnrecognizedMultPattern(ValueError):
     """A multiplicity vector not realizable by any permutation."""
-
-
-# ---------------------------------------------------------------------------
-# Exact univariate polynomials over Fraction (ascending coefficient lists)
-# ---------------------------------------------------------------------------
-
-FPoly = list  # list[Fraction], ascending powers, no trailing zeros
-
-
-def _trim(p: FPoly) -> FPoly:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _degree(p: FPoly) -> int:
-    return len(p) - 1  # degree of 0 is -1
-
-
-def _add(p: FPoly, q: FPoly) -> FPoly:
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return _trim(out)
-
-
-def _neg(p: FPoly) -> FPoly:
-    return [-c for c in p]
-
-
-def _mul(p: FPoly, q: FPoly) -> FPoly:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _trim(out)
-
-
-def _divmod(p: FPoly, q: FPoly) -> tuple[FPoly, FPoly]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    lead = q[-1]
-    while len(rem) >= len(q) and _trim(rem):
-        shift = len(rem) - len(q)
-        factor = rem[-1] / lead
-        quo[shift] = factor
-        for i, c in enumerate(q):
-            rem[shift + i] -= factor * c
-        _trim(rem)
-    return _trim(quo), rem
-
-
-def _monic(p: FPoly) -> FPoly:
-    if not p:
-        return []
-    lead = p[-1]
-    return [c / lead for c in p]
-
-
-def _gcd(p: FPoly, q: FPoly) -> FPoly:
-    a, b = list(p), list(q)
-    while b:
-        a, b = b, _divmod(a, b)[1]
-    return _monic(a)
-
-
-def _deriv(p: FPoly) -> FPoly:
-    return _trim([c * i for i, c in enumerate(p)][1:])
-
-
-def _eval(p: FPoly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _squarefree_decomposition(p: FPoly) -> list[tuple[FPoly, int]]:
-    """Yun's algorithm: p = c * prod f_i**i with f_i square-free, coprime."""
-    p = _monic(p)
-    if _degree(p) < 1:
-        return []
-    dp = _deriv(p)
-    a = _gcd(p, dp)
-    b = _divmod(p, a)[0]
-    c = _divmod(dp, a)[0]
-    d = _add(c, _neg(_deriv(b)))
-    out = []
-    i = 1
-    while _degree(b) >= 1:
-        f = _gcd(b, d)
-        if _degree(f) >= 1:
-            out.append((f, i))
-        b = _divmod(b, f)[0]
-        c = _divmod(d, f)[0]
-        d = _add(c, _neg(_deriv(b)))
-        i += 1
-    return out
-
-
-def _coprime_basis(polys: Iterable[FPoly]) -> list[FPoly]:
-    """Pairwise-coprime square-free basis generating all inputs."""
-    basis: list[FPoly] = []
-    stack = [_monic(p) for p in polys if _degree(p) >= 1]
-    while stack:
-        p = stack.pop()
-        i = 0
-        while i < len(basis) and _degree(p) >= 1:
-            h = _gcd(p, basis[i])
-            if _degree(h) < 1:
-                i += 1
-                continue
-            b = basis.pop(i)
-            for part in (_divmod(b, h)[0], h):
-                if _degree(part) >= 1:
-                    stack.append(part)
-            p = _divmod(p, h)[0]
-            i = 0
-        if _degree(p) >= 1:
-            basis.append(p)
-    return basis
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _int_poly(p: FPoly) -> list[int]:
-    """Primitive integer scaling of p (same roots and signs)."""
-    if not p:
-        return []
-    den = 1
-    for c in p:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
-    ints = [int(c * den) for c in p]
-    g = 0
-    for c in ints:
-        g = _gcd_int(g, c)
-    return [c // g for c in ints]
-
-
-def _int_sign_at(ip: list[int], x: Fraction) -> int:
-    """Sign of the integer polynomial at the rational point x."""
-    num, den = x.numerator, x.denominator
-    acc = 0
-    powd = 1
-    for c in reversed(ip):
-        acc = acc * num + c * powd
-        powd *= den
-    return (acc > 0) - (acc < 0)
-
-
-def _divisors(m: int) -> list[int]:
-    m = abs(m)
-    out = [d for d in range(1, int(m ** 0.5) + 1) if m % d == 0]
-    return sorted(set(out + [m // d for d in out]))
-
-
-def _rational_roots(p: FPoly) -> list[Fraction]:
-    """All rational roots of p (exact, via the rational root theorem
-    with the f(1) / f(-1) divisibility filters)."""
-    if _degree(p) < 1:
-        return []
-    ints = _int_poly(p)
-    shift = 0
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-        shift += 1
-    roots = [Fraction(0)] if shift else []
-    if len(ints) < 2:
-        return roots
-    f1 = sum(ints)
-    fm1 = sum(c if i % 2 == 0 else -c for i, c in enumerate(ints))
-    if f1 == 0:
-        roots.append(Fraction(1))
-    if fm1 == 0:
-        roots.append(Fraction(-1))
-    for num in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
-            if _gcd_int(num, q) != 1 or (num, q) == (1, 1):
-                continue
-            for sn in (num, -num):
-                # p/q is a root only if (p - q) | f(1) and (p + q) | f(-1)
-                if sn - q != 0 and (f1 % (sn - q)) != 0:
-                    continue
-                if sn + q != 0 and (fm1 % (sn + q)) != 0:
-                    continue
-                cand = Fraction(sn, q)
-                if _int_sign_at(ints, cand) == 0 and cand not in roots:
-                    roots.append(cand)
-    return sorted(roots)
-
-
-def _split_rational_roots(basis: list[FPoly]) -> list[FPoly]:
-    """Split each basis element into linear factors (t - r) for its
-    rational roots plus the remaining cofactor."""
-    out = []
-    for b in basis:
-        rest = b
-        for r in _rational_roots(b):
-            lin = [-r, Fraction(1)]
-            rest = _divmod(rest, lin)[0]
-            out.append(lin)
-        if _degree(rest) >= 1:
-            out.append(rest)
-    return out
-
-
-def _sturm_chain(p: FPoly) -> list[list[int]]:
-    """Sturm chain, each element scaled to a primitive integer poly."""
-    chain = [list(p), _deriv(p)]
-    while _degree(chain[-1]) >= 0:
-        rem = _divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append(_neg(rem))
-    return [_int_poly(q) for q in chain if q]
-
-
-def _variations(chain: list[list[int]], x: Fraction) -> int:
-    signs = [s for s in (_int_sign_at(q, x) for q in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _count_roots_halfopen(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in (a, b] (Sturm)."""
-    return _variations(chain, a) - _variations(chain, b)
-
-
-def _root_bound(p: FPoly) -> Fraction:
-    lead = p[-1]
-    return Fraction(1) + max(abs(c / lead) for c in p[:-1]) if len(p) > 1 else Fraction(1)
-
-
-def _isolate_roots(p: FPoly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint isolating intervals (a, b] for the roots of square-free p
-    in (lo, hi]."""
-    chain = _sturm_chain(p)
-    out: list[tuple[Fraction, Fraction]] = []
-
-    def recurse(a: Fraction, b: Fraction) -> None:
-        k = _count_roots_halfopen(chain, a, b)
-        if k == 0:
-            return
-        if k == 1:
-            out.append((a, b))
-            return
-        mid = (a + b) / 2
-        recurse(a, mid)
-        recurse(mid, b)
-
-    recurse(lo, hi)
-    return sorted(out)
-
-
-def _refine(p: FPoly, iv: tuple[Fraction, Fraction], width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating (a, b] for square-free p below the given width."""
-    a, b = iv
-    if a == b:
-        return a, b
-    ip = _int_poly(p)
-    sb = _int_sign_at(ip, b)
-    if sb == 0:  # exact rational root
-        return b, b
-    while b - a > width:
-        mid = (a + b) / 2
-        s = _int_sign_at(ip, mid)
-        if s == 0:
-            return mid, mid
-        if s == sb:
-            b = mid
-        else:
-            a = mid
-    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -520,27 +244,42 @@ def resultants(section: SectionFamily) -> dict[tuple[int, int], sp.Expr]:
 # ---------------------------------------------------------------------------
 
 
+def _qq(v: Fraction):
+    return QQ(v.numerator, v.denominator)
+
+
+def _fraction(v) -> Fraction:
+    return Fraction(int(v.numerator), int(v.denominator))
+
+
 @dataclass(frozen=True)
 class ExactEvent:
     """One singular time of a section curve, exactly certified.
 
-    ``root`` is a Fraction when the time is rational; otherwise
-    ``interval`` is an isolating interval of the (square-free) minimal
-    factor ``certificate``.
+    ``certificate`` is the irreducible primitive integer factor of the
+    minors that vanishes at the time (descending coefficients).  When it
+    is linear the time is rational: ``root`` is that Fraction and
+    ``interval`` is ``(root, root)``.  Otherwise ``root`` is None and
+    ``interval`` is an open isolating interval of the time: it holds no
+    other root of any minor.
     """
 
     letter: Permutation
     mult: tuple[int, ...]
     root: Fraction | None
     interval: tuple[Fraction, Fraction]
-    certificate: tuple[Fraction, ...]
+    certificate: tuple[int, ...]
 
     @property
     def approx(self) -> float:
+        """The time as a float, within 1/128 of the exact value."""
         if self.root is not None:
             return float(self.root)
-        a, b = self.interval
-        return float(a + b) / 2
+        a, b = dup_refine_real_root(
+            list(self.certificate), _qq(self.interval[0]), _qq(self.interval[1]),
+            ZZ, eps=QQ(1, 64),
+        )
+        return float(_fraction(a) + _fraction(b)) / 2
 
 
 @dataclass(frozen=True)
@@ -558,15 +297,13 @@ class PointClassification:
 
 
 def _compile_evaluators(section: SectionFamily) -> list:
-    """Per minor: list over t-powers of [(Fraction coeff, exponent tuple)]."""
+    """Per minor: list over descending t-powers of [(Fraction coeff,
+    exponent tuple)]."""
     pvars = section.point_vars
     out = []
     for mj in minors(section):
-        poly_t = sp.Poly(mj, section.t)
         coeffs = []
-        for power, coeff in zip(
-            range(poly_t.degree(), -1, -1), poly_t.all_coeffs()
-        ):
+        for coeff in sp.Poly(mj, section.t).all_coeffs():
             if coeff == 0:
                 terms: list = []
             elif not pvars:
@@ -577,15 +314,15 @@ def _compile_evaluators(section: SectionFamily) -> list:
                     (Fraction(c.p, c.q), tuple(int(e) for e in mono))
                     for mono, c in zip(cp.monoms(), [sp.Rational(v) for v in cp.coeffs()])
                 ]
-            coeffs.append((power, terms))
+            coeffs.append(terms)
         out.append(coeffs)
     return out
 
 
-def _eval_minor(compiled, values: tuple[Fraction, ...]) -> FPoly:
-    deg = max((p for p, _ in compiled), default=0)
-    out = [Fraction(0)] * (deg + 1)
-    for power, terms in compiled:
+def _eval_minor(compiled, values: tuple[Fraction, ...]) -> list:
+    """The minor at the point as a dense QQ polynomial in t (descending)."""
+    out = []
+    for terms in compiled:
         acc = Fraction(0)
         for c, exps in terms:
             v = c
@@ -593,8 +330,8 @@ def _eval_minor(compiled, values: tuple[Fraction, ...]) -> FPoly:
                 if e:
                     v *= val ** e
             acc += v
-        out[power] = acc
-    return _trim(out)
+        out.append(_qq(acc))
+    return dup_strip(out)
 
 
 def classify_point(
@@ -606,7 +343,17 @@ def classify_point(
 
     Roots of the southwest minors are counted in the open interval
     ``domain`` (endpoints excluded, matching the convention that sing
-    excludes the endpoints of the curve).
+    excludes the endpoints of the curve).  sympy isolates the real roots
+    of all minors at once (continued fractions, Vincent-Akritas-
+    Strzebonski) and reports, for each, its irreducible factor and its
+    multiplicity in every minor; the multiplicity vector names the letter.
+
+    >>> section = build_section(symgrp.letter_from_name(2, 'aba'))
+    >>> cls = classify_point(section, (Fraction(1, 3), Fraction(-1, 18)))
+    >>> cls.label
+    '[ba]a'
+    >>> [(e.root, e.mult) for e in cls.events]
+    [(Fraction(-1, 3), (1, 2)), (Fraction(1, 3), (1, 0))]
     """
     values = tuple(Fraction(v) for v in x)
     if len(values) != len(section.point_vars):
@@ -617,70 +364,35 @@ def classify_point(
         section._evaluators = _compile_evaluators(section)
     lo, hi = Fraction(domain[0]), Fraction(domain[1])
 
-    ms: list[FPoly] = []
+    ms = []
     for compiled in section._evaluators:
         p = _eval_minor(compiled, values)
         if not p:
             raise ZeroPolynomial("minor vanishes identically at this point")
         ms.append(p)
 
-    # Square-free data per minor, coprime basis across minors.
-    decomps = [_squarefree_decomposition(p) for p in ms]
-    basis = _split_rational_roots(
-        _coprime_basis(f for dec in decomps for f, _ in dec)
-    )
-
-    events: list[tuple[tuple[Fraction, Fraction], FPoly, tuple[int, ...]]] = []
-    for b in basis:
-        mult = []
-        for dec in decomps:
-            e = 0
-            for f, i in dec:
-                h = _gcd(b, f)
-                if _degree(h) == _degree(b):
-                    e = i
-                    break
-                if _degree(h) >= 1:
-                    raise AssertionError("coprime basis refinement failed")
-            mult.append(e)
-        if _degree(b) == 1:
-            r = -b[0] / b[1]
-            if lo < r < hi:
-                events.append(((r, r), b, tuple(mult)))
-            continue
-        for iv in _isolate_roots(b, lo, hi):
-            events.append((iv, b, tuple(mult)))
-    # exclude an exact root at the right endpoint (open interval)
-    events = [
-        ev for ev in events
-        if not (ev[0][1] == hi and _eval(ev[1], hi) == 0)
-    ]
-
-    # Refine isolating intervals until pairwise disjoint, then sort.
-    width = Fraction(1, 64)
-    while True:
-        refined = [(_refine(b, iv, width), b, mult) for iv, b, mult in events]
-        spans = sorted((a, bnd) for (a, bnd), _, _ in refined)
-        # strict disjointness: basis elements are coprime, so distinct
-        # roots always separate under bisection and this terminates
-        ok = all(s1[1] <= s2[0] for s1, s2 in zip(spans, spans[1:]))
-        if ok:
-            events = refined
-            break
-        width /= 16
-
-    events.sort(key=lambda ev: ev[0])
     out = []
-    for (a, b), cert, mult in events:
+    for (a, b), where, h in dup_isolate_real_roots_list(
+        ms, QQ, inf=_qq(lo), sup=_qq(hi), basis=True
+    ):
+        # sympy may give a rational root a wide interval ((-1, 0) for -1/3)
+        # and keeps roots on the closed [lo, hi]; an irrational root lies
+        # strictly inside its interval, hence inside the open domain
+        if len(h) == 2:
+            a = b = Fraction(-int(h[1]), int(h[0]))
+            if not lo < a < hi:
+                continue
+        else:
+            a, b = _fraction(a), _fraction(b)
+        mult = tuple(where.get(j, 0) for j in range(len(ms)))
         try:
             letter = symgrp.permutation_from_mult(mult, section.n)
         except symgrp.NotARealizableMultVector as exc:
             raise UnrecognizedMultPattern(f"mult {mult} at root in ({a},{b})") from exc
-        root = a if a == b else None
         out.append(
             ExactEvent(
-                letter=letter, mult=mult, root=root,
-                interval=(a, b), certificate=tuple(cert),
+                letter=letter, mult=mult, root=a if a == b else None,
+                interval=(a, b), certificate=tuple(int(c) for c in h),
             )
         )
     return PointClassification(point=values, events=tuple(out))

@@ -464,7 +464,12 @@ def accessibility_quasiproduct(L_x, word: Sequence[int]) -> Quasiproduct:
 
 
 def lu_of_rotation(Q: Matrix) -> tuple[Matrix, Matrix]:
-    """``Q = L U`` with L unit lower-triangular and U upper (Doolittle)."""
+    """``Q = L U`` with L unit lower-triangular and U upper (Doolittle).
+
+    ``Q`` may be exact (ints and Fractions) or any square float array-like;
+    a zero pivot (below 1e-12 in absolute value for floats) raises
+    :class:`NotLUDecomposable`.
+    """
     m = len(Q)
     exact = all(isinstance(x, (int, Fraction)) for row in Q for x in row)
     L = identity_matrix(m - 1, exact=exact)
@@ -479,29 +484,26 @@ def lu_of_rotation(Q: Matrix) -> tuple[Matrix, Matrix]:
     return L, U
 
 
-def qr_positive(M: Matrix) -> tuple[Matrix, Matrix]:
-    """QR with orthogonal Q and upper R with strictly positive diagonal."""
+def qr_positive(M) -> tuple:
+    """QR with orthogonal Q and upper R with strictly positive diagonal.
+
+    ``M`` is any square array-like of floats; Q and R are float ndarrays.
+    """
     import numpy as np
 
-    A = np.array(M, dtype=float)
-    Q, R = np.linalg.qr(A)
+    Q, R = np.linalg.qr(np.asarray(M, dtype=float))
     signs = np.sign(np.diag(R))
     signs[signs == 0] = 1.0
-    Q = Q * signs
-    R = (R.T * signs).T
-    return Q.tolist(), R.tolist()
+    return Q * signs, (R.T * signs).T
 
 
-def projective_transform_upper(points: Iterable[Matrix], U: Matrix) -> list[Matrix]:
+def projective_transform_upper(points: Iterable[Matrix], U: Matrix) -> list:
     """Type-1 projective transform: each sample ``Q`` maps to the
     orthogonal part of ``U^-1 Q``."""
     import numpy as np
 
     Uinv = np.linalg.inv(np.array(U, dtype=float))
-    out = []
-    for Q in points:
-        out.append(qr_positive((Uinv @ np.array(Q, dtype=float)).tolist())[0])
-    return out
+    return [qr_positive(Uinv @ np.asarray(Q, dtype=float))[0] for Q in points]
 
 
 def projective_scale(L, lam) -> Matrix:
@@ -525,17 +527,14 @@ def bruhat_upw(M: Matrix, tol: float = 1e-10) -> tuple:
     A = np.array(M, dtype=float)
     m = A.shape[0]
     J = np.fliplr(np.eye(m))
-    JA = J @ A
-    # Doolittle without pivoting; failure means M is not in the open cell
-    Lm = np.eye(m)
-    U2 = JA.copy()
-    for col in range(m):
-        if abs(U2[col, col]) < tol:
-            raise NotConnectableInCell("matrix not in the open Bruhat cell")
-        for r in range(col + 1, m):
-            f = U2[r, col] / U2[col, col]
-            Lm[r, col] = f
-            U2[r, :] -= f * U2[col, :]
+    # LU without pivoting; failure means M is not in the open cell
+    try:
+        L, U = lu_of_rotation(J @ A)
+    except NotLUDecomposable as exc:
+        raise NotConnectableInCell("matrix not in the open Bruhat cell") from exc
+    Lm, U2 = np.array(L), np.array(U)
+    if np.abs(np.diag(U2)).min() < tol:
+        raise NotConnectableInCell("matrix not in the open Bruhat cell")
     U1 = J @ Lm @ J  # unit upper-triangular
     signs = np.sign(np.diag(U2))
     P = J @ np.diag(signs)
@@ -575,7 +574,7 @@ def convex_connect(
     for k in range(samples + 1):
         t = k / samples
         Pt = spinalg.project(spinalg.spin_exp_h(n, t * c))
-        mats.append(np.array(qr_positive((Uinv @ Pt).tolist())[0]))
+        mats.append(qr_positive(Uinv @ Pt)[0])
     if not np.allclose(mats[-1], Z, atol=1e-8):
         raise NotConnectableInCell("arc endpoint mismatch")
 

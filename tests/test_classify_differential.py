@@ -1,0 +1,98 @@
+"""classify_point against sympy's Poly API on random rational points.
+
+``classify_point`` isolates the roots of all minors at once with
+``dup_isolate_real_roots_list``; the checks here go through a different
+code path (``Poly.count_roots``, ``sqf_part``, ``rem``, ``real_roots``).
+"""
+
+from fractions import Fraction
+
+import pytest
+import sympy as sp
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from artifact import polysect, symgrp
+
+FAMILIES = {
+    "aba": polysect.build_section(symgrp.letter_from_name(2, "aba")),
+    "acb": polysect.build_section(symgrp.letter_from_name(3, "acb")),
+    "betaprime+": polysect.build_perturbed_family("betaprime", Fraction(2, 5)),
+    "betaprime-": polysect.build_perturbed_family("betaprime", Fraction(-2, 5)),
+}
+LO, HI = Fraction(-1), Fraction(1)
+
+coordinate = st.fractions(min_value=-1, max_value=1, max_denominator=64)
+
+
+@st.composite
+def family_points(draw):
+    name = draw(st.sampled_from(sorted(FAMILIES)))
+    weights = FAMILIES[name].x_weights
+    # scale each coordinate like its quasi-homogeneous weight, so that
+    # points near the letter's stratum (the origin) are drawn often
+    scale = draw(st.sampled_from([1, 2, 4]))
+    point = tuple(draw(coordinate) / scale ** w for w in weights)
+    return name, point
+
+
+def minors_at(section, point):
+    t = section.t
+    subs = dict(zip(section.point_vars, (sp.Rational(v) for v in point)))
+    return [sp.Poly(m.subs(subs), t) for m in polysect.minors(section)]
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(case=("aba", (Fraction(1, 3), Fraction(-1, 18))))
+@example(case=("aba", (Fraction(0), Fraction(-1, 2))))
+@example(case=("aba", (Fraction(-15, 32), Fraction(31, 1024))))
+@given(case=family_points())
+def test_classify_point_matches_sympy_poly(case):
+    name, point = case
+    section = FAMILIES[name]
+    t = section.t
+    try:
+        cls = polysect.classify_point(section, point)
+    except polysect.ZeroPolynomial:
+        assert any(m.is_zero for m in minors_at(section, point))
+        return
+    ms = minors_at(section, point)
+
+    # one event per distinct root of prod m_j strictly inside (-1, 1)
+    square_free = sp.Poly(sp.sqf_part(sp.prod(m.as_expr() for m in ms)), t)
+    inside = square_free.count_roots(-1, 1) - sum(
+        1 for end in (-1, 1) if square_free.eval(end) == 0
+    )
+    assert len(cls.events) == inside
+
+    for e in cls.events:
+        h = sp.Poly(list(e.certificate), t)
+        assert h.is_irreducible
+        for m, k in zip(ms, e.mult):
+            assert sp.rem(m, h ** k).is_zero
+            assert not sp.rem(m, h ** (k + 1)).is_zero
+        a, b = e.interval
+        assert LO <= a <= b <= HI
+        if a == b:
+            assert e.root == a and LO < a < HI
+            assert h.eval(sp.Rational(a)) == 0
+        else:
+            assert e.root is None
+            assert h.eval(sp.Rational(a)) * h.eval(sp.Rational(b)) < 0
+            (root,) = [r for r in h.real_roots() if a < r < b]
+            assert abs(e.approx - float(root)) <= 1 / 128
+
+    for e1, e2 in zip(cls.events, cls.events[1:]):
+        (a1, b1), (a2, b2) = e1.interval, e2.interval
+        assert b1 <= a2 and (a1, b1) != (a2, b2)
+
+
+@pytest.mark.parametrize("domain", [(Fraction(-1, 3), Fraction(1, 3)),
+                                    (Fraction(-1, 2), Fraction(1, 3))])
+def test_rational_roots_on_a_domain_end_are_dropped(domain):
+    cls = polysect.classify_point(
+        FAMILIES["aba"], (Fraction(1, 3), Fraction(-1, 18)), domain=domain
+    )
+    assert all(domain[0] < e.root < domain[1] for e in cls.events)
+    assert len(cls.events) == (0 if domain[0] == Fraction(-1, 3) else 1)
