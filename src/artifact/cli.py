@@ -69,9 +69,7 @@ class RunConfig:
     cluster_tol: float = 1e-6
     zero_rel: float = 1e-8
     sing_grid: int = 1024
-    grid_count: int = 9
     grid_radius: str = "1/16"
-    samples: int = 48
     seed: int = 0
 
     @classmethod
@@ -208,9 +206,7 @@ def _curve_from_spec(spec: dict, cfg: RunConfig) -> curvelab.FrameCurve:
         times = None
         if spec.get("times"):
             times = [float(v) for v in spec["times"].split(",")]
-        return curvelab.curve_with_itinerary(
-            word, times=times, n=n, samples=cfg.samples
-        )
+        return curvelab.curve_with_itinerary(word, times=times, n=n)
     raise UsageError(f"unknown spec kind {kind!r}")
 
 

@@ -1,7 +1,8 @@
 """Numeric engine for locally convex curves in Spin_{n+1}.
 
-A curve is stored as a :class:`FrameCurve`: a dense sample of unit
-spinors plus (when available) an exact evaluation callback.  The module
+A curve is a :class:`FrameCurve`: an evaluator ``t -> z(t)`` of unit
+spinors on ``[ts[0], ts[-1]]``, where ``ts`` are the knots it starts
+from.  Everything downstream reads the curve pointwise.  The module
 provides
 
 * ODE integration of the frame equation ``z' = z * sum_j kappa_j(t) a_j``
@@ -25,7 +26,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -83,19 +84,17 @@ class NotAnAcbEvent(ValueError):
 
 @dataclass
 class FrameCurve:
-    """A sampled curve in Spin_{n+1} with optional exact evaluation.
+    """A curve in Spin_{n+1}, given by its evaluator.
 
-    ``ts`` is strictly increasing; ``zs[k]`` is the unit :class:`Spinor` at
-    ``ts[k]``.  If ``eval_fn`` is given it is used for off-grid
-    evaluation, otherwise the curve is interpolated geodesically between
-    neighbouring samples.
+    ``eval_fn(t)`` is the unit :class:`Spinor` at ``t``.  ``ts`` is the
+    strictly increasing tuple of knots the evaluator starts from (RK4
+    nodes, lift nodes or segment ends); its first and last entries bound
+    the domain.
     """
 
     n: int
     ts: tuple
-    zs: list
-    eval_fn: Optional[Callable[[float], Spinor]] = None
-    _seg_cache: dict = field(default_factory=dict, repr=False)
+    eval_fn: Callable[[float], Spinor]
 
     @property
     def t0(self) -> float:
@@ -108,42 +107,13 @@ class FrameCurve:
     def __call__(self, t: float) -> Spinor:
         if not self.ts[0] - 1e-12 <= t <= self.ts[-1] + 1e-12:
             raise ValueError(f"t={t} outside [{self.ts[0]}, {self.ts[-1]}]")
-        if self.eval_fn is not None:
-            return self.eval_fn(t)
-        k = bisect.bisect_right(self.ts, t) - 1
-        k = max(0, min(k, len(self.ts) - 2))
-        h = self.ts[k + 1] - self.ts[k]
-        s = (t - self.ts[k]) / h
-        if k not in self._seg_cache:
-            step = self.zs[k].reverse() * self.zs[k + 1]
-            self._seg_cache[k] = _spin_log(step)
-        biv = self._seg_cache[k]
-        return self.zs[k] * spinalg.clifford_exp(biv.scale(s))
+        return self.eval_fn(t)
 
     def matrix(self, t: float) -> np.ndarray:
         return spinalg.project(self(t))
 
     def minors(self, t: float) -> np.ndarray:
         return southwest_minors(self.matrix(t))
-
-
-def _spin_log(z: Spinor) -> Spinor:
-    """Bivector logarithm of a unit spinor close to the identity."""
-    from scipy.linalg import logm
-
-    S = np.real(logm(spinalg.project(z)))
-    terms = {}
-    n = z.n
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            if abs(S[i, j]) > 1e-15:
-                terms[(i + 1, j + 1)] = 0.5 * S[i, j]
-    biv = Spinor.from_terms(n, terms)
-    # the matrix log determines the lift only up to sign; match z
-    w = spinalg.clifford_exp(biv)
-    if triang._spin_distance(w, z) > triang._spin_distance(-w, z):
-        raise ValueError("element too far from the identity for a bivector log")
-    return biv
 
 
 def _lift_rotation(n: int, R: np.ndarray) -> Spinor:
@@ -218,7 +188,6 @@ def integrate_frame(
     for k in range(steps):
         v = rk4(v, ts[k], ts[k + 1] - ts[k])
         vs.append(v)
-    zs = [Spinor(n, w) for w in vs]
 
     def eval_fn(t: float, _ts=ts, _vs=vs) -> Spinor:
         k = int(np.searchsorted(_ts, t, side="right")) - 1
@@ -235,7 +204,7 @@ def integrate_frame(
             tt += h
         return Spinor(n, w)
 
-    return FrameCurve(n, tuple(float(t) for t in ts), zs, eval_fn)
+    return FrameCurve(n, tuple(float(t) for t in ts), eval_fn)
 
 
 def frame_curve_from_matrix_path(
@@ -254,17 +223,17 @@ def frame_curve_from_matrix_path(
     qs = []
     for t in ts:
         qs.append(triang.qr_positive(mfun(t))[0])
-    zs = [_lift_rotation(n, qs[0])]
+    lifts = [_lift_rotation(n, qs[0])]
     for prev, nxt in zip(qs, qs[1:]):
-        zs.append(zs[-1] * triang._lift_rotation_step(n, prev.T @ nxt))
+        lifts.append(lifts[-1] * triang._lift_rotation_step(n, prev.T @ nxt))
 
     def eval_fn(t: float) -> Spinor:
         k = bisect.bisect_right(ts, t) - 1
         k = max(0, min(k, len(ts) - 1))
         step = qs[k].T @ triang.qr_positive(mfun(t))[0]
-        return zs[k] * triang._lift_rotation_step(n, step)
+        return lifts[k] * triang._lift_rotation_step(n, step)
 
-    return FrameCurve(n, tuple(ts), zs, eval_fn)
+    return FrameCurve(n, tuple(ts), eval_fn)
 
 
 def frenet_frame(
@@ -515,10 +484,10 @@ def is_convex_arc(curve: FrameCurve, samples: int = 10, tol: float = 1e-6) -> bo
     """Check convexity: every chord ``z(s)^-1 z(t)`` (s < t) must lie in
     the signed open cell ``Bru_{acute eta}``."""
     ts = np.linspace(curve.t0, curve.t1, samples)
-    zs = [curve(t) for t in ts]
+    spins = [curve(t) for t in ts]
     for a in range(len(ts)):
         for b in range(a + 1, len(ts)):
-            d = zs[a].reverse() * zs[b]
+            d = spins[a].reverse() * spins[b]
             if not spinalg.in_positive_cell(d, tol=tol):
                 return False
     return True
@@ -534,7 +503,6 @@ def curve_with_itinerary(
     times: Optional[Sequence[float]] = None,
     n: Optional[int] = None,
     c: float = math.pi / 4,
-    samples: int = 48,
     verify: bool = True,
     verify_grid: int = 1024,
 ) -> FrameCurve:
@@ -567,11 +535,8 @@ def curve_with_itinerary(
         model_end = spinalg.spin_exp_h(n, math.pi)
         if triang._spin_distance(model_end, endpoint.to_float()) > 1e-8:
             raise PathNotAccessible("empty-word endpoint is not exp(pi h)")
-        ts = np.linspace(0.0, 1.0, 257)
-        zs = [spinalg.spin_exp_h(n, math.pi * t) for t in ts]
         return FrameCurve(
-            n, tuple(float(t) for t in ts), zs,
-            lambda t: spinalg.spin_exp_h(n, math.pi * t),
+            n, (0.0, 1.0), lambda t: spinalg.spin_exp_h(n, math.pi * t)
         )
 
     if times is None:
@@ -589,7 +554,7 @@ def curve_with_itinerary(
     last_exc: Exception | None = None
     for _ in range(6):
         try:
-            curve = _assemble_curve(table, times, d, r, c, samples)
+            curve = _assemble_curve(table, times, d, r, c)
             if verify:
                 got = itinerary(curve, grid=verify_grid)
                 if [g.images for g in got] != [w.images for w in word]:
@@ -633,7 +598,7 @@ def _chart_product(n: int, q: Spinor, eta_word, thetas) -> Spinor:
     return z
 
 
-def _assemble_curve(table, times, d, r, c, samples) -> FrameCurve:
+def _assemble_curve(table, times, d, r, c) -> FrameCurve:
     word = table.word
     n = word[0].n
     ell = len(word)
@@ -692,15 +657,7 @@ def _assemble_curve(table, times, d, r, c, samples) -> FrameCurve:
         lo, hi, obj = segments[k]
         return obj(min(max(t, lo), hi))
 
-    ts_all: list[float] = []
-    zs_all: list[Spinor] = []
-    for lo, hi, obj in segments:
-        for t in np.linspace(lo, hi, max(9, samples // 4 * 4 + 1)):
-            if ts_all and t <= ts_all[-1] + 1e-12:
-                continue
-            ts_all.append(float(t))
-            zs_all.append(obj(t))
-    return FrameCurve(n, tuple(ts_all), zs_all, eval_fn)
+    return FrameCurve(n, tuple(bounds) + (1.0,), eval_fn)
 
 
 # ---------------------------------------------------------------------------

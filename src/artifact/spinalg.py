@@ -900,35 +900,14 @@ def spin_exp_h(n: int, t: float) -> Spinor:
 # ---------------------------------------------------------------------------
 
 
-def _float_matrix(M: Sequence[Sequence[Scalar]]) -> list[list[float]]:
-    return [[float(x) for x in row] for row in M]
-
-
 def cell_of_matrix(M: Sequence[Sequence[Scalar]], tol: float = 1e-9) -> Permutation:
-    """Bruhat cell of a rotation matrix via the southwest rank pattern.
-
-    Uses ``rank(M[i:, :j]) = #{k >= i : k**sigma <= j}``:
-    ``i**sigma`` is the least j at which deleting row i drops the rank.
-    """
-    A = np.array(_float_matrix(M), dtype=float)
-    m = A.shape[0]
-
-    def rank(i: int, j: int) -> int:  # rows i..m (1-based), cols 1..j
-        if i > m or j == 0:
-            return 0
-        sub = A[i - 1 :, :j]
-        return int(np.linalg.matrix_rank(sub, tol=tol))
-
-    images = []
-    for i in range(1, m + 1):
-        img = next(
-            (j for j in range(1, m + 1) if rank(i, j) == rank(i + 1, j) + 1),
-            None,
-        )
-        if img is None:
-            raise ValueError("rank pattern is not a permutation (tolerance?)")
-        images.append(img)
-    return Permutation(tuple(images))
+    """Bruhat cell of a rotation matrix via the southwest rank pattern
+    (:func:`symgrp.from_southwest_ranks`), with float ranks at ``tol``."""
+    A = np.array(M, dtype=float)
+    return symgrp.from_southwest_ranks(
+        A.shape[0],
+        lambda i, j: int(np.linalg.matrix_rank(A[i - 1 :, :j], tol=tol)),
+    )
 
 
 def _pivot_minor_spec(rho: Permutation, i: int) -> tuple[list[int], list[int]]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "Permutation",
@@ -44,6 +44,7 @@ __all__ = [
     "r_bullet",
     "all_permutations",
     "from_word",
+    "from_southwest_ranks",
     "letter_name",
     "letter_from_name",
     "word_name",
@@ -261,6 +262,27 @@ def from_word(n: int, word: Iterable[int]) -> Permutation:
     for i in word:
         cur = compose(cur, coxeter_generator(n, i))
     return cur
+
+
+def from_southwest_ranks(m: int, rank: Callable[[int, int], int]) -> Permutation:
+    """The Bruhat cell of an m x m matrix from its southwest ranks.
+
+    ``rank(i, j)`` is the rank of rows i..m and columns 1..j (1-based) and
+    equals ``#{k >= i : k**sigma <= j}``, so ``i**sigma`` is the least j at
+    which deleting row i drops the rank.  A pattern that names no
+    permutation raises ValueError.
+    """
+
+    def r(i: int, j: int) -> int:
+        return rank(i, j) if i <= m else 0
+
+    images = []
+    for i in range(1, m + 1):
+        img = next((j for j in range(1, m + 1) if r(i, j) == r(i + 1, j) + 1), None)
+        if img is None:
+            raise ValueError("southwest rank pattern is not a permutation")
+        images.append(img)
+    return Permutation(tuple(images))
 
 
 def _rank_table(sigma: Permutation) -> list[list[int]]:

@@ -1,10 +1,10 @@
 """The unit lower-triangular group Lo1_{n+1} and total positivity.
 
 Jacobi one-parameter subgroups ``jacobi(j, t) = I + t E_{j+1,j}``, the
-nilpotent flows ``exp(t n)`` and ``exp(s h_L)``, factorization along
-reduced words (with exact verification by re-multiplication), the
-orders ``<<`` (``L0 << L1`` iff ``L0^-1 L1`` is totally positive) and
-``<=`` (closure), accessibility quasiproducts, and the LU / QR bridges
+nilpotent flow ``exp(t n)``, factorization along reduced words (with
+exact verification by re-multiplication), the orders ``<<``
+(``L0 << L1`` iff ``L0^-1 L1`` is totally positive) and ``<=``
+(closure), accessibility quasiproducts, and the LU / QR bridges
 to the rotation-matrix picture, including ``convex_connect``.
 
 Matrices are plain lists of rows; entries may be exact ``Fraction``s,
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import spinalg, symgrp
 from .symgrp import Permutation
@@ -36,7 +36,6 @@ __all__ = [
     "identity_matrix",
     "jacobi",
     "exp_nilpotent",
-    "exp_hL",
     "commute_identity",
     "mat_mul",
     "mat_inv",
@@ -48,8 +47,6 @@ __all__ = [
     "accessibility_quasiproduct",
     "lu_of_rotation",
     "qr_positive",
-    "projective_transform_upper",
-    "projective_scale",
     "bruhat_upw",
     "convex_connect",
 ]
@@ -209,23 +206,6 @@ def exp_nilpotent(n: int, t) -> Matrix:
     return M
 
 
-def exp_hL(s: float, n: int) -> Matrix:
-    """``exp(s h_L)`` with ``h_L = sum sqrt(j(n+1-j)) l_j`` (floats)."""
-    H = [[0.0] * (n + 1) for _ in range(n + 1)]
-    for j in range(1, n + 1):
-        H[j][j - 1] = math.sqrt(j * (n + 1 - j))
-    acc = identity_matrix(n, exact=False)
-    power = identity_matrix(n, exact=False)
-    fact = 1.0
-    for k in range(1, n + 1):
-        power = mat_mul(power, H)
-        fact *= k
-        for i in range(n + 1):
-            for j in range(n + 1):
-                acc[i][j] += (s ** k / fact) * power[i][j]
-    return acc
-
-
 def commute_identity(i: int, s1, s2, s3) -> tuple:
     """``l_i(s1) l_{i+1}(s2) l_i(s3) = l_{i+1}(~s1) l_i(~s2) l_{i+1}(~s3)``
     with ``~s = (s2 s3/(s1+s3), s1+s3, s1 s2/(s1+s3))``.
@@ -249,23 +229,10 @@ def product_along(n: int, word: Sequence[int], params: Sequence) -> Matrix:
 
 def cell_of_unitriangular(L: Matrix) -> Permutation:
     """Bruhat-type cell of a unit lower-triangular matrix via exact
-    southwest ranks: ``rank(L[i:, :j]) = #{k >= i : k**sigma <= j}``."""
-    m = len(L)
-
-    def rank(i: int, j: int) -> int:  # rows i..m, cols 1..j (1-based)
-        sub = [row[:j] for row in L[i - 1 :]]
-        return _rank_generic(sub)
-
-    images = []
-    for i in range(1, m + 1):
-        img = next(
-            (j for j in range(1, m + 1) if rank(i, j) == rank(i + 1, j) + 1),
-            None,
-        )
-        if img is None:
-            raise ValueError("rank pattern is not a permutation")
-        images.append(img)
-    return Permutation(tuple(images))
+    southwest ranks (:func:`symgrp.from_southwest_ranks`)."""
+    return symgrp.from_southwest_ranks(
+        len(L), lambda i, j: _rank_generic([row[:j] for row in L[i - 1 :]])
+    )
 
 
 def _rank_generic(rows: Matrix) -> int:
@@ -495,27 +462,6 @@ def qr_positive(M) -> tuple:
     signs = np.sign(np.diag(R))
     signs[signs == 0] = 1.0
     return Q * signs, (R.T * signs).T
-
-
-def projective_transform_upper(points: Iterable[Matrix], U: Matrix) -> list:
-    """Type-1 projective transform: each sample ``Q`` maps to the
-    orthogonal part of ``U^-1 Q``."""
-    import numpy as np
-
-    Uinv = np.linalg.inv(np.array(U, dtype=float))
-    return [qr_positive(Uinv @ np.asarray(Q, dtype=float))[0] for Q in points]
-
-
-def projective_scale(L, lam) -> Matrix:
-    """Type-2 transform ``E_lam^-1 L E_lam`` with ``E_lam = diag(1, lam,
-    ..., lam**n)``; entry (i, j) scales by lam**(j-i)."""
-    if isinstance(L, UniTriMatrix):
-        L = L.tolist()
-    m = len(L)
-    return [
-        [L[i][j] * lam ** (j - i) if i != j else L[i][j] for j in range(m)]
-        for i in range(m)
-    ]
 
 
 def bruhat_upw(M: Matrix, tol: float = 1e-10) -> tuple:

@@ -37,6 +37,14 @@ class TestConfig:
         assert code == 1
         assert "unknown key" in err
 
+    @pytest.mark.parametrize("key", ["grid_count", "samples"])
+    def test_retired_keys_are_unknown(self, capsys, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 9\n")
+        code, _, err = run(capsys, "--config", str(cfg), "--dump-config")
+        assert code == 1
+        assert "unknown key" in err
+
 
 class TestIti:
     def test_constant_h_empty_itinerary(self, capsys, tmp_path):

@@ -117,11 +117,8 @@ class TestHausdorff:
 
 class TestConvexity:
     def test_short_exp_h_arc_is_convex(self):
-        ts = np.linspace(0.0, 0.4 * math.pi, 9)
-        zs = [spinalg.spin_exp_h(2, float(t)) for t in ts]
         curve = curvelab.FrameCurve(
-            2, tuple(float(t) for t in ts), zs,
-            lambda t: spinalg.spin_exp_h(2, t),
+            2, (0.0, 0.4 * math.pi), lambda t: spinalg.spin_exp_h(2, t)
         )
         assert curvelab.is_convex_arc(curve, samples=6)
 
@@ -153,6 +150,36 @@ class TestCurveWithItinerary:
         curve = curvelab.curve_with_itinerary(word, n=3, verify_grid=512)
         got = curvelab.itinerary(curve, grid=512)
         assert [g.images for g in got] == [w.images for w in word]
+
+
+class TestEvaluatorContract:
+    """Building a curve evaluates only what its evaluator needs: the arc
+    ends, no connector chart products, and ``ts`` are the segment ends."""
+
+    @pytest.mark.parametrize("name, n", [("abab", 2), ("a[cb]a", 3), ("()", 2)])
+    def test_build_without_verify(self, monkeypatch, name, n):
+        calls = {"spin_exp_h": 0, "_chart_product": 0}
+
+        def spy(module, attr):
+            inner = getattr(module, attr)
+
+            def counted(*args):
+                calls[attr] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(module, attr, counted)
+
+        spy(spinalg, "spin_exp_h")
+        spy(curvelab, "_chart_product")
+        word = symgrp.word_from_name(n, name)
+        ell = len(word)
+        curve = curvelab.curve_with_itinerary(word, n=n, verify=False)
+        assert calls["spin_exp_h"] <= 2 * ell + 1
+        assert calls["_chart_product"] == 0
+        ts = curve.ts
+        assert len(ts) == 2 * ell + 2
+        assert ts[0] == 0.0 and ts[-1] == 1.0
+        assert all(a < b for a, b in zip(ts, ts[1:]))
 
 
 class TestUInvariant:
