@@ -235,9 +235,9 @@ def cmd_iti(args, cfg: RunConfig) -> int:
             writer.writerow(["t"] + [f"m_{j}" for j in range(1, curve.n + 1)])
             lo, hi = curve.ts[0], curve.ts[-1]
             count = cfg.sing_grid
-            for k in range(count + 1):
-                t = lo + k * (hi - lo) / count
-                writer.writerow([t] + list(curve.minors(t)))
+            grid = [lo + k * (hi - lo) / count for k in range(count + 1)]
+            for t, row in zip(grid, curve.minors(grid)):
+                writer.writerow([t] + list(row))
     return EXIT_OK
 
 

@@ -2,8 +2,13 @@
 
 A curve is a :class:`FrameCurve`: an evaluator ``t -> z(t)`` of unit
 spinors on ``[ts[0], ts[-1]]``, where ``ts`` are the knots it starts
-from.  Everything downstream reads the curve pointwise.  The module
-provides
+from.  Everything downstream reads the curve pointwise, and the rotation
+frames ``Pi(z(t))`` and their southwest minors over a whole stack of
+times in one call.  Since ``Pi(z) = Pi(-z)``, a matrix path gives its
+frames and minors straight from batched QRs, without the spin lift; its
+node lifts are built only when a spinor is asked for (``curve(t)``, an
+endpoint, the ``u`` invariant).  Spinor-valued curves project their
+stacked spinors by one contraction per batch.  The module provides
 
 * ODE integration of the frame equation ``z' = z * sum_j kappa_j(t) a_j``
   directly in spin coefficients (RK4 with renormalization),
@@ -81,20 +86,34 @@ class NotAnAcbEvent(ValueError):
 # FrameCurve
 # ---------------------------------------------------------------------------
 
+# times per batched frame evaluation: a grid of 1025 times is 9 batches,
+# so the transient stacked arrays (QR factors, outer products) stay small
+# and the peak memory stays that of one-time-at-a-time evaluation
+_STACK_BLOCK = 128
+
 
 @dataclass
 class FrameCurve:
-    """A curve in Spin_{n+1}, given by its evaluator.
+    """A curve in Spin_{n+1}, given by its evaluators.
 
     ``eval_fn(t)`` is the unit :class:`Spinor` at ``t``.  ``ts`` is the
     strictly increasing tuple of knots the evaluator starts from (RK4
     nodes, lift nodes or segment ends); its first and last entries bound
     the domain.
+
+    :meth:`matrix` and :meth:`minors` take one time or a 1-d stack of
+    times (one time is a stack of one) and evaluate the whole stack in one
+    call, in batches of 128 times.  ``frames_fn``, when given, maps a
+    stack of times to the rotation frames ``Pi(z(t))`` without the spin
+    lift (matrix paths: their positive QR factors); otherwise the frames
+    are the projections of the stacked ``eval_fn`` spinors.  Every time of
+    a stack is checked against the domain (``ValueError``).
     """
 
     n: int
     ts: tuple
     eval_fn: Callable[[float], Spinor]
+    frames_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @property
     def t0(self) -> float:
@@ -104,16 +123,44 @@ class FrameCurve:
     def t1(self) -> float:
         return self.ts[-1]
 
+    def _times(self, t) -> np.ndarray:
+        """``t`` as a 1-d stack, every entry inside the domain."""
+        times = np.atleast_1d(np.asarray(t, dtype=float))
+        inside = (self.ts[0] - 1e-12 <= times) & (times <= self.ts[-1] + 1e-12)
+        if not inside.all():
+            bad = times[np.argmin(inside)]
+            raise ValueError(f"t={bad} outside [{self.ts[0]}, {self.ts[-1]}]")
+        return times
+
     def __call__(self, t: float) -> Spinor:
-        if not self.ts[0] - 1e-12 <= t <= self.ts[-1] + 1e-12:
-            raise ValueError(f"t={t} outside [{self.ts[0]}, {self.ts[-1]}]")
+        self._times(t)
         return self.eval_fn(t)
 
-    def matrix(self, t: float) -> np.ndarray:
-        return spinalg.project(self(t))
+    def matrix(self, t) -> np.ndarray:
+        """``Pi(z(t))``: one matrix, or a ``(k, n+1, n+1)`` stack."""
+        return self._read_frames(t, lambda frames: frames, (self.n + 1,) * 2)
 
-    def minors(self, t: float) -> np.ndarray:
-        return southwest_minors(self.matrix(t))
+    def minors(self, t) -> np.ndarray:
+        """Southwest minors of :meth:`matrix`: shape ``(n,)`` or ``(k, n)``."""
+        return self._read_frames(t, southwest_minors, (self.n,))
+
+    def _read_frames(self, t, read, shape: tuple) -> np.ndarray:
+        """``read`` of the frames at ``t``, one batch of times at a time."""
+        times = self._times(t)
+        out = np.empty((len(times),) + shape)
+        for lo in range(0, len(times), _STACK_BLOCK):
+            out[lo : lo + _STACK_BLOCK] = read(self._frames(times[lo : lo + _STACK_BLOCK]))
+        return out.reshape(np.shape(t) + shape)
+
+    def _frames(self, times: np.ndarray) -> np.ndarray:
+        if self.frames_fn is not None:
+            return self.frames_fn(times)
+        vs = np.fromiter(
+            (self.eval_fn(s).v for s in times.tolist()),
+            dtype=(float, 2**self.n),  # the 2^n even blades
+            count=len(times),
+        )
+        return spinalg._project_float(self.n, vs)
 
 
 def _lift_rotation(n: int, R: np.ndarray) -> Spinor:
@@ -214,26 +261,48 @@ def frame_curve_from_matrix_path(
 ) -> FrameCurve:
     """Curve from a matrix path with nondegenerate QR factors.
 
-    ``mfun(t)`` need not be orthogonal: the frame is its positive
-    QR ``Q`` factor (right upper-triangular factors do not change any
-    southwest minor data).  The spin lift is continuous along ``ts`` and
-    the evaluation callback lifts from the nearest stored node.
+    ``mfun(t)`` need not be orthogonal: the frame is its positive QR
+    factor ``Q`` (right upper-triangular factors do not change any
+    southwest minor data).  Frames and minors over a stack of times come
+    from batched QRs of the stacked ``mfun(t)``, without the spin lift;
+    a non-finite ``mfun(t)`` or a frame with ``max |Q^T Q - I| > 1e-8``
+    raises :class:`~artifact.triang.NotARotation`.  The spin lift is
+    continuous along ``ts``: the node frames and their lifts are built on
+    the first spinor request (the lift of the first node also rejects
+    ``det Q < 0``), and a spinor is lifted from the nearest node below.
     """
     ts = [float(t) for t in ts]
-    qs = []
-    for t in ts:
-        qs.append(triang.qr_positive(mfun(t))[0])
-    lifts = [_lift_rotation(n, qs[0])]
-    for prev, nxt in zip(qs, qs[1:]):
-        lifts.append(lifts[-1] * triang._lift_rotation_step(n, prev.T @ nxt))
+    eye = np.eye(n + 1)
+
+    def frames(times: np.ndarray) -> np.ndarray:
+        M = np.empty((len(times),) + eye.shape)
+        for k, t in enumerate(times.tolist()):
+            M[k] = mfun(t)
+        Q = triang.qr_positive(M)[0]
+        gram = Q.transpose(0, 2, 1) @ Q
+        gram -= eye
+        ok = np.isfinite(M).all(axis=(1, 2)) & (np.abs(gram).max(axis=(1, 2)) <= 1e-8)
+        if not ok.all():
+            k = np.argmin(ok)
+            raise triang.NotARotation(f"frame at t={times[k]} is not a rotation: {Q[k]}")
+        return Q
+
+    nodes = []  # node frames and their lifts, built on the first spinor request
 
     def eval_fn(t: float) -> Spinor:
+        if not nodes:
+            qs = frames(np.array(ts))
+            lifts = [_lift_rotation(n, qs[0])]
+            for prev, nxt in zip(qs, qs[1:]):
+                lifts.append(lifts[-1] * triang._lift_rotation_step(n, prev.T @ nxt))
+            nodes[:] = [qs, lifts]
+        qs, lifts = nodes
         k = bisect.bisect_right(ts, t) - 1
         k = max(0, min(k, len(ts) - 1))
-        step = qs[k].T @ triang.qr_positive(mfun(t))[0]
+        step = qs[k].T @ frames(np.array([t]))[0]
         return lifts[k] * triang._lift_rotation_step(n, step)
 
-    return FrameCurve(n, tuple(ts), eval_fn)
+    return FrameCurve(n, tuple(ts), eval_fn, frames)
 
 
 def frenet_frame(
@@ -246,7 +315,8 @@ def frenet_frame(
     ``jet(t)`` returns the (n+1) x (n+1) matrix with columns
     ``gamma(t), gamma'(t), ..., gamma^(n)(t)``.  The frame is the
     positive Gram-Schmidt (QR) factor; a rank-deficient or
-    orientation-reversing jet raises :class:`DegenerateJet`.
+    orientation-reversing jet raises :class:`DegenerateJet`, at every
+    evaluation and, for the nodes ``ts``, when the curve is built.
     """
     ts = [float(t) for t in ts]
 
@@ -259,7 +329,9 @@ def frenet_frame(
             raise DegenerateJet(f"jet at t={t} has determinant {det:.2e}")
         return triang.qr_positive(J)[0]
 
-    return frame_curve_from_matrix_path(n, qfun, ts)
+    curve = frame_curve_from_matrix_path(n, qfun, ts)
+    curve.matrix(ts)
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +339,16 @@ def frenet_frame(
 # ---------------------------------------------------------------------------
 
 
-def southwest_minors(M: Sequence[Sequence[float]]) -> np.ndarray:
-    """``m_j``: determinant of the last j rows and first j columns."""
-    A = np.array(M, dtype=float)
-    m = A.shape[0]
-    return np.array(
-        [float(np.linalg.det(A[m - j :, :j])) for j in range(1, m)]
+def southwest_minors(M) -> np.ndarray:
+    """``m_j``: determinant of the last j rows and first j columns, j < m.
+
+    ``M`` is one m x m matrix (giving shape ``(m - 1,)``) or a stack
+    ``(..., m, m)`` (giving ``(..., m - 1)``).
+    """
+    A = np.asarray(M, dtype=float)
+    m = A.shape[-1]
+    return np.stack(
+        [np.linalg.det(A[..., m - j :, :j]) for j in range(1, m)], axis=-1
     )
 
 
@@ -309,23 +385,30 @@ def _refine_dip(f, lo, hi):
     return t, abs(f(t))
 
 
-def _slope_mult(f, tstar, d0, cap, t0, t1):
+def _slope_probes(tstar, d0, t0, t1) -> list:
+    """Sample points ``(side, d, t)`` of :func:`_slope_mult`: ``t = tstar
+    + side * d`` with ``d = d0 * 0.55**k`` (k < 6), inside ``[t0, t1]``."""
+    return [
+        (side, d, tstar + side * d)
+        for side in (+1.0, -1.0)
+        for d in (d0 * (0.55 ** k) for k in range(6))
+        if t0 <= tstar + side * d <= t1
+    ]
+
+
+def _slope_mult(probes, values, cap):
     """Vanishing order of f at tstar by log-log slope on both sides.
 
-    Only samples inside the domain ``[t0, t1]`` are used; a side with
-    fewer than 3 of them is skipped.
+    ``values`` are f at the times of ``probes`` (from :func:`_slope_probes`);
+    a side with fewer than 3 of them is skipped.
     """
-    ds = [d0 * (0.55 ** k) for k in range(6)]
     slopes = []
     for side in (+1.0, -1.0):
         xs, ys = [], []
-        for d in ds:
-            t = tstar + side * d
-            if not t0 <= t <= t1:
-                continue
-            val = abs(f(t))
-            xs.append(math.log(d))
-            ys.append(math.log(val + 1e-300))
+        for (s, d, _), val in zip(probes, values):
+            if s == side:
+                xs.append(math.log(d))
+                ys.append(math.log(abs(val) + 1e-300))
         if len(xs) < 3:
             continue
         slopes.append(float(np.polyfit(xs, ys, 1)[0]))
@@ -360,14 +443,17 @@ def singular_events(
     by |m| dips, clustered within ``cluster_tol``, and each cluster is
     given a multiplicity vector by log-log slope estimation at two scales
     (:class:`UnresolvedCluster` if the scales disagree or the pattern is
-    not a permutation).
+    not a permutation).  The grid is one stacked :meth:`FrameCurve.minors`
+    call, and so are the center and slope probes of each cluster; the
+    bisection and golden-section refinements evaluate one time per call.
     """
     n = curve.n
     t0, t1 = curve.t0, curve.t1
     span = t1 - t0
-    ts = np.linspace(t0, t1, grid + 1)
-    vals = np.array([curve.minors(t) for t in ts])  # (grid+1, n)
+    grid_ts = np.linspace(t0, t1, grid + 1)
+    vals = curve.minors(grid_ts)  # (grid+1, n)
     scales = np.maximum(np.abs(vals).max(axis=0), 1e-12)
+    ts = grid_ts.tolist()
 
     def minor_fn(j):
         return lambda t: float(curve.minors(t)[j])
@@ -375,30 +461,25 @@ def singular_events(
     roots = []  # (t, j, is_sign_change)
     for j in range(n):
         f = minor_fn(j)
-        v = vals[:, j]
         scale = scales[j]
-        k = 0
-        while k < grid:
-            if v[k] == 0.0:
-                roots.append((float(ts[k]), j, True))
-                k += 1
-                continue
-            if v[k] * v[k + 1] < 0:
+        v, a = vals[:, j], np.abs(vals[:, j])
+        zero = v[:-1] == 0.0
+        change = ~zero & (v[:-1] * v[1:] < 0)
+        # dip: interior local minimum of |v| below trigger
+        dip = ~zero & ~change
+        dip[0] = False
+        dip[1:] &= (a[1:-1] <= a[:-2]) & (a[1:-1] <= a[2:]) & (a[1:-1] < 1e-4 * scale)
+        v = v.tolist()
+        for k in np.flatnonzero(zero | change | dip).tolist():
+            if zero[k]:
+                roots.append((ts[k], j, True))
+            elif change[k]:
                 r = _refine_sign_change(f, ts[k], ts[k + 1], v[k], v[k + 1])
                 roots.append((float(r), j, True))
-                k += 1
-                continue
-            # dip: interior local minimum of |v| below trigger
-            if (
-                0 < k < grid
-                and abs(v[k]) <= abs(v[k - 1])
-                and abs(v[k]) <= abs(v[k + 1])
-                and abs(v[k]) < 1e-4 * scale
-            ):
+            else:
                 t, fmin = _refine_dip(f, ts[k - 1], ts[k + 1])
                 if fmin < zero_rel * scale:
                     roots.append((float(t), j, False))
-            k += 1
 
     # keep only interior roots (open domain convention)
     edge = max(1e-9, 1e-9 * span)
@@ -415,21 +496,31 @@ def singular_events(
             clusters.append([r])
 
     events = []
-    for cl in clusters:
+    for i, cl in enumerate(clusters):
         precise = sorted(t for t, j, sc in cl if sc)
         allts = sorted(t for t, j, sc in cl)
         center = precise[len(precise) // 2] if precise else allts[len(allts) // 2]
         jset = {j for _, j, _ in cl}
         mult = []
         d0 = 0.01 * span
+        # keep the probes a quarter of the way short of the neighbouring
+        # clusters, whose zeros would bend the log-log slopes
+        if i > 0:
+            d0 = min(d0, (center - clusters[i - 1][-1][0]) / 4)
+        if i + 1 < len(clusters):
+            d0 = min(d0, (clusters[i + 1][0][0] - center) / 4)
+        # the center and the probes of both scales, for all minors at once
+        coarse = _slope_probes(center, d0, t0, t1)
+        fine = _slope_probes(center, d0 / 3.0, t0, t1)
+        at = curve.minors([center] + [t for _, _, t in coarse + fine])
+        at_coarse, at_fine = at[1 : 1 + len(coarse)], at[1 + len(coarse) :]
         for j in range(n):
-            f = minor_fn(j)
-            if j not in jset and abs(f(center)) > 1e-6 * scales[j]:
+            if j not in jset and abs(at[0, j]) > 1e-6 * scales[j]:
                 mult.append(0)
                 continue
             cap = (j + 1) * (n - j)  # mult_j of the top letter
-            k1 = _slope_mult(f, center, d0, cap, t0, t1)
-            k2 = _slope_mult(f, center, d0 / 3.0, cap, t0, t1)
+            k1 = _slope_mult(coarse, at_coarse[:, j], cap)
+            k2 = _slope_mult(fine, at_fine[:, j], cap)
             if k1 != k2:
                 raise UnresolvedCluster(
                     f"multiplicity unstable for m_{j + 1} at t={center}: {k1} vs {k2}"
@@ -693,12 +784,9 @@ def u_invariant(
     w = min(window, 0.45 * span)
 
     # classify the event letter by slopes of the minors
-    mult = []
-    for j in range(3):
-        f = lambda t, j=j: float(curve.minors(t)[j])
-        cap = (j + 1) * (4 - j)
-        k1 = _slope_mult(f, t_star, 0.2 * w, cap, curve.t0, curve.t1)
-        mult.append(k1)
+    probes = _slope_probes(t_star, 0.2 * w, curve.t0, curve.t1)
+    at = curve.minors([t for _, _, t in probes])
+    mult = [_slope_mult(probes, at[:, j], (j + 1) * (4 - j)) for j in range(3)]
     letter = symgrp.permutation_from_mult(tuple(mult), 3)
     if letter != _ACB:
         raise NotAnAcbEvent(f"event at t={t_star} has letter {letter}, mult {mult}")

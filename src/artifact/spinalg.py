@@ -675,7 +675,7 @@ def project(z: "CliffordEven | Spinor") -> "list[list[QSqrt2]] | np.ndarray":
     [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     """
     if isinstance(z, Spinor):
-        return _project_float(z)
+        return _project_float(z.n, z.v)
     if not z.is_unit():
         raise NotUnit(f"not a unit spinor: {z}")
     n = z.n
@@ -693,18 +693,31 @@ def project(z: "CliffordEven | Spinor") -> "list[list[QSqrt2]] | np.ndarray":
     return [[cols[j][i] for j in range(n + 1)] for i in range(n + 1)]
 
 
-def _project_float(z: Spinor, tol: float = 1e-12) -> np.ndarray:
-    t = _tables(z.n)
-    m, N = z.n + 1, len(t.blades)
-    forms = t.quad @ np.outer(z.v, z.v).ravel()
-    unit = forms[:N]
-    unit[0] -= 1.0
-    if np.abs(unit).max() >= tol:
-        raise NotUnit(f"not a unit spinor: {z}")
-    cols = forms[N:].reshape(-1, m)  # row: odd blade, grade 1 first
-    if np.abs(cols[m:]).max(initial=0.0) > 1e-9:
+def _project_float(n: int, v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """``Pi`` of the float spinors with coefficient vectors ``v``: one
+    vector (shape ``(N,)``, giving one matrix) or a stack ``(k, N)``
+    (giving ``(k, n + 1, n + 1)``).
+
+    The stack is one contraction of the outer products ``v v^T`` with the
+    ``quad`` table, one matrix-vector product per row, so a row's matrix
+    equals the matrix of that vector alone.  Every row must pass the unit
+    check and the grade-1 residue check, else :class:`NotUnit`.
+    """
+    t = _tables(n)
+    m, N = n + 1, len(t.blades)
+    V = np.asarray(v, dtype=float)
+    rows = V.reshape(-1, 1, N)
+    outer = (rows.transpose(0, 2, 1) * rows).reshape(-1, 1, N * N)
+    forms = (outer @ t.quad.T)[:, 0]
+    unit = forms[:, :N]
+    unit[:, 0] -= 1.0
+    bad = np.abs(unit).max(axis=1) >= tol
+    if bad.any():
+        raise NotUnit(f"not a unit spinor: {Spinor(n, rows[np.argmax(bad), 0])}")
+    cols = forms[:, N:].reshape(len(forms), -1, m)  # row: odd blade, grade 1 first
+    if np.abs(cols[:, m:]).max(initial=0.0) > 1e-9:
         raise NotUnit("conjugation did not preserve grade 1")
-    return cols[:m]
+    return cols[:, :m].reshape(V.shape[:-1] + (m, m))
 
 
 def is_quat(z: CliffordEven) -> bool:

@@ -454,14 +454,19 @@ def lu_of_rotation(Q: Matrix) -> tuple[Matrix, Matrix]:
 def qr_positive(M) -> tuple:
     """QR with orthogonal Q and upper R with strictly positive diagonal.
 
-    ``M`` is any square array-like of floats; Q and R are float ndarrays.
+    ``M`` is a square array-like of floats or a stack of them (shape
+    ``(..., m, m)``); Q and R are float ndarrays of the same shape.  A
+    stack is factored by one batched ``np.linalg.qr``, matrix by matrix,
+    so each factor equals the factor of its matrix alone.
     """
     import numpy as np
 
     Q, R = np.linalg.qr(np.asarray(M, dtype=float))
-    signs = np.sign(np.diag(R))
+    signs = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return Q * signs, (R.T * signs).T
+    Q *= signs[..., None, :]
+    R *= signs[..., :, None]
+    return Q, R
 
 
 def bruhat_upw(M: Matrix, tol: float = 1e-10) -> tuple:

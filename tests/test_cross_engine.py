@@ -1,0 +1,61 @@
+"""The numeric itinerary against the exact section classification.
+
+At a rational point of the ``aba`` (n=2) or ``acb`` (n=3) section, the
+itinerary that ``curvelab.singular_events`` reads off the section curve
+must be the label ``polysect.classify_point`` computes exactly, unless the
+numeric engine declines with :class:`curvelab.UnresolvedCluster`.  The
+curve is sampled as in ``artifact iti``: t in [-1, 1], 201 lift nodes.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import sympy as sp
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from artifact import curvelab, polysect, symgrp
+
+SECTIONS = {
+    name: polysect.build_section(symgrp.letter_from_name(n, name))
+    for name, n in (("aba", 2), ("acb", 3))
+}
+MFUNS = {
+    name: sp.lambdify((s.t,) + s.x_vars, s.M, "numpy")
+    for name, s in SECTIONS.items()
+}
+
+
+@st.composite
+def section_points(draw):
+    name = draw(st.sampled_from(sorted(SECTIONS)))
+    # coordinate l is k/64 * 2**(-w_l s): the box scales like the section
+    s = draw(st.sampled_from([0, 1, 2]))
+    point = tuple(
+        Fraction(draw(st.integers(-64, 64)), 64) / 2 ** (w * s)
+        for w in SECTIONS[name].x_weights
+    )
+    return name, point
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(case=("aba", (Fraction(1, 3), Fraction(-1, 18))))
+@example(case=("aba", (Fraction(0), Fraction(0))))
+@example(case=("aba", (Fraction(31, 128), Fraction(1, 4))))
+@given(case=section_points())
+def test_numeric_itinerary_is_the_exact_label(case):
+    name, point = case
+    section = SECTIONS[name]
+    values = [float(v) for v in point]
+    curve = curvelab.frame_curve_from_matrix_path(
+        section.n,
+        lambda t: MFUNS[name](t, *values),
+        np.linspace(-1.0, 1.0, 201),
+    )
+    exact = polysect.classify_point(section, point).label
+    try:
+        events = curvelab.singular_events(curve)
+    except curvelab.UnresolvedCluster:
+        return
+    assert symgrp.word_name(tuple(ev.letter for ev in events)) == exact

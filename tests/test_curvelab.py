@@ -207,3 +207,104 @@ class TestSlopeProbeDomain:
         assert events[0].time < -0.98
         numeric = symgrp.word_name(tuple(ev.letter for ev in events))
         assert numeric == polysect.classify_point(aba, point).label == "bb"
+
+
+class TestStackedMinors:
+    """Frames and minors over a stack of times in one call; matrix paths
+    read them from the QR factor and lift only when a spinor is asked for."""
+
+    POINT = (Fraction(1, 3), Fraction(-1, 18))
+
+    def aba_path(self):
+        section = polysect.build_section(symgrp.letter_from_name(2, "aba"))
+        subs = dict(zip(section.x_vars, [sp.Rational(p) for p in self.POINT]))
+        return sp.lambdify(section.t, section.M.subs(subs), "numpy")
+
+    def curves(self):
+        return {
+            "section": section_curve(
+                polysect.build_section(symgrp.letter_from_name(2, "aba")),
+                self.POINT,
+            ),
+            "word": curvelab.curve_with_itinerary(
+                symgrp.word_from_name(3, "a[cb]a"), n=3, verify=False
+            ),
+            "constant": curvelab.integrate_frame(2, circle_kappas(2), steps=200),
+        }
+
+    def test_no_lift_until_a_spinor_is_asked_for(self, monkeypatch):
+        calls = []
+        inner = triang._lift_rotation_step
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(triang, "_lift_rotation_step", counted)
+        mfun = self.aba_path()
+        ts = np.linspace(-1.0, 1.0, 201)
+        curve = curvelab.frame_curve_from_matrix_path(2, mfun, ts)
+        events = curvelab.singular_events(curve)
+        assert [symgrp.letter_name(ev.letter) for ev in events] == ["ba", "a"]
+        assert calls == []
+        # the endpoint is still the continuous lift along the nodes
+        qs = [triang.qr_positive(mfun(t))[0] for t in ts]
+        want = curvelab._lift_rotation(2, qs[0])
+        for prev, nxt in zip(qs, qs[1:]):
+            want = want * inner(2, prev.T @ nxt)
+        end = curve(1.0)
+        assert calls
+        assert triang._spin_distance(end, want) < 1e-12
+        assert np.abs(spinalg.project(end) - curve.matrix(1.0)).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", ["section", "word", "constant"])
+    def test_stack_equals_pointwise(self, kind):
+        curve = self.curves()[kind]
+        stack = np.linspace(curve.t0, curve.t1, 37)
+        got = curve.minors(stack)
+        assert got.shape == (37, curve.n)
+        assert np.array_equal(got, np.array([curve.minors(t) for t in stack]))
+        lifted = np.array(
+            [curvelab.southwest_minors(spinalg.project(curve(t))) for t in stack]
+        )
+        assert np.abs(got - lifted).max() < 1e-12
+
+    def test_out_of_domain_time_in_a_stack(self):
+        curve = self.curves()["section"]
+        with pytest.raises(ValueError) as scalar:
+            curve(1.5)
+        with pytest.raises(ValueError) as stacked:
+            curve.minors([0.0, 0.5, 1.5, -0.25])
+        assert str(stacked.value) == str(scalar.value)
+
+    def test_non_finite_frame(self):
+        mfun = self.aba_path()
+
+        def broken(t):
+            return np.full((3, 3), np.nan) if t == 0.25 else mfun(t)
+
+        curve = curvelab.frame_curve_from_matrix_path(
+            2, broken, np.linspace(-1.0, 1.0, 201)
+        )
+        assert curve.minors([0.0, 0.5]).shape == (2, 2)
+        with pytest.raises(triang.NotARotation):
+            curve.minors([0.0, 0.25, 0.5])
+        with pytest.raises(triang.NotARotation):
+            curve.minors(0.25)
+
+
+class TestSlopeProbeNeighbours:
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (Fraction(-1, 128), Fraction(0)),
+            (Fraction(63, 128), Fraction(-31, 256)),
+        ],
+    )
+    def test_close_events_are_both_classified(self, point):
+        # events 1/64 and 1/128 apart: the slope probes of each must stop
+        # short of the other's zeros
+        aba = polysect.build_section(symgrp.letter_from_name(2, "aba"))
+        events = curvelab.singular_events(section_curve(aba, point))
+        numeric = symgrp.word_name(tuple(ev.letter for ev in events))
+        assert numeric == polysect.classify_point(aba, point).label
