@@ -3,7 +3,7 @@
 Modules
 -------
 symgrp    symmetric-group combinatorics (reduced words, Bruhat order, mult)
-spinalg   even Clifford algebra / spin arithmetic (acute, grave, hat, chop/adv)
+spinalg   even Clifford algebra / spin arithmetic (acute, grave, hat, q_of_word)
 triang    unit lower-triangular total positivity and accessibility
 curvelab  numeric curve engine (integration, itineraries, u-invariant)
 polysect  exact symbolic transversal sections and stratum maps

@@ -70,7 +70,6 @@ class RunConfig:
     zero_rel: float = 1e-8
     sing_grid: int = 1024
     grid_radius: str = "1/16"
-    seed: int = 0
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -157,9 +156,32 @@ def _read_spec(path: str) -> dict:
     return spec
 
 
+def _spec_number(key: str, text, kind: type, low=None):
+    """The spec value ``text`` of ``key`` as an int or a finite float, at
+    least ``low`` when given; anything else is a usage error."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise UsageError(f"bad {key} {text!r}")
+    if low is not None and value < low:
+        raise UsageError(f"{key} must be at least {low}, got {value}")
+    return value
+
+
+def _spec_domain(spec: dict, t0: float) -> tuple[float, float]:
+    """The domain ``(t0, t1)`` of the spec, by default ``(t0, 1)``."""
+    t0 = _spec_number("t0", spec.get("t0", t0), float)
+    t1 = _spec_number("t1", spec.get("t1", 1.0), float)
+    if not t0 < t1:
+        raise UsageError(f"need t0 < t1, got t0 = {t0}, t1 = {t1}")
+    return t0, t1
+
+
 def _curve_from_spec(spec: dict, cfg: RunConfig) -> curvelab.FrameCurve:
     kind = spec["kind"]
-    n = int(spec.get("n", cfg.n))
+    n = _spec_number("n", spec.get("n", cfg.n), int, low=1)
     if kind == "constant":
         kappa = spec.get("kappa", "h")
         if kappa == "h":
@@ -171,9 +193,8 @@ def _curve_from_spec(spec: dict, cfg: RunConfig) -> curvelab.FrameCurve:
                 raise UsageError(f"bad kappa list {kappa!r}") from exc
         if len(values) != n:
             raise UsageError(f"need {n} curvatures, got {len(values)}")
-        t0 = float(spec.get("t0", 0.0))
-        t1 = float(spec.get("t1", 1.0))
-        steps = int(spec.get("steps", cfg.ode_steps))
+        t0, t1 = _spec_domain(spec, 0.0)
+        steps = _spec_number("steps", spec.get("steps", cfg.ode_steps), int, low=1)
         kappas = [(lambda t, v=v: v) for v in values]
         return curvelab.integrate_frame(n, kappas, t0=t0, t1=t1, steps=steps)
     if kind == "section":
@@ -196,16 +217,22 @@ def _curve_from_spec(spec: dict, cfg: RunConfig) -> curvelab.FrameCurve:
         subs = dict(zip(section.x_vars, [sp.Rational(p) for p in point]))
         M = section.M.subs(subs)
         mfun = sp.lambdify(section.t, M, "numpy")
-        t0 = float(spec.get("t0", -1.0))
-        t1 = float(spec.get("t1", 1.0))
-        samples = int(spec.get("samples", 201))
+        t0, t1 = _spec_domain(spec, -1.0)
+        samples = _spec_number("samples", spec.get("samples", 201), int, low=2)
         ts = [t0 + k * (t1 - t0) / (samples - 1) for k in range(samples)]
         return curvelab.frame_curve_from_matrix_path(n, mfun, ts)
     if kind == "word":
         word = _parse_word(n, spec.get("word", "()"))
         times = None
         if spec.get("times"):
-            times = [float(v) for v in spec["times"].split(",")]
+            times = [_spec_number("times", v, float) for v in spec["times"].split(",")]
+            bounds = [0.0] + times + [1.0]
+            if len(times) != len(word) or any(
+                b <= a for a, b in zip(bounds, bounds[1:])
+            ):
+                raise UsageError(
+                    f"times must be {len(word)} increasing values inside (0, 1)"
+                )
         return curvelab.curve_with_itinerary(word, times=times, n=n)
     raise UsageError(f"unknown spec kind {kind!r}")
 
@@ -246,12 +273,16 @@ def cmd_iti(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
+def _parse_grid(text: str) -> int:
+    """The side N of a square ``N`` or ``NxN`` grid, N >= 2."""
+    sides = text.split("x")
     try:
-        a, _, b = text.partition("x")
-        return int(a), int(b or a)
-    except ValueError as exc:
-        raise UsageError(f"bad grid spec {text!r} (expected e.g. 100x100)") from exc
+        counts = {int(side) for side in sides}
+    except ValueError:
+        counts = set()
+    if len(sides) > 2 or len(counts) != 1 or min(counts) < 2:
+        raise UsageError(f"bad grid spec {text!r} (expected N or NxN, N >= 2)")
+    return counts.pop()
 
 
 def cmd_section(args, cfg: RunConfig) -> int:
@@ -260,7 +291,10 @@ def cmd_section(args, cfg: RunConfig) -> int:
         if args.family not in ("betaprime", "matrix_u"):
             raise UsageError(f"unknown family {args.family!r}")
         u = _parse_fraction(args.u) if args.u else None
-        section = polysect.build_perturbed_family(args.family, u)
+        try:
+            section = polysect.build_perturbed_family(args.family, u)
+        except ValueError as exc:  # |u| >= 1
+            raise UsageError(f"bad --u {args.u!r}: {exc}") from exc
     else:
         try:
             sigma = symgrp.letter_from_name(n, args.sigma)
@@ -285,10 +319,10 @@ def cmd_section(args, cfg: RunConfig) -> int:
     if args.grid:
         if len(section.point_vars) != len(section.x_vars):
             raise UsageError("grid classification of a family needs --u")
-        rows, cols = _parse_grid(args.grid)
+        count = _parse_grid(args.grid)
         radius = _parse_fraction(args.radius or cfg.grid_radius)
         weights = section.x_weights or (1,) * len(section.x_vars)
-        points = polysect.weighted_grid_points(radius, rows, weights)
+        points = polysect.weighted_grid_points(radius, count, weights)
         table = polysect.stratum_map(section, points)
         sink = (
             open(args.csv, "w", newline="") if args.csv else nullcontext(sys.stdout)
@@ -319,6 +353,8 @@ def cmd_poset(args, cfg: RunConfig) -> int:
             sigma = symgrp.letter_from_name(n, args.below.strip("[]"))
         except (ValueError, KeyError) as exc:
             raise UsageError(f"bad letter {args.below!r}: {exc}") from exc
+        if sigma.is_identity():
+            raise UsageError(f"bad letter {args.below!r}: the identity")
         words = poset.letter_oracle_section(sigma)
         g = poset.hasse(words, oracle, n=n)
         dot = poset.hasse_dot(g)

@@ -196,9 +196,9 @@ def integrate_frame(
     t0: float = 0.0,
     t1: float = 1.0,
     steps: int = 2000,
-    z0: Optional[CliffordEven] = None,
 ) -> FrameCurve:
-    """Solve ``z' = z * sum_j kappa_j(t) a_j`` by RK4 in spin coefficients.
+    """Solve ``z' = z * sum_j kappa_j(t) a_j``, ``z(t0) = 1``, by RK4 in
+    spin coefficients.
 
     All curvatures must be strictly positive on the grid
     (:class:`NonPositiveCurvature`).  The returned curve has an exact
@@ -229,7 +229,7 @@ def integrate_frame(
         out = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         return out / np.linalg.norm(out)
 
-    v = (z0.to_float() if z0 is not None else Spinor.one(n)).v
+    v = Spinor.one(n).v
     ts = np.linspace(t0, t1, steps + 1)
     vs = [v]
     for k in range(steps):
@@ -292,10 +292,7 @@ def frame_curve_from_matrix_path(
     def eval_fn(t: float) -> Spinor:
         if not nodes:
             qs = frames(np.array(ts))
-            lifts = [_lift_rotation(n, qs[0])]
-            for prev, nxt in zip(qs, qs[1:]):
-                lifts.append(lifts[-1] * triang._lift_rotation_step(n, prev.T @ nxt))
-            nodes[:] = [qs, lifts]
+            nodes[:] = [qs, triang._lift_path(n, _lift_rotation(n, qs[0]), qs)]
         qs, lifts = nodes
         k = bisect.bisect_right(ts, t) - 1
         k = max(0, min(k, len(ts) - 1))
@@ -314,22 +311,23 @@ def frenet_frame(
 
     ``jet(t)`` returns the (n+1) x (n+1) matrix with columns
     ``gamma(t), gamma'(t), ..., gamma^(n)(t)``.  The frame is the
-    positive Gram-Schmidt (QR) factor; a rank-deficient or
+    positive Gram-Schmidt (QR) factor of the jet, taken by
+    :func:`frame_curve_from_matrix_path`; a rank-deficient or
     orientation-reversing jet raises :class:`DegenerateJet`, at every
     evaluation and, for the nodes ``ts``, when the curve is built.
     """
     ts = [float(t) for t in ts]
 
-    def qfun(t: float) -> np.ndarray:
+    def checked_jet(t: float) -> np.ndarray:
         J = np.array(jet(t), dtype=float)
         if J.shape != (n + 1, n + 1):
             raise DegenerateJet(f"jet at t={t} has shape {J.shape}")
         det = np.linalg.det(J)
         if det <= 1e-12:
             raise DegenerateJet(f"jet at t={t} has determinant {det:.2e}")
-        return triang.qr_positive(J)[0]
+        return J
 
-    curve = frame_curve_from_matrix_path(n, qfun, ts)
+    curve = frame_curve_from_matrix_path(n, checked_jet, ts)
     curve.matrix(ts)
     return curve
 
@@ -571,7 +569,7 @@ def hausdorff(X: Sequence[float], Y: Sequence[float]) -> float:
     return max(directed(X, Y), directed(Y, X))
 
 
-def is_convex_arc(curve: FrameCurve, samples: int = 10, tol: float = 1e-6) -> bool:
+def is_convex_arc(curve: FrameCurve, samples: int = 10) -> bool:
     """Check convexity: every chord ``z(s)^-1 z(t)`` (s < t) must lie in
     the signed open cell ``Bru_{acute eta}``."""
     ts = np.linspace(curve.t0, curve.t1, samples)
@@ -579,7 +577,7 @@ def is_convex_arc(curve: FrameCurve, samples: int = 10, tol: float = 1e-6) -> bo
     for a in range(len(ts)):
         for b in range(a + 1, len(ts)):
             d = spins[a].reverse() * spins[b]
-            if not spinalg.in_positive_cell(d, tol=tol):
+            if not spinalg.in_positive_cell(d):
                 return False
     return True
 
@@ -593,15 +591,14 @@ def curve_with_itinerary(
     word,
     times: Optional[Sequence[float]] = None,
     n: Optional[int] = None,
-    c: float = math.pi / 4,
     verify: bool = True,
     verify_grid: int = 1024,
 ) -> FrameCurve:
     """A curve from 1 to ``q_of_word(word)`` whose itinerary is ``word``.
 
     Crossing points are the word-table values ``B(w, j)``; around each a
-    model arc ``B(w, j) exp(s c h)`` realizes the letter.  Between
-    crossings the curve stays inside a single signed open cell
+    model arc ``B(w, j) exp(s c h)``, ``c = pi/4``, realizes the letter.
+    Between crossings the curve stays inside a single signed open cell
     ``Bru_{q_j acute eta}``; the connectors interpolate linearly in the
     exact angle chart of that cell, which keeps them strictly inside the
     cell (no extra singular events).  With ``verify=True`` the itinerary
@@ -645,7 +642,7 @@ def curve_with_itinerary(
     last_exc: Exception | None = None
     for _ in range(6):
         try:
-            curve = _assemble_curve(table, times, d, r, c)
+            curve = _assemble_curve(table, times, d, r)
             if verify:
                 got = itinerary(curve, grid=verify_grid)
                 if [g.images for g in got] != [w.images for w in word]:
@@ -689,11 +686,12 @@ def _chart_product(n: int, q: Spinor, eta_word, thetas) -> Spinor:
     return z
 
 
-def _assemble_curve(table, times, d, r, c) -> FrameCurve:
+def _assemble_curve(table, times, d, r) -> FrameCurve:
     word = table.word
     n = word[0].n
     ell = len(word)
     eta_word = symgrp.reduced_word(symgrp.longest_element(n))
+    c = math.pi / 4  # the model arcs are B(w, j) exp(s c h), |s| <= r
 
     arcs = [table.integer[j + 1].to_float() for j in range(ell)]
     qs = [table.q(j).to_float() for j in range(ell + 1)]
@@ -759,12 +757,7 @@ def _assemble_curve(table, times, d, r, c) -> FrameCurve:
 _ACB = Permutation((3, 1, 4, 2))
 
 
-def u_invariant(
-    curve: FrameCurve,
-    t_star: float,
-    h: float = 2e-3,
-    window: float = 0.05,
-) -> float:
+def u_invariant(curve: FrameCurve, t_star: float) -> float:
     """The modulus ``u`` of an ``acb`` event at ``t_star`` (n = 3).
 
     The event must have multiplicity vector (2, 1, 2) (letter ``acb``),
@@ -775,13 +768,15 @@ def u_invariant(
 
     with ``beta_i = (L^-1 L')_{i+1,i}``, ``f_i = beta_i / beta_2`` and
     ``b_i = f_i(t_star)``, all derivatives by Richardson-extrapolated
-    central differences.
+    central differences of step ``h = 2e-3``, inside a window of half-width
+    ``min(0.05, 0.45 * span)`` around ``t_star``.
     """
     n = curve.n
     if n != 3:
         raise NotAnAcbEvent(f"acb events require n = 3, curve has n = {n}")
     span = curve.t1 - curve.t0
-    w = min(window, 0.45 * span)
+    w = min(0.05, 0.45 * span)
+    h = 2e-3
 
     # classify the event letter by slopes of the minors
     probes = _slope_probes(t_star, 0.2 * w, curve.t0, curve.t1)

@@ -2,7 +2,7 @@
 
 A transversal section to the stratum of a letter ``sigma`` is the
 polynomial family ``M(x, t) = Mtilde(x) * exp(t n)`` built from the
-signed pattern of ``Pi(q acute(eta) acute(sigma))``: the pivot of row i
+signed pattern of ``Pi(acute(eta) acute(sigma))``: the pivot of row i
 sits at column ``i**rho`` (``rho = eta sigma``) and the ``inv(sigma)``
 free variables fill the positions ``(i, j)`` with ``j < i**rho`` and
 ``j**(rho^-1) < i`` in reading order.  The transversal slice sets the
@@ -30,7 +30,7 @@ from sympy.polys.densebasic import dup_strip
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.rootisolation import dup_isolate_real_roots_list, dup_refine_real_root
 
-from . import spinalg, symgrp
+from . import spinalg, symgrp, triang
 from .spinalg import IdentityLetter
 from .symgrp import Permutation
 
@@ -66,15 +66,6 @@ class UnrecognizedMultPattern(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _exp_nilpotent_sym(n: int, t: sp.Symbol) -> sp.Matrix:
-    """exp(t*n) with entry (i, j) = t**(i-j) / (i-j)! below the diagonal."""
-    m = n + 1
-    return sp.Matrix(
-        m, m,
-        lambda i, j: t ** (i - j) / sp.factorial(i - j) if i >= j else sp.Integer(0),
-    )
-
-
 @dataclass
 class SectionFamily:
     """Polynomial transversal-section family for one letter.
@@ -105,8 +96,9 @@ class SectionFamily:
         return self.x_vars
 
 
-def build_section(sigma: Permutation, q: "spinalg.CliffordEven | None" = None) -> SectionFamily:
-    """Build the transversal section family for the letter ``sigma``.
+def build_section(sigma: Permutation) -> SectionFamily:
+    """Build the transversal section family for the letter ``sigma``: its
+    pivots and their signs are those of ``Pi(acute(eta) acute(sigma))``.
 
     >>> aba = symgrp.letter_from_name(2, 'aba')
     >>> sp.pprint  # doctest: +SKIP
@@ -122,10 +114,7 @@ def build_section(sigma: Permutation, q: "spinalg.CliffordEven | None" = None) -
     eta = symgrp.longest_element(n)
     rho = symgrp.compose(eta, sigma)
     rho_inv = symgrp.inverse(rho)
-    z0 = spinalg.acute(eta) * spinalg.acute(sigma)
-    if q is not None:
-        z0 = q * z0
-    Q0 = spinalg.project(z0)
+    Q0 = spinalg.project(spinalg.acute(eta) * spinalg.acute(sigma))
 
     def entry_sign(i: int, j: int) -> int:  # 1-based
         v = Q0[i - 1][j - 1]
@@ -150,8 +139,7 @@ def build_section(sigma: Permutation, q: "spinalg.CliffordEven | None" = None) -
         M0[i - 1, rho(i) - 1] = entry_sign(i, rho(i))
     for x_l, (i, j) in zip(xs, positions):
         M0[i - 1, j - 1] = entry_sign(i, rho(i)) * x_l
-    expn = _exp_nilpotent_sym(n, t)
-    M_full = sp.expand(M0 * expn)
+    M_full = sp.expand(M0 * sp.Matrix(triang.exp_nilpotent(n, t)))
     M = sp.expand(M_full.subs(xs[-1], 0))
     # quasi-homogeneous weight of the variable at (i, j): rho(i) - j
     weights = tuple(rho(i) - j for (i, j) in positions[:-1])
@@ -197,7 +185,7 @@ def build_perturbed_family(kind: str, u: object | None = None) -> SectionFamily:
     if kind == "matrix_u":
         Mt = base.Mtilde_full.copy()
         Mt[2, 1] = -u_sym  # row 3 = (-1, -u, 0, 0)
-        M_full = sp.expand(Mt * _exp_nilpotent_sym(3, t))
+        M_full = sp.expand(Mt * sp.Matrix(triang.exp_nilpotent(3, t)))
         xs_all = sp.symbols("x1:4")
         M = sp.expand(M_full.subs(xs_all[-1], 0))
         return SectionFamily(
@@ -401,10 +389,7 @@ def classify_point(
 def grid_points(radius: Fraction, count: int) -> list[tuple[Fraction, Fraction]]:
     """A count x count rational grid on [-radius, radius]^2 (no zero row/col
     when count is even)."""
-    radius = Fraction(radius)
-    step = 2 * radius / (count - 1) if count > 1 else radius
-    axis = [-radius + k * step for k in range(count)]
-    return [(x1, x2) for x1 in axis for x2 in axis]
+    return weighted_grid_points(radius, count, (1, 1))
 
 
 def weighted_grid_points(
@@ -426,15 +411,12 @@ def weighted_grid_points(
     return [tuple(pt) for pt in itertools.product(*axes)]
 
 
-def stratum_map(
-    section: SectionFamily,
-    points: Iterable[Sequence],
-    domain: tuple = (Fraction(-1), Fraction(1)),
-) -> list[dict]:
-    """Classify each grid point; returns rows for CSV export."""
+def stratum_map(section: SectionFamily, points: Iterable[Sequence]) -> list[dict]:
+    """Classify each grid point on the domain (-1, 1); returns rows for CSV
+    export."""
     rows = []
     for pt in points:
-        cls = classify_point(section, pt, domain=domain)
+        cls = classify_point(section, pt)
         rows.append(
             {
                 "point": tuple(Fraction(v) for v in pt),

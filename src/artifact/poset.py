@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import polysect, spinalg, symgrp
@@ -84,15 +83,11 @@ def necessary_conditions(
 # ---------------------------------------------------------------------------
 
 
-def letter_oracle_section(
-    sigma: Permutation,
-    radii_exponents: Sequence[int] = (4, 6),
-    count: int = 9,
-) -> frozenset:
+def letter_oracle_section(sigma: Permutation) -> frozenset:
     """The set of words preceding the one-letter word ``(sigma,)``.
 
-    Classifies the exact transversal section of ``sigma`` on square
-    grids of radius ``2**-k`` for each exponent k and returns the words
+    Classifies the exact transversal section of ``sigma`` on 9 x 9
+    weighted grids of radius ``2**-k`` for k = 4 and 6 and returns the words
     whose label occurs at every radius (the stratification is conical,
     so labels of small radii persist).  The one-letter word itself (the
     origin) is always included.
@@ -100,10 +95,10 @@ def letter_oracle_section(
     section = polysect.build_section(sigma)
     weights = section.x_weights or (1,) * len(section.x_vars)
     per_radius = []
-    for k in radii_exponents:
+    for k in (4, 6):
         radius = Fraction(1, 2**k)
         labels = {(sigma,)}
-        for point in polysect.weighted_grid_points(radius, count, weights):
+        for point in polysect.weighted_grid_points(radius, 9, weights):
             cls = polysect.classify_point(section, point)
             labels.add(tuple(cls.word))
         per_radius.append(labels)
@@ -111,11 +106,7 @@ def letter_oracle_section(
     return frozenset(stable)
 
 
-def oracle_from_sections(
-    n: int,
-    radii_exponents: Sequence[int] = (4, 6),
-    count: int = 9,
-) -> Callable:
+def oracle_from_sections(n: int) -> Callable:
     """A memoized oracle ``(block, letter) -> True | False | None``.
 
     ``None`` (unknown) is returned when the section classification of
@@ -127,9 +118,7 @@ def oracle_from_sections(
         key = sigma.images
         if key not in cache:
             try:
-                cache[key] = letter_oracle_section(
-                    sigma, radii_exponents=radii_exponents, count=count
-                )
+                cache[key] = letter_oracle_section(sigma)
             except (polysect.UnrecognizedMultPattern, polysect.ZeroPolynomial):
                 cache[key] = None
         return cache[key]
@@ -281,12 +270,9 @@ def hasse_dot(g) -> str:
 # ---------------------------------------------------------------------------
 
 
-def hr_splitting_report(
-    u: Fraction,
-    radius: Fraction = Fraction(1, 5),
-    count: int = 40,
-) -> dict:
-    """Label sets of the perturbed acb sections at ``+u``, ``-u`` and 0.
+def hr_splitting_report(u: Fraction, count: int = 40) -> dict:
+    """Label sets of the perturbed acb sections at ``+u``, ``-u`` and 0,
+    classified on a count x count grid of radius 1/5.
 
     Demonstrates that the neighbourhood of an ``acb`` crossing splits:
     the words ``acbac`` and ``cabca`` occur on opposite sides of the
@@ -297,7 +283,7 @@ def hr_splitting_report(
     for key, uval in (("plus", u), ("minus", -u), ("zero", Fraction(0))):
         fam = polysect.build_perturbed_family("betaprime", uval)
         labels = set()
-        for point in polysect.grid_points(radius, count):
+        for point in polysect.grid_points(Fraction(1, 5), count):
             try:
                 cls = polysect.classify_point(fam, point)
             except polysect.UnrecognizedMultPattern:

@@ -10,9 +10,9 @@ Exact elements live over the ring ``{p + q*sqrt(2) : p, q rational}``
 (:class:`QSqrt2`), which is closed under products of the quarter-turn
 generators ``alpha_j(+-pi/2)``.  The maps ``acute``, ``grave`` and
 ``hat`` (``hat(sigma) = acute(sigma) * grave(sigma)**-1``), the lifted
-signed-permutation group, the word table ``B(w, j)`` and the operators
-``chop`` / ``adv`` are all computed bit-exactly in this ring by
-:class:`CliffordEven`, whose products go blade by blade.
+signed-permutation group and the word table ``B(w, j)`` are all computed
+bit-exactly in this ring by :class:`CliffordEven`, whose products go
+blade by blade.
 
 Each ``hat(sigma)`` lies in the finite group Quat_{n+1} of signed even
 blades and is computed once per sigma.  The endpoint ``q_of_word(w) =
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,10 +58,6 @@ __all__ = [
     "hat",
     "project",
     "is_quat",
-    "signed_permutation_of",
-    "decompose_signed",
-    "chop",
-    "adv",
     "word_table",
     "q_of_word",
     "h_bivector",
@@ -179,22 +174,6 @@ class QSqrt2:
 
     def __repr__(self) -> str:
         return f"QSqrt2({self.p}, {self.q})"
-
-    def as_half_power(self) -> tuple[int, int]:
-        """Write the value as ``m / sqrt(2)**k`` with integers m, k >= 0.
-
-        Requires that one of the two components vanish.
-        """
-        if self.q == 0:
-            m, k = self.p, 0
-        elif self.p == 0:
-            m, k = 2 * self.q, 1  # q*sqrt2 = 2q/sqrt2
-        else:
-            raise ValueError(f"{self!r} is not of the form m/sqrt(2)^k")
-        while m.denominator != 1:
-            m *= 2
-            k += 2
-        return int(m), k
 
 
 def _as_qs(x) -> QSqrt2:
@@ -321,10 +300,6 @@ class CliffordEven:
                 return c
         return _ZERO
 
-    def norm_sq(self) -> QSqrt2:
-        prod = self * self.reverse()
-        return prod.scalar_part()
-
     def inverse(self) -> "CliffordEven":
         """Inverse of a unit spinor (equals reverse)."""
         if not self.is_unit():
@@ -339,32 +314,6 @@ class CliffordEven:
 
     def coefficient(self, blade: Blade) -> QSqrt2:
         return self.tdict().get(tuple(sorted(blade)), _ZERO)
-
-    def to_json(self) -> str:
-        """Serialize as blades with num/halfpow coefficients."""
-        terms = []
-        for I, c in self.terms:
-            if c.q == 0 or c.p == 0:
-                m, k = c.as_half_power()
-                terms.append({"blade": list(I), "num": m, "halfpow": k})
-            else:
-                for part in (QSqrt2(c.p, 0), QSqrt2(0, c.q)):
-                    m, k = part.as_half_power()
-                    terms.append({"blade": list(I), "num": m, "halfpow": k})
-        return json.dumps({"n": self.n, "terms": terms})
-
-    @staticmethod
-    def from_json(text: str) -> "CliffordEven":
-        data = json.loads(text)
-        out: dict[Blade, QSqrt2] = {}
-        for term in data["terms"]:
-            m, k = term["num"], term["halfpow"]
-            val = QSqrt2(Fraction(m, 2 ** (k // 2)))
-            if k % 2:  # one leftover 1/sqrt2
-                val = val * _INV_SQRT2
-            I = tuple(term["blade"])
-            out[I] = out.get(I, _ZERO) + val
-        return CliffordEven.make(data["n"], out)
 
     def __str__(self) -> str:
         return _terms_str(self.terms)
@@ -559,10 +508,10 @@ class Spinor:
         """Anti-automorphism reversing each blade; inverse on unit spinors."""
         return Spinor(self.n, self.v * _tables(self.n).rev_sign)
 
-    def is_unit(self, tol: float = 1e-12) -> bool:
+    def is_unit(self) -> bool:
         d = (self * self.reverse()).v
         d[0] -= 1.0
-        return bool(np.abs(d).max() < tol)
+        return bool(np.abs(d).max() < 1e-12)
 
     def inverse(self) -> "Spinor":
         """Inverse of a unit spinor (equals reverse)."""
@@ -693,7 +642,7 @@ def project(z: "CliffordEven | Spinor") -> "list[list[QSqrt2]] | np.ndarray":
     return [[cols[j][i] for j in range(n + 1)] for i in range(n + 1)]
 
 
-def _project_float(n: int, v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _project_float(n: int, v: np.ndarray) -> np.ndarray:
     """``Pi`` of the float spinors with coefficient vectors ``v``: one
     vector (shape ``(N,)``, giving one matrix) or a stack ``(k, N)``
     (giving ``(k, n + 1, n + 1)``).
@@ -711,7 +660,7 @@ def _project_float(n: int, v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     forms = (outer @ t.quad.T)[:, 0]
     unit = forms[:, :N]
     unit[:, 0] -= 1.0
-    bad = np.abs(unit).max(axis=1) >= tol
+    bad = np.abs(unit).max(axis=1) >= 1e-12
     if bad.any():
         raise NotUnit(f"not a unit spinor: {Spinor(n, rows[np.argmax(bad), 0])}")
     cols = forms[:, N:].reshape(len(forms), -1, m)  # row: odd blade, grade 1 first
@@ -726,50 +675,6 @@ def is_quat(z: CliffordEven) -> bool:
         return False
     _, c = z.terms[0]
     return c == _ONE or c == -_ONE
-
-
-def signed_permutation_of(z: CliffordEven) -> Permutation:
-    """Permutation pattern of the signed-permutation matrix ``Pi(z)``.
-
-    ``z`` must lie in the lifted signed group, so that each row of
-    ``Pi(z)`` has a single nonzero entry; row i's entry sits in column
-    ``i**sigma``.
-    """
-    M = project(z)
-    n = z.n
-    images = []
-    for i in range(n + 1):
-        nz = [j for j in range(n + 1) if M[i][j]]
-        if len(nz) != 1:
-            raise NotInLiftedSignedGroup(f"row {i + 1} is not signed-unit")
-        images.append(nz[0] + 1)
-    return Permutation(tuple(images))
-
-
-def decompose_signed(z0: CliffordEven) -> tuple[CliffordEven, Permutation, CliffordEven]:
-    """Write ``z0 = q_a acute(sigma0) = q_c grave(sigma0)``.
-
-    Returns ``(q_a, sigma0, q_c)``; raises :class:`NotInLiftedSignedGroup`
-    if the quotients are not Quat elements.
-    """
-    sigma0 = signed_permutation_of(z0)
-    q_a = z0 * acute(sigma0).inverse()
-    q_c = z0 * grave(sigma0).inverse()
-    if not (is_quat(q_a) and is_quat(q_c)):
-        raise NotInLiftedSignedGroup(f"{z0} is not q * acute(sigma)")
-    return q_a, sigma0, q_c
-
-
-def adv(z0: CliffordEven) -> CliffordEven:
-    """``adv(z0) = q_a acute(eta)`` where ``z0 = q_a acute(sigma0)``."""
-    q_a, sigma0, _ = decompose_signed(z0)
-    return q_a * acute(symgrp.longest_element(z0.n))
-
-
-def chop(z0: CliffordEven) -> CliffordEven:
-    """``chop(z0) = q_c grave(eta)`` where ``z0 = q_c grave(sigma0)``."""
-    _, sigma0, q_c = decompose_signed(z0)
-    return q_c * grave(symgrp.longest_element(z0.n))
 
 
 @dataclass(frozen=True)
@@ -913,13 +818,13 @@ def spin_exp_h(n: int, t: float) -> Spinor:
 # ---------------------------------------------------------------------------
 
 
-def cell_of_matrix(M: Sequence[Sequence[Scalar]], tol: float = 1e-9) -> Permutation:
+def cell_of_matrix(M: Sequence[Sequence[Scalar]]) -> Permutation:
     """Bruhat cell of a rotation matrix via the southwest rank pattern
-    (:func:`symgrp.from_southwest_ranks`), with float ranks at ``tol``."""
+    (:func:`symgrp.from_southwest_ranks`), with float ranks at 1e-9."""
     A = np.array(M, dtype=float)
     return symgrp.from_southwest_ranks(
         A.shape[0],
-        lambda i, j: int(np.linalg.matrix_rank(A[i - 1 :, :j], tol=tol)),
+        lambda i, j: int(np.linalg.matrix_rank(A[i - 1 :, :j], tol=1e-9)),
     )
 
 
@@ -982,6 +887,10 @@ def quat_elements(n: int) -> list[CliffordEven]:
     return out
 
 
+# largest peeled residue |z - 1| of an element of the positive cell
+_CHART_TOL = 1e-6
+
+
 def _peel_positive(z: "CliffordEven | Spinor") -> tuple[list[float], Spinor]:
     """Peel exit angles along the reduced word of eta, last letter first.
 
@@ -1000,7 +909,7 @@ def _peel_positive(z: "CliffordEven | Spinor") -> tuple[list[float], Spinor]:
     return thetas, cur
 
 
-def in_positive_cell(z: CliffordEven, tol: float = 1e-6) -> bool:
+def in_positive_cell(z: CliffordEven) -> bool:
     """Whether z lies in the signed open cell ``Bru_{acute eta}``.
 
     Checks the matrix rank pattern and then peels exit angles along a
@@ -1017,16 +926,16 @@ def in_positive_cell(z: CliffordEven, tol: float = 1e-6) -> bool:
     except NoRootInInterval:
         return False
     resid = np.abs(cur.v[1:]).max(initial=0.0)
-    return bool(resid < tol and abs(cur.scalar_part() - 1.0) < tol)
+    return bool(resid < _CHART_TOL and abs(cur.scalar_part() - 1.0) < _CHART_TOL)
 
 
-def positive_chart(z: CliffordEven, tol: float = 1e-6) -> list[float]:
+def positive_chart(z: CliffordEven) -> list[float]:
     """Chart coordinates of z in ``Bru_{acute eta}``: the angles theta in
     (0, pi)**l with ``z = prod alpha_{i_k}(theta_k)`` along the reduced
     word of eta.  Raises :class:`NoRootInInterval` / ValueError when z is
     not in the signed cell."""
     thetas, cur = _peel_positive(z)
     resid = np.abs(cur.v[1:]).max(initial=0.0)
-    if resid > tol or abs(cur.scalar_part() - 1.0) > tol:
+    if resid > _CHART_TOL or abs(cur.scalar_part() - 1.0) > _CHART_TOL:
         raise NotUnit("element is not in the positive open cell")
     return list(reversed(thetas))

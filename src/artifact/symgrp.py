@@ -34,7 +34,6 @@ __all__ = [
     "compose",
     "inverse",
     "inversions",
-    "dim",
     "mult_vector",
     "permutation_from_mult",
     "reduced_word",
@@ -154,11 +153,6 @@ def inversions(sigma: Permutation) -> int:
         for i, j in itertools.combinations(range(len(imgs)), 2)
         if imgs[i] > imgs[j]
     )
-
-
-def dim(sigma: Permutation) -> int:
-    """``dim(sigma) = inv(sigma) - 1`` (codimension bookkeeping)."""
-    return inversions(sigma) - 1
 
 
 def mult_vector(sigma: Permutation) -> tuple[int, ...]:

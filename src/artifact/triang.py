@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import spinalg, symgrp
 from .symgrp import Permutation
 
 __all__ = [
-    "UniTriMatrix",
     "Quasiproduct",
     "NotFactorizable",
     "NotTotallyPositive",
@@ -151,33 +150,6 @@ def _det(A: Matrix):
     return acc
 
 
-@dataclass(frozen=True)
-class UniTriMatrix:
-    """Unit lower-triangular matrix; entries stored as a full row tuple."""
-
-    rows: tuple
-
-    @staticmethod
-    def make(rows: Sequence[Sequence]) -> "UniTriMatrix":
-        m = len(rows)
-        for i, row in enumerate(rows):
-            if len(row) != m:
-                raise ValueError("not square")
-            if not _is_zero_entry(row[i] - 1):
-                raise ValueError("diagonal must be 1")
-            for j in range(i + 1, m):
-                if not _is_zero_entry(row[j]):
-                    raise ValueError("entries above the diagonal must vanish")
-        return UniTriMatrix(tuple(tuple(r) for r in rows))
-
-    @property
-    def n(self) -> int:
-        return len(self.rows) - 1
-
-    def tolist(self) -> Matrix:
-        return [list(r) for r in self.rows]
-
-
 def jacobi(n: int, j: int, t) -> Matrix:
     """``I + t E_{j+1, j}`` in Lo1_{n+1}."""
     if not 1 <= j <= n:
@@ -188,22 +160,20 @@ def jacobi(n: int, j: int, t) -> Matrix:
 
 
 def exp_nilpotent(n: int, t) -> Matrix:
-    """``exp(t n)`` with entry (i, j) = t**(i-j)/(i-j)! below the diagonal."""
-    M = []
-    for i in range(n + 1):
-        row = []
-        for j in range(n + 1):
-            if i < j:
-                row.append(0 * t if isinstance(t, float) else Fraction(0))
-            elif i == j:
-                row.append(1.0 if isinstance(t, float) else Fraction(1))
-            else:
-                k = i - j
-                row.append(t ** k / math.factorial(k)
-                           if isinstance(t, float)
-                           else Fraction(t) ** k / math.factorial(k))
-        M.append(row)
-    return M
+    """``exp(t n)`` with entry (i, j) = t**(i-j)/(i-j)! on and below the
+    diagonal, computed in the ring of ``t``: an int is taken as a Fraction,
+    and floats, Fractions and sympy expressions stay as they are.
+
+    >>> exp_nilpotent(1, 3)
+    [[Fraction(1, 1), Fraction(0, 1)], [Fraction(3, 1), Fraction(1, 1)]]
+    """
+    if isinstance(t, int):
+        t = Fraction(t)
+    return [
+        [t ** (i - j) / math.factorial(i - j) if i >= j else 0 * t
+         for j in range(n + 1)]
+        for i in range(n + 1)
+    ]
 
 
 def commute_identity(i: int, s1, s2, s3) -> tuple:
@@ -293,8 +263,6 @@ def factor_along(L, word: Sequence[int], require_positive: bool = True) -> tuple
     >>> factor_along(L, (1, 2, 1))
     (Fraction(2, 1), Fraction(3, 1), Fraction(5, 1))
     """
-    if isinstance(L, UniTriMatrix):
-        L = L.tolist()
     n = len(L) - 1
     sigma = symgrp.from_word(n, word)
     if symgrp.inversions(sigma) != len(word):
@@ -332,10 +300,6 @@ def is_ll(L0, L1) -> bool:
     >>> is_ll(identity_matrix(2), exp_nilpotent(2, Fraction(1)))
     True
     """
-    if isinstance(L0, UniTriMatrix):
-        L0 = L0.tolist()
-    if isinstance(L1, UniTriMatrix):
-        L1 = L1.tolist()
     n = len(L0) - 1
     D = mat_mul(mat_inv(L0), L1)
     word = symgrp.reduced_word(symgrp.longest_element(n))
@@ -349,10 +313,6 @@ def is_ll(L0, L1) -> bool:
 def is_leq(L0, L1) -> bool:
     """Closure order: ``L0 <= L1`` iff ``L0^-1 L1`` lies in the closure of
     Pos_eta, i.e. factors positively along a word of its own cell."""
-    if isinstance(L0, UniTriMatrix):
-        L0 = L0.tolist()
-    if isinstance(L1, UniTriMatrix):
-        L1 = L1.tolist()
     n = len(L0) - 1
     D = mat_mul(mat_inv(L0), L1)
     sigma = cell_of_unitriangular(D)
@@ -405,8 +365,6 @@ def accessibility_quasiproduct(L_x, word: Sequence[int]) -> Quasiproduct:
     ``L_prefix^-1 L_x`` along a reduced word of eta starting with the
     j-th letter of ``word``.
     """
-    if isinstance(L_x, UniTriMatrix):
-        L_x = L_x.tolist()
     n = len(L_x) - 1
     eta = symgrp.longest_element(n)
     symbolic = not all(
@@ -469,7 +427,7 @@ def qr_positive(M) -> tuple:
     return Q, R
 
 
-def bruhat_upw(M: Matrix, tol: float = 1e-10) -> tuple:
+def bruhat_upw(M: Matrix) -> tuple:
     """Normal form ``M = U1 P U2`` for M in the open cell, with U1 unit
     upper-triangular, P a signed antidiagonal permutation matrix and U2
     upper with positive diagonal.  Via LU of J M."""
@@ -484,7 +442,7 @@ def bruhat_upw(M: Matrix, tol: float = 1e-10) -> tuple:
     except NotLUDecomposable as exc:
         raise NotConnectableInCell("matrix not in the open Bruhat cell") from exc
     Lm, U2 = np.array(L), np.array(U)
-    if np.abs(np.diag(U2)).min() < tol:
+    if np.abs(np.diag(U2)).min() < 1e-10:
         raise NotConnectableInCell("matrix not in the open Bruhat cell")
     U1 = J @ Lm @ J  # unit upper-triangular
     signs = np.sign(np.diag(U2))
@@ -497,20 +455,19 @@ def convex_connect(
     A: "spinalg.CliffordEven",
     B: "spinalg.CliffordEven",
     samples: int = 64,
-    c: float = math.pi / 4,
 ) -> list["spinalg.Spinor"]:
     """A sampled convex arc in Spin from A to B.
 
     Requires ``A^-1 B`` to lie in the open cell ``Bru_{acute eta}`` in
     the component reachable by a convex arc.  The arc is the projective
-    transform of the model arc ``exp(t c h)``: with ``W = Pi(exp(c h)) =
-    U_w P U_w'`` and ``Z = Pi(A^-1 B) = U_z P U_z'``, the matrix arc is
-    ``N(t) = Q((U_w U_z^-1)^-1 Pi(exp(t c h)))``, which runs from I to Z;
-    the returned spin samples are ``A * lift(N(t))``.
+    transform of the model arc ``exp(t c h)``, ``c = pi/4``: with
+    ``W = Pi(exp(c h)) = U_w P U_w'`` and ``Z = Pi(A^-1 B) = U_z P U_z'``,
+    the matrix arc is ``N(t) = Q((U_w U_z^-1)^-1 Pi(exp(t c h)))``, which
+    runs from I to Z; the returned spin samples are ``A * lift(N(t))``.
     """
     import numpy as np
 
-    n = A.n
+    n, c = A.n, math.pi / 4
     target = A.inverse() * B
     Z = spinalg.project(target.to_float())
     W = spinalg.project(spinalg.spin_exp_h(n, c))
@@ -529,11 +486,7 @@ def convex_connect(
     if not np.allclose(mats[-1], Z, atol=1e-8):
         raise NotConnectableInCell("arc endpoint mismatch")
 
-    # lift the matrix arc continuously to Spin, starting at A
-    out = [A.to_float()]
-    for prev, nxt in zip(mats, mats[1:]):
-        step = _lift_rotation_step(n, prev.T @ nxt)
-        out.append(out[-1] * step)
+    out = _lift_path(n, A.to_float(), mats)
     end_err = _spin_distance(out[-1], B.to_float())
     if end_err > 1e-6:
         raise NotConnectableInCell(
@@ -578,6 +531,16 @@ def _lift_rotation_step(n: int, R) -> "spinalg.Spinor":
         raise NearHalfTurn(f"I + R is singular for R = {R}")
     psi = spinalg.exterior_exp((C - C.T) / 2)
     return psi.scale(1.0 / np.linalg.norm(psi.v))
+
+
+def _lift_path(n: int, start: "spinalg.Spinor", mats) -> list["spinalg.Spinor"]:
+    """The continuous spin lift of the rotations ``mats`` that starts at
+    ``start``, a lift of ``mats[0]``: each next lift is the previous one
+    times the lift of the step ``mats[k]^T mats[k + 1]``."""
+    out = [start]
+    for prev, nxt in zip(mats, mats[1:]):
+        out.append(out[-1] * _lift_rotation_step(n, prev.T @ nxt))
+    return out
 
 
 def _spin_distance(z, w) -> float:

@@ -20,7 +20,6 @@ class TestConfig:
             line.split(" = ", 1) for line in out.strip().splitlines()
         )
         assert keys["n"] == "2"
-        assert "seed" in keys
 
     def test_config_roundtrip(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -37,7 +36,7 @@ class TestConfig:
         assert code == 1
         assert "unknown key" in err
 
-    @pytest.mark.parametrize("key", ["grid_count", "samples"])
+    @pytest.mark.parametrize("key", ["grid_count", "samples", "seed"])
     def test_retired_keys_are_unknown(self, capsys, tmp_path, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = 9\n")
@@ -210,3 +209,66 @@ class TestSectionCsv:
         assert rows[0] == ["x1", "x2", "u", "itinerary", "roots"]
         assert len(rows) == 1 + 9
         assert all(len(row) == 5 for row in rows)
+
+
+def run_spec(capsys, tmp_path, text):
+    spec = tmp_path / "case.spec"
+    spec.write_text(text)
+    return run(capsys, "iti", str(spec))
+
+
+class TestSpecValues:
+    """Malformed spec values are usage errors (exit 1), not tracebacks,
+    internal errors or silently empty itineraries."""
+
+    SECTION = "kind = section\nn = 2\nsigma = aba\npoint = 1/3, -1/18\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "kind = constant\nn = two\n",
+            "kind = word\nn = 3\nword = a[cb]a\ntimes = 0.1,x\n",
+            SECTION + "samples = x\n",
+            SECTION + "samples = 1\n",
+            "kind = constant\nn = 2\nsteps = 0\n",
+            "kind = constant\nn = 2\nt0 = 0.5\nt1 = 0.5\n",
+            SECTION + "t0 = 0.5\nt1 = 0.5\n",
+            "kind = word\nn = 3\nword = a[cb]a\ntimes = 0.9,0.1,0.2,0.3\n",
+        ],
+        ids=[
+            "n-not-int", "times-not-float", "samples-not-int", "samples-1",
+            "steps-0", "constant-empty-domain", "section-empty-domain",
+            "times-unordered",
+        ],
+    )
+    def test_usage_error(self, capsys, tmp_path, text):
+        code, out, err = run_spec(capsys, tmp_path, text)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert out == ""
+
+
+class TestSectionPosetFlags:
+    @pytest.mark.parametrize("grid", ["3x7", "0", "-4", "1", "3x", "3x3x3", "ax3"])
+    def test_bad_grid(self, capsys, grid):
+        code, out, err = run(capsys, "section", "aba", "--grid", grid)
+        assert code == 1
+        assert err.startswith("error: bad grid spec")
+
+    def test_grid_side_alone(self, capsys):
+        code, out, _ = run(capsys, "section", "aba", "--grid", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) - lines.index("x1,x2,u,itinerary,roots") - 1 == 9
+
+    def test_family_u_out_of_range(self, capsys):
+        code, _, err = run(
+            capsys, "section", "acb", "--n", "3", "--family", "betaprime", "--u", "3/2"
+        )
+        assert code == 1
+        assert err.startswith("error: ")
+
+    def test_below_identity(self, capsys):
+        code, _, err = run(capsys, "poset", "--below", "[]")
+        assert code == 1
+        assert err.startswith("error: ")
