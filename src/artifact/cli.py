@@ -60,6 +60,25 @@ def _key_value_lines(path: str, what: str) -> Iterator[tuple[int, str, str]]:
         yield lineno, key.strip(), value.strip()
 
 
+# the smallest accepted value of each int config key; sing_grid has the
+# floor of ``section --grid``
+_INT_FLOOR = {"n": 1, "ode_steps": 1, "sing_grid": 2}
+
+
+def _config_value(key: str, kind: str, text: str):
+    """The config value ``text`` of ``key``: an int at least its floor, a
+    positive finite float, or (``grid_radius``) a positive rational."""
+    if kind == "str":
+        if not _parse_fraction(text) > 0:
+            raise UsageError(f"{key} must be a positive rational, got {text!r}")
+        return text
+    number = int if kind == "int" else float
+    value = _spec_number(key, text, number, low=_INT_FLOOR.get(key))
+    if not value > 0:
+        raise UsageError(f"{key} must be positive, got {value}")
+    return value
+
+
 @dataclass
 class RunConfig:
     """Tunable defaults, overridable from a flat key=value config file."""
@@ -78,16 +97,10 @@ class RunConfig:
         for lineno, key, value in _key_value_lines(path, "config"):
             if key not in ftypes:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            kind = ftypes[key]
             try:
-                if kind == "int":
-                    setattr(cfg, key, int(value))
-                elif kind == "float":
-                    setattr(cfg, key, float(value))
-                else:
-                    setattr(cfg, key, value)
-            except ValueError as exc:
-                raise UsageError(f"{path}:{lineno}: bad value for {key}") from exc
+                setattr(cfg, key, _config_value(key, ftypes[key], value))
+            except UsageError as exc:
+                raise UsageError(f"{path}:{lineno}: {exc}") from exc
         return cfg
 
     def dump(self) -> str:
@@ -133,6 +146,14 @@ def _parse_fraction(text: str) -> Fraction:
         raise UsageError(f"bad rational {text!r}") from exc
 
 
+def _rank(args, cfg: RunConfig) -> int:
+    """The rank ``--n``, or the config's n when the flag is absent."""
+    n = cfg.n if args.n is None else args.n
+    if n < 1:
+        raise UsageError(f"--n must be at least 1, got {n}")
+    return n
+
+
 def _parse_word(n: int, text: str):
     """Bracketed word syntax; '()' or '' denotes the empty word."""
     text = text.strip()
@@ -157,8 +178,8 @@ def _read_spec(path: str) -> dict:
 
 
 def _spec_number(key: str, text, kind: type, low=None):
-    """The spec value ``text`` of ``key`` as an int or a finite float, at
-    least ``low`` when given; anything else is a usage error."""
+    """The spec or config value ``text`` of ``key`` as an int or a finite
+    float, at least ``low`` when given; anything else is a usage error."""
     try:
         value = kind(text)
     except ValueError:
@@ -286,7 +307,7 @@ def _parse_grid(text: str) -> int:
 
 
 def cmd_section(args, cfg: RunConfig) -> int:
-    n = args.n or cfg.n
+    n = _rank(args, cfg)
     if args.family:
         if args.family not in ("betaprime", "matrix_u"):
             raise UsageError(f"unknown family {args.family!r}")
@@ -303,6 +324,15 @@ def cmd_section(args, cfg: RunConfig) -> int:
             raise UsageError(str(exc)) from exc
         except (ValueError, KeyError) as exc:
             raise UsageError(f"bad letter {args.sigma!r}: {exc}") from exc
+    if args.grid:  # check the grid flags before printing anything
+        if len(section.point_vars) != len(section.x_vars):
+            raise UsageError("grid classification of a family needs --u")
+        count = _parse_grid(args.grid)
+        radius = _parse_fraction(
+            cfg.grid_radius if args.radius is None else args.radius
+        )
+        if radius <= 0:
+            raise UsageError(f"--radius must be positive, got {radius}")
     ms = polysect.minors(section)
     ds = polysect.discriminants(section)
     rs = polysect.resultants(section)
@@ -317,10 +347,6 @@ def cmd_section(args, cfg: RunConfig) -> int:
     json.dump(out, sys.stdout, indent=2)
     sys.stdout.write("\n")
     if args.grid:
-        if len(section.point_vars) != len(section.x_vars):
-            raise UsageError("grid classification of a family needs --u")
-        count = _parse_grid(args.grid)
-        radius = _parse_fraction(args.radius or cfg.grid_radius)
         weights = section.x_weights or (1,) * len(section.x_vars)
         points = polysect.weighted_grid_points(radius, count, weights)
         table = polysect.stratum_map(section, points)
@@ -346,7 +372,7 @@ def cmd_section(args, cfg: RunConfig) -> int:
 
 
 def cmd_poset(args, cfg: RunConfig) -> int:
-    n = args.n or cfg.n
+    n = _rank(args, cfg)
     oracle = poset.oracle_from_sections(n)
     if args.below:
         try:
@@ -395,7 +421,7 @@ def cmd_poset(args, cfg: RunConfig) -> int:
 
 
 def cmd_group(args, cfg: RunConfig) -> int:
-    n = args.n or cfg.n
+    n = _rank(args, cfg)
     query, arg = args.query, args.arg
     if query == "rbullet":
         try:

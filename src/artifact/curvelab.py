@@ -236,16 +236,16 @@ def integrate_frame(
         v = rk4(v, ts[k], ts[k + 1] - ts[k])
         vs.append(v)
 
-    def eval_fn(t: float, _ts=ts, _vs=vs) -> Spinor:
-        k = int(np.searchsorted(_ts, t, side="right")) - 1
-        k = max(0, min(k, len(_ts) - 1))
-        w = _vs[k]
-        dt = t - _ts[k]
+    def eval_fn(t: float) -> Spinor:
+        k = int(np.searchsorted(ts, t, side="right")) - 1
+        k = max(0, min(k, len(ts) - 1))
+        w = vs[k]
+        dt = t - ts[k]
         if abs(dt) < 1e-15:
             return Spinor(n, w)
         sub = 16
         h = dt / sub
-        tt = _ts[k]
+        tt = ts[k]
         for _ in range(sub):
             w = rk4(w, tt, h)
             tt += h
@@ -715,9 +715,9 @@ def _assemble_curve(table, times, d, r) -> FrameCurve:
         th_from = np.array(th_from)
         th_to = np.array(th_to)
 
-        def ev(t, q=q, a=th_from, b=th_to, lo=t_lo, hi=t_hi):
-            s = (t - lo) / (hi - lo)
-            return _chart_product(n, q, eta_word, (1 - s) * a + s * b)
+        def ev(t):
+            s = (t - t_lo) / (t_hi - t_lo)
+            return _chart_product(n, q, eta_word, (1 - s) * th_from + s * th_to)
 
         segments.append((t_lo, t_hi, ev))
 
@@ -802,7 +802,7 @@ def u_invariant(curve: FrameCurve, t_star: float) -> float:
 
     def Lfun(t: float) -> np.ndarray:
         M = curve.matrix(t)
-        return np.array(triang.lu_of_rotation(A0inv @ M)[0])
+        return triang.lu_of_rotation(A0inv @ M)[0]
 
     def beta(t: float) -> np.ndarray:
         # Richardson central difference for L'(t)

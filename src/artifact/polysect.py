@@ -10,9 +10,11 @@ last variable to zero.
 
 Southwest minors ``m_j``, their discriminants ``d_j`` and mutual
 resultants ``r_{i,j}`` are computed symbolically (sympy).  Classification
-of rational parameter points is exact: the minors at the point are
-polynomials in t over QQ, and sympy's continued-fraction real-root
-isolation (``dup_isolate_real_roots_list``) returns, for every root in the
+of rational parameter points is exact: each minor is kept as a dense
+multivariate polynomial over QQ in ``t`` and the point variables, and
+sympy's ``dmp_eval_tail`` substitutes the point, leaving a polynomial in t
+over QQ.  sympy's continued-fraction real-root isolation
+(``dup_isolate_real_roots_list``) then returns, for every root in the
 curve's domain, an isolating interval, the root's irreducible integer
 factor and its multiplicity in each minor.  A rational root is reported
 exactly, as a Fraction.
@@ -26,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import sympy as sp
-from sympy.polys.densebasic import dup_strip
+from sympy.polys.densetools import dmp_eval_tail
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.rootisolation import dup_isolate_real_roots_list, dup_refine_real_root
 
@@ -81,12 +83,10 @@ class SectionFamily:
     t: sp.Symbol
     M: sp.Matrix
     Mtilde_full: sp.Matrix | None = None
-    M_full: sp.Matrix | None = None
     u: sp.Symbol | sp.Rational | None = None
-    kind: str = "section"
     x_weights: tuple[int, ...] | None = None
     _minors: tuple | None = field(default=None, repr=False)
-    _evaluators: list | None = field(default=None, repr=False)
+    _dense_minors: list | None = field(default=None, repr=False)
 
     @property
     def point_vars(self) -> tuple[sp.Symbol, ...]:
@@ -145,8 +145,7 @@ def build_section(sigma: Permutation) -> SectionFamily:
     weights = tuple(rho(i) - j for (i, j) in positions[:-1])
     return SectionFamily(
         sigma=sigma, n=n, x_vars=tuple(xs[:-1]), t=t,
-        M=M, Mtilde_full=M0, M_full=M_full, kind="section",
-        x_weights=weights,
+        M=M, Mtilde_full=M0, x_weights=weights,
     )
 
 
@@ -180,7 +179,7 @@ def build_perturbed_family(kind: str, u: object | None = None) -> SectionFamily:
         M = sp.expand(sp.Matrix.hstack(*out))
         return SectionFamily(
             sigma=acb, n=3, x_vars=base.x_vars, t=t, M=M,
-            u=u_sym, kind="betaprime", x_weights=base.x_weights,
+            u=u_sym, x_weights=base.x_weights,
         )
     if kind == "matrix_u":
         Mt = base.Mtilde_full.copy()
@@ -190,8 +189,7 @@ def build_perturbed_family(kind: str, u: object | None = None) -> SectionFamily:
         M = sp.expand(M_full.subs(xs_all[-1], 0))
         return SectionFamily(
             sigma=acb, n=3, x_vars=base.x_vars, t=t, M=M,
-            Mtilde_full=Mt, M_full=M_full, u=u_sym, kind="matrix_u",
-            x_weights=base.x_weights,
+            Mtilde_full=Mt, u=u_sym, x_weights=base.x_weights,
         )
     raise ValueError(f"unknown family kind {kind!r}")
 
@@ -284,44 +282,6 @@ class PointClassification:
         return symgrp.word_name(self.word)
 
 
-def _compile_evaluators(section: SectionFamily) -> list:
-    """Per minor: list over descending t-powers of [(Fraction coeff,
-    exponent tuple)]."""
-    pvars = section.point_vars
-    out = []
-    for mj in minors(section):
-        coeffs = []
-        for coeff in sp.Poly(mj, section.t).all_coeffs():
-            if coeff == 0:
-                terms: list = []
-            elif not pvars:
-                terms = [(Fraction(sp.Rational(coeff)), ())]
-            else:
-                cp = sp.Poly(coeff, *pvars)
-                terms = [
-                    (Fraction(c.p, c.q), tuple(int(e) for e in mono))
-                    for mono, c in zip(cp.monoms(), [sp.Rational(v) for v in cp.coeffs()])
-                ]
-            coeffs.append(terms)
-        out.append(coeffs)
-    return out
-
-
-def _eval_minor(compiled, values: tuple[Fraction, ...]) -> list:
-    """The minor at the point as a dense QQ polynomial in t (descending)."""
-    out = []
-    for terms in compiled:
-        acc = Fraction(0)
-        for c, exps in terms:
-            v = c
-            for val, e in zip(values, exps):
-                if e:
-                    v *= val ** e
-            acc += v
-        out.append(_qq(acc))
-    return dup_strip(out)
-
-
 def classify_point(
     section: SectionFamily,
     x: Sequence,
@@ -335,6 +295,9 @@ def classify_point(
     of all minors at once (continued fractions, Vincent-Akritas-
     Strzebonski) and reports, for each, its irreducible factor and its
     multiplicity in every minor; the multiplicity vector names the letter.
+    Each minor is evaluated at the point by sympy's ``dmp_eval_tail`` on
+    its dense QQ representation in ``(t, *point_vars)``, built once per
+    section.
 
     >>> section = build_section(symgrp.letter_from_name(2, 'aba'))
     >>> cls = classify_point(section, (Fraction(1, 3), Fraction(-1, 18)))
@@ -348,13 +311,17 @@ def classify_point(
         raise ValueError(
             f"expected {len(section.point_vars)} coordinates, got {len(values)}"
         )
-    if section._evaluators is None:
-        section._evaluators = _compile_evaluators(section)
+    if section._dense_minors is None:
+        section._dense_minors = [
+            sp.Poly(mj, section.t, *section.point_vars, domain=QQ).rep.to_list()
+            for mj in minors(section)
+        ]
     lo, hi = Fraction(domain[0]), Fraction(domain[1])
 
+    point = [_qq(v) for v in values]
     ms = []
-    for compiled in section._evaluators:
-        p = _eval_minor(compiled, values)
+    for dense in section._dense_minors:
+        p = dmp_eval_tail(dense, point, len(point), QQ)
         if not p:
             raise ZeroPolynomial("minor vanishes identically at this point")
         ms.append(p)

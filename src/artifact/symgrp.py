@@ -380,8 +380,6 @@ def word_from_name(n: int, text: str) -> tuple[Permutation, ...]:
             if end < 0:
                 raise ValueError(f"unbalanced bracket in {text!r}")
             inner = text[pos + 1 : end]
-            if len(inner) < 1:
-                raise ValueError("empty bracket group")
             sigma = letter_from_name(n, inner)
             if inversions(sigma) != len(inner):
                 raise NotReducedBracket(f"bracket content {inner!r} is not reduced")
@@ -396,7 +394,10 @@ def word_from_name(n: int, text: str) -> tuple[Permutation, ...]:
 
 
 def letter_from_name(n: int, name: str) -> Permutation:
-    """Parse a string over a..h as a product of Coxeter generators."""
+    """Parse a non-empty string over a..h as a product of Coxeter
+    generators."""
+    if not name:
+        raise ValueError("empty letter name")
     word = []
     for ch in name:
         i = GENERATOR_CHARS.find(ch)

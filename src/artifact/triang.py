@@ -7,10 +7,11 @@ exact verification by re-multiplication), the orders ``<<``
 (closure), accessibility quasiproducts, and the LU / QR bridges
 to the rotation-matrix picture, including ``convex_connect``.
 
-Matrices are plain lists of rows; entries may be exact ``Fraction``s,
-floats, or sympy expressions (factorization works generically, so the
-closed forms of the accessibility example can be reproduced
-symbolically).
+The Lo1 algebra works on plain lists of rows whose entries are exact:
+ints, ``Fraction``s, or sympy expressions (factorization works
+generically, so the closed forms of the accessibility example can be
+reproduced symbolically).  The rotation bridges (LU, QR, Bruhat normal
+form, ``convex_connect``) work on float numpy arrays.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from . import spinalg, symgrp
 from .symgrp import Permutation
@@ -82,9 +85,7 @@ class DegenerateSum(ValueError):
 Matrix = list  # list[list[entry]]
 
 
-def _is_zero_entry(x, tol: float = 1e-12) -> bool:
-    if isinstance(x, float):
-        return abs(x) < tol
+def _is_zero_entry(x) -> bool:
     if isinstance(x, (int, Fraction)):
         return x == 0
     import sympy as sp
@@ -92,10 +93,8 @@ def _is_zero_entry(x, tol: float = 1e-12) -> bool:
     return sp.simplify(x) == 0
 
 
-def identity_matrix(n: int, exact: bool = True) -> Matrix:
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
-    return [[one if i == j else zero for j in range(n + 1)] for i in range(n + 1)]
+def identity_matrix(n: int) -> Matrix:
+    return [[Fraction(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
@@ -106,29 +105,25 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     ]
 
 
-def mat_inv(A: Matrix) -> Matrix:
-    """Gaussian elimination inverse (generic entries, exact for Fractions)."""
-    m = len(A)
-    aug = []
-    for i, row in enumerate(A):
-        ext = list(row)
-        for j in range(m):
-            ext.append(1 if i == j else 0)
-        aug.append(ext)
-    for col in range(m):
-        piv = next(
-            (r for r in range(col, m) if not _is_zero_entry(aug[r][col])), None
-        )
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pval = aug[col][col]
-        aug[col] = [v / pval for v in aug[col]]
-        for r in range(m):
-            if r != col and not _is_zero_entry(aug[r][col]):
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[m:] for row in aug]
+def mat_inv(L: Matrix) -> Matrix:
+    """Inverse of a unit lower-triangular matrix, by forward substitution
+    (no divisions).  Any other matrix raises ``ValueError``.
+
+    >>> mat_inv(exp_nilpotent(1, 3))
+    [[Fraction(1, 1), Fraction(0, 1)], [Fraction(-3, 1), Fraction(1, 1)]]
+    """
+    m = len(L)
+    if any(
+        not _is_zero_entry(L[i][j] - int(i == j))
+        for i in range(m)
+        for j in range(i, m)
+    ):
+        raise ValueError("not a unit lower-triangular matrix")
+    X = identity_matrix(m - 1)
+    for i in range(m):
+        for j in range(i):
+            X[i][j] = -sum(L[i][k] * X[k][j] for k in range(j, i))
+    return X
 
 
 def _det(A: Matrix):
@@ -154,7 +149,7 @@ def jacobi(n: int, j: int, t) -> Matrix:
     """``I + t E_{j+1, j}`` in Lo1_{n+1}."""
     if not 1 <= j <= n:
         raise ValueError(f"generator index {j} out of range 1..{n}")
-    M = identity_matrix(n, exact=not isinstance(t, float))
+    M = identity_matrix(n)
     M[j][j - 1] = M[j][j - 1] + t
     return M
 
@@ -162,7 +157,7 @@ def jacobi(n: int, j: int, t) -> Matrix:
 def exp_nilpotent(n: int, t) -> Matrix:
     """``exp(t n)`` with entry (i, j) = t**(i-j)/(i-j)! on and below the
     diagonal, computed in the ring of ``t``: an int is taken as a Fraction,
-    and floats, Fractions and sympy expressions stay as they are.
+    and Fractions and sympy expressions stay as they are.
 
     >>> exp_nilpotent(1, 3)
     [[Fraction(1, 1), Fraction(0, 1)], [Fraction(3, 1), Fraction(1, 1)]]
@@ -191,7 +186,7 @@ def commute_identity(i: int, s1, s2, s3) -> tuple:
 
 def product_along(n: int, word: Sequence[int], params: Sequence) -> Matrix:
     """``prod jacobi(i_l, t_l)`` for paired word letters and parameters."""
-    M = identity_matrix(n, exact=not any(isinstance(t, float) for t in params))
+    M = identity_matrix(n)
     for i, t in zip(word, params):
         M = mat_mul(M, jacobi(n, i, t))
     return M
@@ -206,7 +201,7 @@ def cell_of_unitriangular(L: Matrix) -> Permutation:
 
 
 def _rank_generic(rows: Matrix) -> int:
-    """Row-echelon rank with exact (or tolerance) zero tests."""
+    """Row-echelon rank with exact zero tests."""
     if not rows or not rows[0]:
         return 0
     M = [list(r) for r in rows]
@@ -270,9 +265,6 @@ def factor_along(L, word: Sequence[int], require_positive: bool = True) -> tuple
     cur = [list(r) for r in L]
     params = []
     cell = sigma
-    symbolic = not all(
-        isinstance(x, (int, float, Fraction)) for row in cur for x in row
-    )
     for i in word:
         t = _peel_parameter(cur, cell, i)
         params.append(t)
@@ -282,14 +274,12 @@ def factor_along(L, word: Sequence[int], require_positive: bool = True) -> tuple
     for r in range(n + 1):
         for c in range(n + 1):
             want = 1 if r == c else 0
-            if not _is_zero_entry(cur[r][c] - want, tol=1e-10):
+            if not _is_zero_entry(cur[r][c] - want):
                 raise NotFactorizable("residual after peeling all letters")
-    if require_positive and not symbolic:
+    exact = all(isinstance(x, (int, Fraction)) for row in L for x in row)
+    if require_positive and exact:
         for t in params:
-            if isinstance(t, float):
-                if not t > 0:
-                    raise NotFactorizable(f"nonpositive parameter {t}")
-            elif not t > 0:
+            if not t > 0:
                 raise NotFactorizable(f"nonpositive parameter {t}")
     return tuple(params)
 
@@ -313,7 +303,6 @@ def is_ll(L0, L1) -> bool:
 def is_leq(L0, L1) -> bool:
     """Closure order: ``L0 <= L1`` iff ``L0^-1 L1`` lies in the closure of
     Pos_eta, i.e. factors positively along a word of its own cell."""
-    n = len(L0) - 1
     D = mat_mul(mat_inv(L0), L1)
     sigma = cell_of_unitriangular(D)
     if sigma.is_identity():
@@ -367,10 +356,7 @@ def accessibility_quasiproduct(L_x, word: Sequence[int]) -> Quasiproduct:
     """
     n = len(L_x) - 1
     eta = symgrp.longest_element(n)
-    symbolic = not all(
-        isinstance(x, (int, float, Fraction)) for row in L_x for x in row
-    )
-    if not symbolic:
+    if all(isinstance(x, (int, Fraction)) for row in L_x for x in row):
         try:
             factor_along(L_x, symgrp.reduced_word(eta))
         except NotFactorizable as exc:
@@ -388,24 +374,22 @@ def accessibility_quasiproduct(L_x, word: Sequence[int]) -> Quasiproduct:
 # ---------------------------------------------------------------------------
 
 
-def lu_of_rotation(Q: Matrix) -> tuple[Matrix, Matrix]:
+def lu_of_rotation(Q) -> tuple:
     """``Q = L U`` with L unit lower-triangular and U upper (Doolittle).
 
-    ``Q`` may be exact (ints and Fractions) or any square float array-like;
-    a zero pivot (below 1e-12 in absolute value for floats) raises
-    :class:`NotLUDecomposable`.
+    ``Q`` is a square float array-like; L and U are float ndarrays.  A
+    pivot below 1e-12 in absolute value raises :class:`NotLUDecomposable`.
     """
-    m = len(Q)
-    exact = all(isinstance(x, (int, Fraction)) for row in Q for x in row)
-    L = identity_matrix(m - 1, exact=exact)
-    U = [list(map(Fraction, row)) if exact else list(map(float, row)) for row in Q]
+    U = np.array(Q, dtype=float)
+    m = len(U)
+    L = np.eye(m)
     for col in range(m):
-        if _is_zero_entry(U[col][col], tol=1e-12):
+        if abs(U[col, col]) < 1e-12:
             raise NotLUDecomposable(f"leading principal minor {col + 1} vanishes")
         for r in range(col + 1, m):
-            f = U[r][col] / U[col][col]
-            L[r][col] = f
-            U[r] = [a - f * b for a, b in zip(U[r], U[col])]
+            f = U[r, col] / U[col, col]
+            L[r, col] = f
+            U[r] = U[r] - f * U[col]
     return L, U
 
 
@@ -417,8 +401,6 @@ def qr_positive(M) -> tuple:
     stack is factored by one batched ``np.linalg.qr``, matrix by matrix,
     so each factor equals the factor of its matrix alone.
     """
-    import numpy as np
-
     Q, R = np.linalg.qr(np.asarray(M, dtype=float))
     signs = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
@@ -431,20 +413,17 @@ def bruhat_upw(M: Matrix) -> tuple:
     """Normal form ``M = U1 P U2`` for M in the open cell, with U1 unit
     upper-triangular, P a signed antidiagonal permutation matrix and U2
     upper with positive diagonal.  Via LU of J M."""
-    import numpy as np
-
     A = np.array(M, dtype=float)
     m = A.shape[0]
     J = np.fliplr(np.eye(m))
     # LU without pivoting; failure means M is not in the open cell
     try:
-        L, U = lu_of_rotation(J @ A)
+        L, U2 = lu_of_rotation(J @ A)
     except NotLUDecomposable as exc:
         raise NotConnectableInCell("matrix not in the open Bruhat cell") from exc
-    Lm, U2 = np.array(L), np.array(U)
     if np.abs(np.diag(U2)).min() < 1e-10:
         raise NotConnectableInCell("matrix not in the open Bruhat cell")
-    U1 = J @ Lm @ J  # unit upper-triangular
+    U1 = J @ L @ J  # unit upper-triangular
     signs = np.sign(np.diag(U2))
     P = J @ np.diag(signs)
     U2 = np.diag(signs) @ U2
@@ -465,8 +444,6 @@ def convex_connect(
     the matrix arc is ``N(t) = Q((U_w U_z^-1)^-1 Pi(exp(t c h)))``, which
     runs from I to Z; the returned spin samples are ``A * lift(N(t))``.
     """
-    import numpy as np
-
     n, c = A.n, math.pi / 4
     target = A.inverse() * B
     Z = spinalg.project(target.to_float())
@@ -512,8 +489,6 @@ def _lift_rotation_step(n: int, R) -> "spinalg.Spinor":
     ``det R < 0``, and :class:`NearHalfTurn` when ``I + R`` is numerically
     singular (an entry of C above 1e6: an angle within about 2e-6 of pi).
     """
-    import numpy as np
-
     R = np.asarray(R, dtype=float)
     eye = np.eye(n + 1)
     if R.shape != eye.shape or not np.abs(R.T @ R - eye).max() <= 1e-8:

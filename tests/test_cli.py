@@ -45,6 +45,31 @@ class TestConfig:
         assert "unknown key" in err
 
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "n = 0",
+            "ode_steps = 0",
+            "sing_grid = 0",
+            "sing_grid = 1",
+            "cluster_tol = nan",
+            "cluster_tol = 0",
+            "zero_rel = -1e-8",
+            "zero_rel = inf",
+            "grid_radius = -1/16",
+            "grid_radius = 0",
+            "grid_radius = x",
+        ],
+    )
+    def test_out_of_range_value(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, "--config", str(cfg), "--dump-config")
+        assert code == 1
+        assert err.startswith(f"error: {cfg}:1: ")
+        assert out == ""
+
+
 class TestIti:
     def test_constant_h_empty_itinerary(self, capsys, tmp_path):
         spec = tmp_path / "c.spec"
@@ -272,3 +297,31 @@ class TestSectionPosetFlags:
         code, _, err = run(capsys, "poset", "--below", "[]")
         assert code == 1
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("radius", ["--radius=0", "--radius=-1/16"])
+    def test_radius_not_positive(self, capsys, radius):
+        code, out, err = run(capsys, "section", "aba", "--grid", "3", radius)
+        assert code == 1
+        assert err.startswith("error: --radius must be positive")
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("poset", "--below", "aba", "--n", "0"),
+            ("poset", "aa", "[aba]", "--n", "0"),
+            ("section", "aba", "--n", "0"),
+            ("group", "mult", "a", "--n", "0"),
+        ],
+    )
+    def test_explicit_rank_zero(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: --n must be at least 1")
+        assert out == ""
+
+    def test_group_empty_letter(self, capsys):
+        code, out, err = run(capsys, "group", "hat", "")
+        assert code == 1
+        assert err.startswith("error: bad letter")
+        assert out == ""

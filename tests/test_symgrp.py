@@ -118,3 +118,7 @@ class TestWordSyntax:
     def test_non_reduced_bracket_rejected(self):
         with pytest.raises(symgrp.NotReducedBracket):
             symgrp.word_from_name(2, "[aa]")
+
+    def test_empty_letter_rejected(self):
+        with pytest.raises(ValueError):
+            symgrp.letter_from_name(2, "")

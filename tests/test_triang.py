@@ -155,6 +155,59 @@ class TestRotationBridges:
         assert np.allclose(np.tril(La), La) and np.allclose(np.diag(La), 1.0)
 
 
+    def test_lu_of_rotation_matches_list_doolittle(self):
+        # the row updates are the float operations of a list-of-rows
+        # Doolittle, so the factors agree bit for bit
+        rng = np.random.default_rng(4)
+        for m in (2, 3, 4, 5):
+            Q = rng.standard_normal((m, m))
+            L = [[float(i == j) for j in range(m)] for i in range(m)]
+            U = [list(row) for row in Q.tolist()]
+            for col in range(m):
+                for r in range(col + 1, m):
+                    f = U[r][col] / U[col][col]
+                    L[r][col] = f
+                    U[r] = [a - f * b for a, b in zip(U[r], U[col])]
+            La, Ua = triang.lu_of_rotation(Q)
+            assert np.array_equal(La, L) and np.array_equal(Ua, U)
+
+    def test_lu_of_rotation_zero_leading_minor(self):
+        quarter_turn = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+        with pytest.raises(triang.NotLUDecomposable):
+            triang.lu_of_rotation(quarter_turn)
+
+
+class TestMatInv:
+    def test_random_exact(self):
+        rng = random.Random(17)
+        for n in (1, 2, 3, 4):
+            for _ in range(10):
+                L = triang.identity_matrix(n)
+                for i in range(n + 1):
+                    for j in range(i):
+                        L[i][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                assert triang.mat_mul(L, triang.mat_inv(L)) == triang.identity_matrix(n)
+
+    def test_symbolic(self):
+        x, y, z = sp.symbols("x y z")
+        L = L_xyz(x, y, z)
+        P = triang.mat_mul(L, triang.mat_inv(L))
+        assert [[sp.expand(v) for v in row] for row in P] == triang.identity_matrix(2)
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            [[1, 1], [0, 1]],
+            [[2, 0], [1, 1]],
+            [[1, 0, 0], [1, 1, 0], [0, 0, 0]],
+        ],
+        ids=["upper-entry", "diagonal-2", "singular"],
+    )
+    def test_not_unit_lower_triangular(self, M):
+        with pytest.raises(ValueError):
+            triang.mat_inv(M)
+
+
 class TestCellOfUnitriangular:
     def test_generic_is_longest(self):
         L = triang.exp_nilpotent(2, Fraction(1))
