@@ -308,22 +308,27 @@ def _parse_grid(text: str) -> int:
 
 def cmd_section(args, cfg: RunConfig) -> int:
     n = _rank(args, cfg)
+    for flag, needs in (("u", "family"), ("radius", "grid"), ("csv", "grid")):
+        if getattr(args, flag) is not None and not getattr(args, needs):
+            raise UsageError(f"--{flag} needs --{needs}")
+    if args.family and args.family not in ("betaprime", "matrix_u"):
+        raise UsageError(f"unknown family {args.family!r}")
+    try:  # the families perturb the acb section of n = 3
+        sigma = symgrp.letter_from_name(3 if args.family else n, args.sigma or "acb")
+        if not args.family:
+            section = polysect.build_section(sigma)
+    except spinalg.IdentityLetter as exc:
+        raise UsageError(str(exc)) from exc
+    except (ValueError, KeyError) as exc:
+        raise UsageError(f"bad letter {args.sigma!r}: {exc}") from exc
     if args.family:
-        if args.family not in ("betaprime", "matrix_u"):
-            raise UsageError(f"unknown family {args.family!r}")
+        if sigma != symgrp.letter_from_name(3, "acb"):
+            raise UsageError(f"--family perturbs the acb section, not {args.sigma!r}")
         u = _parse_fraction(args.u) if args.u else None
         try:
             section = polysect.build_perturbed_family(args.family, u)
         except ValueError as exc:  # |u| >= 1
             raise UsageError(f"bad --u {args.u!r}: {exc}") from exc
-    else:
-        try:
-            sigma = symgrp.letter_from_name(n, args.sigma)
-            section = polysect.build_section(sigma)
-        except spinalg.IdentityLetter as exc:
-            raise UsageError(str(exc)) from exc
-        except (ValueError, KeyError) as exc:
-            raise UsageError(f"bad letter {args.sigma!r}: {exc}") from exc
     if args.grid:  # check the grid flags before printing anything
         if len(section.point_vars) != len(section.x_vars):
             raise UsageError("grid classification of a family needs --u")
@@ -381,7 +386,9 @@ def cmd_poset(args, cfg: RunConfig) -> int:
             raise UsageError(f"bad letter {args.below!r}: {exc}") from exc
         if sigma.is_identity():
             raise UsageError(f"bad letter {args.below!r}: the identity")
-        words = poset.letter_oracle_section(sigma)
+        words = oracle.letter_set(sigma)
+        if words is None:
+            raise UsageError(f"the section of {args.below!r} cannot be classified")
         g = poset.hasse(words, oracle, n=n)
         dot = poset.hasse_dot(g)
         if args.hasse:

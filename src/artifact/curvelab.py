@@ -350,37 +350,45 @@ def southwest_minors(M) -> np.ndarray:
     )
 
 
-def _refine_sign_change(f, lo, hi, flo, fhi):
+def _bisect(curve: FrameCurve, j, lo, hi, flo) -> np.ndarray:
+    """Bisect the sign-change brackets ``[lo, hi]`` of minors ``j``
+    (arrays, changed in place; ``flo = m_j(lo)``) to width 1e-14, all
+    together: each step is one stacked :meth:`FrameCurve.minors` call."""
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-14:
+        live = np.flatnonzero(hi - lo >= 1e-14)
+        if not len(live):
             break
-        fm = f(mid)
-        if flo * fm <= 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
+        mid = 0.5 * (lo[live] + hi[live])
+        fm = curve.minors(mid)[np.arange(len(live)), j[live]]
+        left = flo[live] * fm <= 0
+        hi[live[left]] = mid[left]
+        lo[live[~left]], flo[live[~left]] = mid[~left], fm[~left]
     return 0.5 * (lo + hi)
 
 
-def _refine_dip(f, lo, hi):
-    """Golden-section minimization of |f| on [lo, hi]."""
+def _golden(curve: FrameCurve, j, a, b) -> tuple:
+    """Golden-section minimization of ``|m_j|`` on the dip brackets
+    ``[a, b]`` (changed in place) to width 1e-12, all together, one
+    stacked call per step: the final times and ``|m_j|`` there."""
+    if not len(j):
+        return a, a
     g = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
     c = b - g * (b - a)
     d = a + g * (b - a)
-    fc, fd = abs(f(c)), abs(f(d))
-    while b - a > 1e-12:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = abs(f(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = abs(f(d))
+    both = curve.minors(np.concatenate([c, d])).reshape(2, len(j), -1)
+    fc, fd = np.abs(both[:, np.arange(len(j)), j])
+    while len(live := np.flatnonzero(b - a > 1e-12)):
+        left = fc[live] < fd[live]
+        L, R = live[left], live[~left]
+        b[L], d[L], fd[L] = d[L], c[L], fc[L]
+        c[L] = b[L] - g * (b[L] - a[L])
+        a[R], c[R], fc[R] = c[R], d[R], fd[R]
+        d[R] = a[R] + g * (b[R] - a[R])
+        new = np.where(left, c[live], d[live])
+        f = np.abs(curve.minors(new)[np.arange(len(live)), j[live]])
+        fc[L], fd[R] = f[left], f[~left]
     t = 0.5 * (a + b)
-    return t, abs(f(t))
+    return t, np.abs(curve.minors(t)[np.arange(len(j)), j])
 
 
 def _slope_probes(tstar, d0, t0, t1) -> list:
@@ -442,42 +450,30 @@ def singular_events(
     given a multiplicity vector by log-log slope estimation at two scales
     (:class:`UnresolvedCluster` if the scales disagree or the pattern is
     not a permutation).  The grid is one stacked :meth:`FrameCurve.minors`
-    call, and so are the center and slope probes of each cluster; the
-    bisection and golden-section refinements evaluate one time per call.
+    call, and so are the center and slope probes of each cluster and
+    each bisection and golden-section step of all brackets together.
     """
     n = curve.n
     t0, t1 = curve.t0, curve.t1
     span = t1 - t0
     grid_ts = np.linspace(t0, t1, grid + 1)
     vals = curve.minors(grid_ts)  # (grid+1, n)
-    scales = np.maximum(np.abs(vals).max(axis=0), 1e-12)
-    ts = grid_ts.tolist()
-
-    def minor_fn(j):
-        return lambda t: float(curve.minors(t)[j])
-
-    roots = []  # (t, j, is_sign_change)
-    for j in range(n):
-        f = minor_fn(j)
-        scale = scales[j]
-        v, a = vals[:, j], np.abs(vals[:, j])
-        zero = v[:-1] == 0.0
-        change = ~zero & (v[:-1] * v[1:] < 0)
-        # dip: interior local minimum of |v| below trigger
-        dip = ~zero & ~change
-        dip[0] = False
-        dip[1:] &= (a[1:-1] <= a[:-2]) & (a[1:-1] <= a[2:]) & (a[1:-1] < 1e-4 * scale)
-        v = v.tolist()
-        for k in np.flatnonzero(zero | change | dip).tolist():
-            if zero[k]:
-                roots.append((ts[k], j, True))
-            elif change[k]:
-                r = _refine_sign_change(f, ts[k], ts[k + 1], v[k], v[k + 1])
-                roots.append((float(r), j, True))
-            else:
-                t, fmin = _refine_dip(f, ts[k - 1], ts[k + 1])
-                if fmin < zero_rel * scale:
-                    roots.append((float(t), j, False))
+    a = np.abs(vals)
+    scales = np.maximum(a.max(axis=0), 1e-12)
+    # brackets (k, j) give roots (t, j, is_sign_change); a grid zero is one of width 0
+    change = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0)
+    # dip: interior local minimum of |v| below trigger
+    dip = ~change
+    dip[0] = False
+    dip[1:] &= (a[1:-1] <= a[:-2]) & (a[1:-1] <= a[2:]) & (a[1:-1] < 1e-4 * scales)
+    k, j = np.nonzero(change)
+    flo = vals[k, j]
+    ts = _bisect(curve, j, grid_ts[k], grid_ts[k + (flo != 0)], flo)
+    roots = list(zip(ts.tolist(), j.tolist(), itertools.repeat(True)))
+    k, j = np.nonzero(dip)
+    ts, fmin = _golden(curve, j, grid_ts[k - 1], grid_ts[k + 1])
+    keep = fmin < zero_rel * scales[j]
+    roots += zip(ts[keep].tolist(), j[keep].tolist(), itertools.repeat(False))
 
     # keep only interior roots (open domain convention)
     edge = max(1e-9, 1e-9 * span)

@@ -110,7 +110,9 @@ def oracle_from_sections(n: int) -> Callable:
     """A memoized oracle ``(block, letter) -> True | False | None``.
 
     ``None`` (unknown) is returned when the section classification of
-    the letter fails (e.g. an unrecognized multiplicity pattern).
+    the letter fails (e.g. an unrecognized multiplicity pattern).  Its
+    ``letter_set(sigma)`` is the memoized :func:`letter_oracle_section`
+    of ``sigma`` (``None`` when that fails), computed once per oracle.
     """
     cache: dict = {}
 
@@ -132,10 +134,9 @@ def oracle_from_sections(n: int) -> Callable:
         s = letter_set(sigma)
         if s is None:
             return None
-        return tuple(w.images for w in block) in {
-            tuple(x.images for x in w) for w in s
-        }
+        return tuple(block) in s
 
+    oracle.letter_set = letter_set
     return oracle
 
 

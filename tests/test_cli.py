@@ -1,9 +1,10 @@
 import csv
 import json
+from collections import Counter
 
 import pytest
 
-from artifact import cli
+from artifact import cli, poset, symgrp
 
 
 def run(capsys, *argv):
@@ -325,3 +326,38 @@ class TestSectionPosetFlags:
         assert code == 1
         assert err.startswith("error: bad letter")
         assert out == ""
+
+
+class TestSectionFlagCombinations:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--family", "betaprime", "--u", "2/5"), "--family perturbs the acb section"),
+            (("--u", "2/5"), "--u needs --family"),
+            (("--radius", "1/5"), "--radius needs --grid"),
+            (("--csv", "map.csv"), "--csv needs --grid"),
+        ],
+        ids=["family-of-another-letter", "u-alone", "radius-alone", "csv-alone"],
+    )
+    def test_rejected(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "section", "aba", *argv)
+        assert code == 1
+        assert err.startswith(f"error: {message}")
+        assert out == ""
+        assert not (tmp_path / "map.csv").exists()
+
+
+class TestPosetBelowOracle:
+    def test_each_letter_section_classified_once(self, capsys, monkeypatch):
+        section_of = poset.letter_oracle_section
+        calls = Counter()
+
+        def counted(sigma):
+            calls[symgrp.letter_name(sigma)] += 1
+            return section_of(sigma)
+
+        monkeypatch.setattr(poset, "letter_oracle_section", counted)
+        code, _, _ = run(capsys, "poset", "--below", "aba")
+        assert code == 0
+        assert calls == {"aba": 1, "ba": 1, "ab": 1}

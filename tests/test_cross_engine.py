@@ -1,6 +1,8 @@
 """The numeric itinerary against the exact section classification.
 
-At a rational point of the ``aba`` (n=2) or ``acb`` (n=3) section, the
+At a rational point of the ``aba`` (n=2) section, of the n=3 sections
+with 2 to 5 parameters (``acb``, ``abcb``, ``abac``, ``bcba``, ``acba``,
+``bacb``, ``bacba``, ``abacba``) or of the ``bdcb`` (n=4) section, the
 itinerary that ``curvelab.singular_events`` reads off the section curve
 must be the label ``polysect.classify_point`` computes exactly, unless the
 numeric engine declines with :class:`curvelab.UnresolvedCluster`.  The
@@ -18,7 +20,10 @@ from artifact import curvelab, polysect, symgrp
 
 SECTIONS = {
     name: polysect.build_section(symgrp.letter_from_name(n, name))
-    for name, n in (("aba", 2), ("acb", 3))
+    for name, n in (
+        ("aba", 2), ("acb", 3), ("abcb", 3), ("abac", 3), ("bcba", 3),
+        ("acba", 3), ("bacb", 3), ("bacba", 3), ("abacba", 3), ("bdcb", 4),
+    )
 }
 MFUNS = {
     name: sp.lambdify((s.t,) + s.x_vars, s.M, "numpy")

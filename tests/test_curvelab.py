@@ -308,3 +308,28 @@ class TestSlopeProbeNeighbours:
         events = curvelab.singular_events(section_curve(aba, point))
         numeric = symgrp.word_name(tuple(ev.letter for ev in events))
         assert numeric == polysect.classify_point(aba, point).label
+
+
+class TestStackedRefinement:
+    @pytest.mark.parametrize(
+        "name, n, point, label",
+        [
+            ("acb", 3, (Fraction(1, 9), Fraction(1, 11)), "cbc"),
+            ("abcb", 3, (Fraction(1, 40), Fraction(-1, 300), Fraction(1, 2000)), "cca"),
+        ],
+    )
+    def test_calls_do_not_grow_with_the_brackets(self, monkeypatch, name, n, point, label):
+        # every bisection and golden-section step refines all brackets of
+        # all minors in one call, so the count does not grow with them
+        minors = curvelab.FrameCurve.minors
+        calls = []
+
+        def counted(curve, t):
+            calls.append(t)
+            return minors(curve, t)
+
+        monkeypatch.setattr(curvelab.FrameCurve, "minors", counted)
+        section = polysect.build_section(symgrp.letter_from_name(n, name))
+        events = curvelab.singular_events(section_curve(section, point))
+        assert symgrp.word_name(tuple(ev.letter for ev in events)) == label
+        assert len(calls) <= 100
