@@ -208,10 +208,9 @@ def _curve_from_spec(spec: dict, cfg: RunConfig) -> curvelab.FrameCurve:
         if kappa == "h":
             values = [math.pi * math.sqrt(j * (n + 1 - j)) for j in range(1, n + 1)]
         else:
-            try:
-                values = [float(v) for v in kappa.split(",")]
-            except ValueError as exc:
-                raise UsageError(f"bad kappa list {kappa!r}") from exc
+            values = [_spec_number("kappa", v, float) for v in kappa.split(",")]
+            if not all(v > 0 for v in values):
+                raise UsageError(f"kappa must be positive, got {kappa!r}")
         if len(values) != n:
             raise UsageError(f"need {n} curvatures, got {len(values)}")
         t0, t1 = _spec_domain(spec, 0.0)
@@ -313,6 +312,8 @@ def cmd_section(args, cfg: RunConfig) -> int:
             raise UsageError(f"--{flag} needs --{needs}")
     if args.family and args.family not in ("betaprime", "matrix_u"):
         raise UsageError(f"unknown family {args.family!r}")
+    if args.family and args.n not in (None, 3):
+        raise UsageError(f"--family perturbs the acb section of n = 3, got --n {n}")
     try:  # the families perturb the acb section of n = 3
         sigma = symgrp.letter_from_name(3 if args.family else n, args.sigma or "acb")
         if not args.family:
@@ -378,6 +379,10 @@ def cmd_section(args, cfg: RunConfig) -> int:
 
 def cmd_poset(args, cfg: RunConfig) -> int:
     n = _rank(args, cfg)
+    if args.hasse and not args.below:
+        raise UsageError("--hasse needs --below")
+    if args.below and args.w0 is not None:
+        raise UsageError("--below takes no words W0 W1")
     oracle = poset.oracle_from_sections(n)
     if args.below:
         try:
@@ -432,9 +437,13 @@ def cmd_group(args, cfg: RunConfig) -> int:
     query, arg = args.query, args.arg
     if query == "rbullet":
         try:
-            out = {"rbullet": symgrp.r_bullet(int(arg))}
+            rank = int(arg)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"rbullet needs an integer, got {arg!r}") from exc
+        try:
+            out = {"rbullet": symgrp.r_bullet(rank)}
+        except ValueError as exc:  # n < 2
+            raise UsageError(str(exc)) from exc
     elif query in ("mult", "inv", "acute", "grave", "hat"):
         try:
             sigma = symgrp.letter_from_name(n, arg)
@@ -524,6 +533,7 @@ _NUMERIC_ERRORS = (
     curvelab.UnresolvedCluster,
     curvelab.PathNotAccessible,
     spinalg.NoRootInInterval,
+    spinalg.NotUnit,
 )
 
 

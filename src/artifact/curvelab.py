@@ -8,7 +8,7 @@ times in one call.  Since ``Pi(z) = Pi(-z)``, a matrix path gives its
 frames and minors straight from batched QRs, without the spin lift; its
 node lifts are built only when a spinor is asked for (``curve(t)``, an
 endpoint, the ``u`` invariant).  Spinor-valued curves project their
-stacked spinors by one contraction per batch.  The module provides
+stacked spinors by one contraction per stack.  The module provides
 
 * ODE integration of the frame equation ``z' = z * sum_j kappa_j(t) a_j``
   directly in spin coefficients (RK4 with renormalization),
@@ -86,12 +86,6 @@ class NotAnAcbEvent(ValueError):
 # FrameCurve
 # ---------------------------------------------------------------------------
 
-# times per batched frame evaluation: a grid of 1025 times is 9 batches,
-# so the transient stacked arrays (QR factors, outer products) stay small
-# and the peak memory stays that of one-time-at-a-time evaluation
-_STACK_BLOCK = 128
-
-
 @dataclass
 class FrameCurve:
     """A curve in Spin_{n+1}, given by its evaluators.
@@ -103,7 +97,7 @@ class FrameCurve:
 
     :meth:`matrix` and :meth:`minors` take one time or a 1-d stack of
     times (one time is a stack of one) and evaluate the whole stack in one
-    call, in batches of 128 times.  ``frames_fn``, when given, maps a
+    call.  ``frames_fn``, when given, maps a
     stack of times to the rotation frames ``Pi(z(t))`` without the spin
     lift (matrix paths: their positive QR factors); otherwise the frames
     are the projections of the stacked ``eval_fn`` spinors.  Every time of
@@ -138,19 +132,13 @@ class FrameCurve:
 
     def matrix(self, t) -> np.ndarray:
         """``Pi(z(t))``: one matrix, or a ``(k, n+1, n+1)`` stack."""
-        return self._read_frames(t, lambda frames: frames, (self.n + 1,) * 2)
+        return self._frames(self._times(t)).reshape(np.shape(t) + (self.n + 1,) * 2)
 
     def minors(self, t) -> np.ndarray:
         """Southwest minors of :meth:`matrix`: shape ``(n,)`` or ``(k, n)``."""
-        return self._read_frames(t, southwest_minors, (self.n,))
-
-    def _read_frames(self, t, read, shape: tuple) -> np.ndarray:
-        """``read`` of the frames at ``t``, one batch of times at a time."""
-        times = self._times(t)
-        out = np.empty((len(times),) + shape)
-        for lo in range(0, len(times), _STACK_BLOCK):
-            out[lo : lo + _STACK_BLOCK] = read(self._frames(times[lo : lo + _STACK_BLOCK]))
-        return out.reshape(np.shape(t) + shape)
+        return southwest_minors(self._frames(self._times(t))).reshape(
+            np.shape(t) + (self.n,)
+        )
 
     def _frames(self, times: np.ndarray) -> np.ndarray:
         if self.frames_fn is not None:
@@ -216,7 +204,7 @@ def integrate_frame(
         m = np.zeros_like(gens[0])
         for j, kap in enumerate(kappas):
             v = float(kap(t))
-            if v <= 0.0:
+            if not v > 0.0:  # NaN too
                 raise NonPositiveCurvature(f"kappa_{j + 1}({t}) = {v} <= 0")
             m += v * gens[j]
         return m
@@ -350,45 +338,43 @@ def southwest_minors(M) -> np.ndarray:
     )
 
 
-def _bisect(curve: FrameCurve, j, lo, hi, flo) -> np.ndarray:
-    """Bisect the sign-change brackets ``[lo, hi]`` of minors ``j``
-    (arrays, changed in place; ``flo = m_j(lo)``) to width 1e-14, all
-    together: each step is one stacked :meth:`FrameCurve.minors` call."""
-    for _ in range(200):
+def _refine(curve: FrameCurve, sj, lo, hi, flo, dj, a, b) -> tuple:
+    """Refine every bracket of every minor together, each step one stacked
+    :meth:`FrameCurve.minors` call, for at most 200 steps.
+
+    The sign-change brackets ``[lo, hi]`` of minors ``sj`` (``flo =
+    m_j(lo)``) are bisected to width 1e-14.  On the dip brackets ``[a, b]``
+    of minors ``dj`` a golden-section search minimizes ``|m_j|`` to width
+    1e-12; the first step reads both of its starting points, each later
+    step one new point.  The arrays change in place.  Returns the
+    sign-change times, the dip times and ``|m_j|`` at the dip times.
+    """
+    g = (math.sqrt(5) - 1) / 2
+    x = np.stack([b - g * (b - a), a + g * (b - a)])  # golden points c < d
+    fx = np.empty_like(x)  # |m_j| at them
+    side, idx = np.repeat([0, 1], len(dj)), np.tile(np.arange(len(dj)), 2)
+    for step in range(200):
         live = np.flatnonzero(hi - lo >= 1e-14)
-        if not len(live):
+        if step:
+            idx = np.flatnonzero(b - a > 1e-12)
+            side = np.where(fx[0, idx] < fx[1, idx], 0, 1)
+            L, R = idx[side == 0], idx[side == 1]
+            b[L], x[1, L], fx[1, L] = x[1, L], x[0, L], fx[0, L]
+            x[0, L] = b[L] - g * (b[L] - a[L])
+            a[R], x[0, R], fx[0, R] = x[0, R], x[1, R], fx[1, R]
+            x[1, R] = a[R] + g * (b[R] - a[R])
+        if not len(live) + len(idx):
             break
         mid = 0.5 * (lo[live] + hi[live])
-        fm = curve.minors(mid)[np.arange(len(live)), j[live]]
+        f = curve.minors(np.concatenate([mid, x[side, idx]]))
+        fx[side, idx] = np.abs(f[len(live) + np.arange(len(idx)), dj[idx]])
+        fm = f[np.arange(len(live)), sj[live]]
         left = flo[live] * fm <= 0
         hi[live[left]] = mid[left]
         lo[live[~left]], flo[live[~left]] = mid[~left], fm[~left]
-    return 0.5 * (lo + hi)
-
-
-def _golden(curve: FrameCurve, j, a, b) -> tuple:
-    """Golden-section minimization of ``|m_j|`` on the dip brackets
-    ``[a, b]`` (changed in place) to width 1e-12, all together, one
-    stacked call per step: the final times and ``|m_j|`` there."""
-    if not len(j):
-        return a, a
-    g = (math.sqrt(5) - 1) / 2
-    c = b - g * (b - a)
-    d = a + g * (b - a)
-    both = curve.minors(np.concatenate([c, d])).reshape(2, len(j), -1)
-    fc, fd = np.abs(both[:, np.arange(len(j)), j])
-    while len(live := np.flatnonzero(b - a > 1e-12)):
-        left = fc[live] < fd[live]
-        L, R = live[left], live[~left]
-        b[L], d[L], fd[L] = d[L], c[L], fc[L]
-        c[L] = b[L] - g * (b[L] - a[L])
-        a[R], c[R], fc[R] = c[R], d[R], fd[R]
-        d[R] = a[R] + g * (b[R] - a[R])
-        new = np.where(left, c[live], d[live])
-        f = np.abs(curve.minors(new)[np.arange(len(live)), j[live]])
-        fc[L], fd[R] = f[left], f[~left]
     t = 0.5 * (a + b)
-    return t, np.abs(curve.minors(t)[np.arange(len(j)), j])
+    fmin = np.abs(curve.minors(t)[np.arange(len(dj)), dj]) if len(dj) else t
+    return 0.5 * (lo + hi), t, fmin
 
 
 def _slope_probes(tstar, d0, t0, t1) -> list:
@@ -450,8 +436,12 @@ def singular_events(
     given a multiplicity vector by log-log slope estimation at two scales
     (:class:`UnresolvedCluster` if the scales disagree or the pattern is
     not a permutation).  The grid is one stacked :meth:`FrameCurve.minors`
-    call, and so are the center and slope probes of each cluster and
-    each bisection and golden-section step of all brackets together.
+    call, and so are the center and slope probes of each cluster and each
+    refinement step, which bisects every sign-change bracket and takes a
+    golden-section step on every dip bracket together (at most 200 steps).
+    A sign-change time is bisected to 1e-14; a dip-only time (every
+    multiplicity even) is only as accurate as ``|m_j|`` is steep near its
+    minimum.
     """
     n = curve.n
     t0, t1 = curve.t0, curve.t1
@@ -466,14 +456,16 @@ def singular_events(
     dip = ~change
     dip[0] = False
     dip[1:] &= (a[1:-1] <= a[:-2]) & (a[1:-1] <= a[2:]) & (a[1:-1] < 1e-4 * scales)
-    k, j = np.nonzero(change)
-    flo = vals[k, j]
-    ts = _bisect(curve, j, grid_ts[k], grid_ts[k + (flo != 0)], flo)
-    roots = list(zip(ts.tolist(), j.tolist(), itertools.repeat(True)))
-    k, j = np.nonzero(dip)
-    ts, fmin = _golden(curve, j, grid_ts[k - 1], grid_ts[k + 1])
-    keep = fmin < zero_rel * scales[j]
-    roots += zip(ts[keep].tolist(), j[keep].tolist(), itertools.repeat(False))
+    ks, js = np.nonzero(change)
+    flo = vals[ks, js]
+    kd, jd = np.nonzero(dip)
+    ts, td, fmin = _refine(
+        curve, js, grid_ts[ks], grid_ts[ks + (flo != 0)], flo,
+        jd, grid_ts[kd - 1], grid_ts[kd + 1],
+    )
+    roots = list(zip(ts.tolist(), js.tolist(), itertools.repeat(True)))
+    keep = fmin < zero_rel * scales[jd]
+    roots += zip(td[keep].tolist(), jd[keep].tolist(), itertools.repeat(False))
 
     # keep only interior roots (open domain convention)
     edge = max(1e-9, 1e-9 * span)
@@ -764,8 +756,9 @@ def u_invariant(curve: FrameCurve, t_star: float) -> float:
 
     with ``beta_i = (L^-1 L')_{i+1,i}``, ``f_i = beta_i / beta_2`` and
     ``b_i = f_i(t_star)``, all derivatives by Richardson-extrapolated
-    central differences of step ``h = 2e-3``, inside a window of half-width
-    ``min(0.05, 0.45 * span)`` around ``t_star``.
+    central differences of step ``h = 2e-3`` (``4h`` for ``f``), inside a
+    window of half-width ``min(0.05, 0.45 * span)`` around ``t_star``.  The
+    25 frames this needs are one stacked :meth:`FrameCurve.matrix` call.
     """
     n = curve.n
     if n != 3:
@@ -796,30 +789,24 @@ def u_invariant(curve: FrameCurve, t_star: float) -> float:
     A0 = spinalg.project(z_chart.to_float())
     A0inv = np.linalg.inv(A0)
 
-    def Lfun(t: float) -> np.ndarray:
-        M = curve.matrix(t)
-        return triang.lu_of_rotation(A0inv @ M)[0]
-
-    def beta(t: float) -> np.ndarray:
-        # Richardson central difference for L'(t)
-        d1 = (Lfun(t + h) - Lfun(t - h)) / (2 * h)
-        d2 = (Lfun(t + h / 2) - Lfun(t - h / 2)) / h
-        dL = (4 * d2 - d1) / 3
-        B = np.linalg.solve(Lfun(t), dL)
-        return np.array([B[1, 0], B[2, 1], B[3, 2]])
-
-    b = beta(t_star)
+    # beta at the five Richardson centres t_star + H * (0, +-1, +-1/2), H = 4h,
+    # each from L at the offsets h * (0, +-1, +-1/2): one stacked read
+    H = 4 * h
+    offsets = np.array([0.0, h, -h, h / 2, -h / 2])
+    times = (t_star + 4 * offsets)[:, None] + offsets
+    frames = curve.matrix(times.ravel())
+    L = np.array([triang.lu_of_rotation(A0inv @ M)[0] for M in frames])
+    L0, Lp, Lm, Lp2, Lm2 = L.reshape(5, 5, 4, 4).transpose(1, 0, 2, 3)
+    d1 = (Lp - Lm) / (2 * h)
+    d2 = (Lp2 - Lm2) / h
+    B = np.linalg.solve(L0, (4 * d2 - d1) / 3)  # L^-1 L'
+    beta = B[:, [1, 2, 3], [0, 1, 2]]
+    b = beta[0]
     if abs(b[1]) < 1e-9:
         raise NotAnAcbEvent("beta_2 vanishes at the event")
-
-    H = 4 * h
-
-    def fvec(t: float) -> np.ndarray:
-        bb = beta(t)
-        return np.array([bb[0] / bb[1], bb[2] / bb[1]])
-
-    d1 = (fvec(t_star + H) - fvec(t_star - H)) / (2 * H)
-    d2 = (fvec(t_star + H / 2) - fvec(t_star - H / 2)) / H
+    f = beta[:, [0, 2]] / beta[:, 1:2]  # f_1, f_3 at the centres
+    d1 = (f[1] - f[2]) / (2 * H)
+    d2 = (f[3] - f[4]) / H
     df = (4 * d2 - d1) / 3
-    b1, b3 = b[0] / b[1], b[2] / b[1]
+    b1, b3 = f[0]
     return float((b3 * df[0] - b1 * df[1]) / (2 * b1 * b3 * b[1]))

@@ -660,11 +660,11 @@ def _project_float(n: int, v: np.ndarray) -> np.ndarray:
     forms = (outer @ t.quad.T)[:, 0]
     unit = forms[:, :N]
     unit[:, 0] -= 1.0
-    bad = np.abs(unit).max(axis=1) >= 1e-12
+    bad = ~(np.abs(unit).max(axis=1) < 1e-12)  # a non-finite row is bad too
     if bad.any():
         raise NotUnit(f"not a unit spinor: {Spinor(n, rows[np.argmax(bad), 0])}")
     cols = forms[:, N:].reshape(len(forms), -1, m)  # row: odd blade, grade 1 first
-    if np.abs(cols[:, m:]).max(initial=0.0) > 1e-9:
+    if not np.abs(cols[:, m:]).max(initial=0.0) <= 1e-9:
         raise NotUnit("conjugation did not preserve grade 1")
     return cols[:, :m].reshape(V.shape[:-1] + (m, m))
 

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from artifact import cli, poset, symgrp
+from artifact import cli, curvelab, poset, symgrp
 
 
 def run(capsys, *argv):
@@ -361,3 +361,74 @@ class TestPosetBelowOracle:
         code, _, _ = run(capsys, "poset", "--below", "aba")
         assert code == 0
         assert calls == {"aba": 1, "ba": 1, "ab": 1}
+
+
+class TestNonFiniteCurves:
+    """Curvatures that are not positive finite floats are usage errors; an
+    integration that overflows is a numerical failure, not an empty
+    itinerary with NaN coefficients."""
+
+    @pytest.mark.parametrize(
+        "line, code",
+        [
+            ("kappa = nan, 1", 1),
+            ("kappa = inf, 1", 1),
+            ("kappa = 1, -1", 1),
+            ("kappa = 1e308, 1", 2),
+            ("t1 = 1e300", 2),
+        ],
+        ids=["kappa-nan", "kappa-inf", "kappa-negative", "kappa-overflow", "t1-overflow"],
+    )
+    def test_rejected(self, capsys, tmp_path, line, code):
+        got, out, err = run_spec(capsys, tmp_path, f"kind = constant\nn = 2\n{line}\n")
+        assert got == code
+        assert out == ""
+        prefix = "error: " if code == 1 else "numerical resolution failure: "
+        assert err.splitlines()[-1].startswith(prefix)
+
+    def test_dip_events_far_from_zero(self, capsys, tmp_path, monkeypatch):
+        # the dip brackets near t = 8192 cannot get 1e-12 narrow
+        minors = curvelab.FrameCurve.minors
+        calls = []
+
+        def counted(curve, t):
+            calls.append(t)
+            if len(calls) > 500:
+                raise RuntimeError("more than 500 minors calls")
+            return minors(curve, t)
+
+        monkeypatch.setattr(curvelab.FrameCurve, "minors", counted)
+        code, out, _ = run_spec(
+            capsys, tmp_path, "kind = constant\nn = 2\nt0 = 8190\nt1 = 8192.5\n"
+        )
+        assert code == 0
+        assert json.loads(out)["word"] == "[aba][aba]"
+
+
+class TestIgnoredFlags:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("poset", "aa", "[aba]", "--hasse", "h.dot"), "--hasse needs --below"),
+            (("poset", "aa", "[aba]", "--below", "aba"), "--below takes no words"),
+            (
+                ("section", "--family", "betaprime", "--u", "2/5", "--n", "2"),
+                "--family perturbs the acb section of n = 3",
+            ),
+            (("group", "rbullet", "1"), "r_bullet requires n >= 2"),
+        ],
+        ids=["hasse-without-below", "below-with-words", "family-n-2", "rbullet-1"],
+    )
+    def test_rejected(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"error: {message}")
+        assert out == ""
+        assert not (tmp_path / "h.dot").exists()
+
+    def test_family_accepts_its_own_rank(self, capsys):
+        argv = ("section", "--family", "betaprime", "--u", "2/5")
+        code, out, _ = run(capsys, *argv, "--n", "3")
+        assert code == 0
+        assert run(capsys, *argv) == (0, out, "")

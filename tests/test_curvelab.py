@@ -316,20 +316,51 @@ class TestStackedRefinement:
         [
             ("acb", 3, (Fraction(1, 9), Fraction(1, 11)), "cbc"),
             ("abcb", 3, (Fraction(1, 40), Fraction(-1, 300), Fraction(1, 2000)), "cca"),
+            ("aba", 2, (Fraction(1, 3), Fraction(-1, 18)), "[ba]a"),
         ],
     )
     def test_calls_do_not_grow_with_the_brackets(self, monkeypatch, name, n, point, label):
-        # every bisection and golden-section step refines all brackets of
-        # all minors in one call, so the count does not grow with them
-        minors = curvelab.FrameCurve.minors
-        calls = []
-
-        def counted(curve, t):
-            calls.append(t)
-            return minors(curve, t)
-
-        monkeypatch.setattr(curvelab.FrameCurve, "minors", counted)
+        # every step refines all sign-change and dip brackets of all minors
+        # in one call, so the count does not grow with them
+        calls = spy_calls(monkeypatch, "minors")
         section = polysect.build_section(symgrp.letter_from_name(n, name))
         events = curvelab.singular_events(section_curve(section, point))
         assert symgrp.word_name(tuple(ev.letter for ev in events)) == label
-        assert len(calls) <= 100
+        assert len(calls) <= 60
+
+    def test_u_invariant_reads_its_frames_in_one_call(self, monkeypatch):
+        fam = polysect.build_perturbed_family("betaprime", Fraction(2, 5))
+        curve = section_curve(fam, (0, 0), t0=-0.5, t1=0.5)
+        calls = spy_calls(monkeypatch, "matrix")
+        assert curvelab.u_invariant(curve, 0.0) == 0.3999999999921371
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("T", [4096.0, 8192.0, 2.0**20])
+    def test_dip_event_far_from_zero(self, monkeypatch, T):
+        # near 8192 adjacent doubles are 1.8e-12 apart, so a dip bracket
+        # never gets 1e-12 narrow: the step cap must end its refinement
+        aba = polysect.build_section(symgrp.letter_from_name(2, "aba"))
+        mfun = sp.lambdify(aba.t, aba.M.subs(dict.fromkeys(aba.x_vars, 0)), "numpy")
+        curve = curvelab.frame_curve_from_matrix_path(
+            2, lambda t: mfun(t - T), np.linspace(T - 1, T + 1.5, 201)
+        )
+        spy_calls(monkeypatch, "minors", limit=500)
+        events = curvelab.singular_events(curve)
+        assert [symgrp.letter_name(ev.letter) for ev in events] == ["aba"]
+        assert abs(events[0].time - T) < 1e-6
+
+
+def spy_calls(monkeypatch, method, limit=None):
+    """Record the stacks passed to ``FrameCurve.<method>``; raise after
+    ``limit`` calls, so a refinement that never ends fails instead."""
+    wrapped = getattr(curvelab.FrameCurve, method)
+    calls = []
+
+    def counted(curve, t):
+        calls.append(t)
+        if limit is not None and len(calls) > limit:
+            raise RuntimeError(f"more than {limit} {method} calls")
+        return wrapped(curve, t)
+
+    monkeypatch.setattr(curvelab.FrameCurve, method, counted)
+    return calls

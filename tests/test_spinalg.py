@@ -173,6 +173,13 @@ class TestCellOfMatrix:
                 assert spinalg.cell_of_matrix(M) == sigma
 
 
+class TestProjectStack:
+    def test_non_finite_row_is_not_unit(self):
+        rows = np.stack([spinalg.Spinor.one(2).v, np.full(4, np.nan)])
+        with pytest.raises(spinalg.NotUnit):
+            spinalg._project_float(2, rows)
+
+
 class TestSpinExpH:
     def test_circle_column(self):
         n = 2
