@@ -62,7 +62,7 @@ def _key_value_lines(path: str, what: str) -> Iterator[tuple[int, str, str]]:
 
 # the smallest accepted value of each int config key; sing_grid has the
 # floor of ``section --grid``
-_INT_FLOOR = {"n": 1, "ode_steps": 1, "sing_grid": 2}
+_INT_FLOOR = {"n": 1, "sing_grid": 2}
 
 
 def _config_value(key: str, kind: str, text: str):
@@ -84,7 +84,6 @@ class RunConfig:
     """Tunable defaults, overridable from a flat key=value config file."""
 
     n: int = 2
-    ode_steps: int = 2000
     cluster_tol: float = 1e-6
     zero_rel: float = 1e-8
     sing_grid: int = 1024
@@ -170,10 +169,27 @@ def _parse_word(n: int, text: str):
 # ---------------------------------------------------------------------------
 
 
+# the keys each spec kind reads
+_SPEC_KEYS = {
+    "constant": {"kind", "n", "kappa", "t0", "t1"},
+    "section": {"kind", "n", "sigma", "point", "t0", "t1", "samples"},
+    "word": {"kind", "n", "word", "times"},
+}
+
+
 def _read_spec(path: str) -> dict:
-    spec = {key: value for _, key, value in _key_value_lines(path, "spec")}
-    if "kind" not in spec:
+    """The spec's ``key = value`` lines; its kind must be known and every
+    key one that the kind reads."""
+    lines = list(_key_value_lines(path, "spec"))
+    spec = {key: value for _, key, value in lines}
+    kind = spec.get("kind")
+    if kind is None:
         raise UsageError(f"{path}: missing 'kind'")
+    if kind not in _SPEC_KEYS:
+        raise UsageError(f"{path}: unknown spec kind {kind!r}")
+    for lineno, key, _ in lines:
+        if key not in _SPEC_KEYS[kind]:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r} for kind {kind}")
     return spec
 
 
@@ -214,9 +230,7 @@ def _curve_from_spec(spec: dict, cfg: RunConfig) -> curvelab.FrameCurve:
         if len(values) != n:
             raise UsageError(f"need {n} curvatures, got {len(values)}")
         t0, t1 = _spec_domain(spec, 0.0)
-        steps = _spec_number("steps", spec.get("steps", cfg.ode_steps), int, low=1)
-        kappas = [(lambda t, v=v: v) for v in values]
-        return curvelab.integrate_frame(n, kappas, t0=t0, t1=t1, steps=steps)
+        return curvelab.integrate_frame(n, values, t0=t0, t1=t1)
     if kind == "section":
         sigma_name = spec.get("sigma")
         if sigma_name is None:
@@ -241,20 +255,18 @@ def _curve_from_spec(spec: dict, cfg: RunConfig) -> curvelab.FrameCurve:
         samples = _spec_number("samples", spec.get("samples", 201), int, low=2)
         ts = [t0 + k * (t1 - t0) / (samples - 1) for k in range(samples)]
         return curvelab.frame_curve_from_matrix_path(n, mfun, ts)
-    if kind == "word":
-        word = _parse_word(n, spec.get("word", "()"))
-        times = None
-        if spec.get("times"):
-            times = [_spec_number("times", v, float) for v in spec["times"].split(",")]
-            bounds = [0.0] + times + [1.0]
-            if len(times) != len(word) or any(
-                b <= a for a, b in zip(bounds, bounds[1:])
-            ):
-                raise UsageError(
-                    f"times must be {len(word)} increasing values inside (0, 1)"
-                )
-        return curvelab.curve_with_itinerary(word, times=times, n=n)
-    raise UsageError(f"unknown spec kind {kind!r}")
+    word = _parse_word(n, spec.get("word", "()"))  # kind = word
+    times = None
+    if spec.get("times"):
+        times = [_spec_number("times", v, float) for v in spec["times"].split(",")]
+        bounds = [0.0] + times + [1.0]
+        if len(times) != len(word) or any(
+            b <= a for a, b in zip(bounds, bounds[1:])
+        ):
+            raise UsageError(
+                f"times must be {len(word)} increasing values inside (0, 1)"
+            )
+    return curvelab.curve_with_itinerary(word, times=times, n=n)
 
 
 def cmd_iti(args, cfg: RunConfig) -> int:

@@ -10,8 +10,9 @@ node lifts are built only when a spinor is asked for (``curve(t)``, an
 endpoint, the ``u`` invariant).  Spinor-valued curves project their
 stacked spinors by one contraction per stack.  The module provides
 
-* ODE integration of the frame equation ``z' = z * sum_j kappa_j(t) a_j``
-  directly in spin coefficients (RK4 with renormalization),
+* constant-curvature solutions of the frame equation
+  ``z' = z * sum_j kappa_j a_j`` in closed form, the one-parameter
+  subgroup ``z(t) = exp((t - t0) sum_j kappa_j a_j)``,
 * Frenet frames of sphere curves by positive Gram-Schmidt and a
   continuous spin lift,
 * detection of the singular set and the itinerary: zeros of the
@@ -63,7 +64,7 @@ __all__ = [
 
 
 class NonPositiveCurvature(ValueError):
-    """A curvature function is not strictly positive on the domain."""
+    """A curvature is not strictly positive."""
 
 
 class DegenerateJet(ValueError):
@@ -91,9 +92,9 @@ class FrameCurve:
     """A curve in Spin_{n+1}, given by its evaluators.
 
     ``eval_fn(t)`` is the unit :class:`Spinor` at ``t``.  ``ts`` is the
-    strictly increasing tuple of knots the evaluator starts from (RK4
-    nodes, lift nodes or segment ends); its first and last entries bound
-    the domain.
+    strictly increasing tuple of knots the evaluator starts from (lift
+    nodes, segment ends, or just the domain ends of a closed form); its
+    first and last entries bound the domain.
 
     :meth:`matrix` and :meth:`minors` take one time or a 1-d stack of
     times (one time is a stack of one) and evaluate the whole stack in one
@@ -180,66 +181,30 @@ def _lift_rotation(n: int, R: np.ndarray) -> Spinor:
 
 def integrate_frame(
     n: int,
-    kappas: Sequence[Callable[[float], float]],
+    kappas: Sequence[float],
     t0: float = 0.0,
     t1: float = 1.0,
-    steps: int = 2000,
 ) -> FrameCurve:
-    """Solve ``z' = z * sum_j kappa_j(t) a_j``, ``z(t0) = 1``, by RK4 in
-    spin coefficients.
+    """The solution of ``z' = z * A``, ``z(t0) = 1``, for the constant
+    curvatures ``A = sum_j kappa_j a_j``: ``z(t) = exp((t - t0) A)``.
 
-    All curvatures must be strictly positive on the grid
-    (:class:`NonPositiveCurvature`).  The returned curve has an exact
-    evaluation callback that re-integrates from the nearest stored node.
+    All n curvatures must be strictly positive floats
+    (:class:`NonPositiveCurvature`).  Each evaluation is one
+    :func:`~artifact.spinalg.clifford_exp`, so ``z(t)`` is unit and
+    ``z(t0)`` is exactly 1.
     """
     if len(kappas) != n:
-        raise ValueError(f"need {n} curvature functions, got {len(kappas)}")
-    # right multiplication by frak a_j = (1/2) e_{j+1} e_j
-    gens = [
-        Spinor.from_terms(n, {(j, j + 1): -0.5}).right_matrix()
-        for j in range(1, n + 1)
-    ]
-
-    def amat(t: float) -> np.ndarray:
-        m = np.zeros_like(gens[0])
-        for j, kap in enumerate(kappas):
-            v = float(kap(t))
-            if not v > 0.0:  # NaN too
-                raise NonPositiveCurvature(f"kappa_{j + 1}({t}) = {v} <= 0")
-            m += v * gens[j]
-        return m
-
-    def rk4(v: np.ndarray, t: float, h: float) -> np.ndarray:
-        k1 = amat(t) @ v
-        k2 = amat(t + h / 2) @ (v + h / 2 * k1)
-        k3 = amat(t + h / 2) @ (v + h / 2 * k2)
-        k4 = amat(t + h) @ (v + h * k3)
-        out = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        return out / np.linalg.norm(out)
-
-    v = Spinor.one(n).v
-    ts = np.linspace(t0, t1, steps + 1)
-    vs = [v]
-    for k in range(steps):
-        v = rk4(v, ts[k], ts[k + 1] - ts[k])
-        vs.append(v)
-
-    def eval_fn(t: float) -> Spinor:
-        k = int(np.searchsorted(ts, t, side="right")) - 1
-        k = max(0, min(k, len(ts) - 1))
-        w = vs[k]
-        dt = t - ts[k]
-        if abs(dt) < 1e-15:
-            return Spinor(n, w)
-        sub = 16
-        h = dt / sub
-        tt = ts[k]
-        for _ in range(sub):
-            w = rk4(w, tt, h)
-            tt += h
-        return Spinor(n, w)
-
-    return FrameCurve(n, tuple(float(t) for t in ts), eval_fn)
+        raise ValueError(f"need {n} curvatures, got {len(kappas)}")
+    for j, v in enumerate(kappas, 1):
+        if not v > 0.0:  # NaN too
+            raise NonPositiveCurvature(f"kappa_{j} = {v} <= 0")
+    # frak a_j = (1/2) e_{j+1} e_j
+    A = Spinor.from_terms(
+        n, {(j, j + 1): -0.5 * float(v) for j, v in enumerate(kappas, 1)}
+    )
+    return FrameCurve(
+        n, (float(t0), float(t1)), lambda t: spinalg.clifford_exp(A.scale(t - t0))
+    )
 
 
 def frame_curve_from_matrix_path(
@@ -343,10 +308,11 @@ def _refine(curve: FrameCurve, sj, lo, hi, flo, dj, a, b) -> tuple:
     :meth:`FrameCurve.minors` call, for at most 200 steps.
 
     The sign-change brackets ``[lo, hi]`` of minors ``sj`` (``flo =
-    m_j(lo)``) are bisected to width 1e-14.  On the dip brackets ``[a, b]``
-    of minors ``dj`` a golden-section search minimizes ``|m_j|`` to width
-    1e-12; the first step reads both of its starting points, each later
-    step one new point.  The arrays change in place.  Returns the
+    m_j(lo)``) are bisected to width 1e-14, or until the midpoint rounds
+    to an end (far from t = 0 doubles are wider).  On the dip brackets
+    ``[a, b]`` of minors ``dj`` a golden-section search minimizes ``|m_j|``
+    to width 1e-12; the first step reads both of its starting points, each
+    later step one new point.  The arrays change in place.  Returns the
     sign-change times, the dip times and ``|m_j|`` at the dip times.
     """
     g = (math.sqrt(5) - 1) / 2
@@ -354,7 +320,8 @@ def _refine(curve: FrameCurve, sj, lo, hi, flo, dj, a, b) -> tuple:
     fx = np.empty_like(x)  # |m_j| at them
     side, idx = np.repeat([0, 1], len(dj)), np.tile(np.arange(len(dj)), 2)
     for step in range(200):
-        live = np.flatnonzero(hi - lo >= 1e-14)
+        mid = 0.5 * (lo + hi)
+        live = np.flatnonzero((hi - lo >= 1e-14) & (lo < mid) & (mid < hi))
         if step:
             idx = np.flatnonzero(b - a > 1e-12)
             side = np.where(fx[0, idx] < fx[1, idx], 0, 1)
@@ -365,7 +332,7 @@ def _refine(curve: FrameCurve, sj, lo, hi, flo, dj, a, b) -> tuple:
             x[1, R] = a[R] + g * (b[R] - a[R])
         if not len(live) + len(idx):
             break
-        mid = 0.5 * (lo[live] + hi[live])
+        mid = mid[live]
         f = curve.minors(np.concatenate([mid, x[side, idx]]))
         fx[side, idx] = np.abs(f[len(live) + np.arange(len(idx)), dj[idx]])
         fm = f[np.arange(len(live)), sj[live]]
@@ -441,7 +408,9 @@ def singular_events(
     golden-section step on every dip bracket together (at most 200 steps).
     A sign-change time is bisected to 1e-14; a dip-only time (every
     multiplicity even) is only as accurate as ``|m_j|`` is steep near its
-    minimum.
+    minimum.  The ends are not events: a root within 1e-9 of an end is
+    dropped, and so is a root of ``m_j`` within one grid step of an end
+    where ``|m_j| < zero_rel * max |m_j|``.
     """
     n = curve.n
     t0, t1 = curve.t0, curve.t1
@@ -467,9 +436,11 @@ def singular_events(
     keep = fmin < zero_rel * scales[jd]
     roots += zip(td[keep].tolist(), jd[keep].tolist(), itertools.repeat(False))
 
-    # keep only interior roots (open domain convention)
+    # keep only interior roots (open domain convention); a minor that
+    # vanishes at an end has noise roots up to a grid step inside it
     edge = max(1e-9, 1e-9 * span)
-    roots = [r for r in roots if t0 + edge < r[0] < t1 - edge]
+    shadow = np.maximum(edge, (a[[0, -1]] < zero_rel * scales) * (span / grid))
+    roots = [r for r in roots if t0 + shadow[0, r[1]] < r[0] < t1 - shadow[1, r[1]]]
     if not roots:
         return []
 

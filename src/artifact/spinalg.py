@@ -342,10 +342,10 @@ class _Tables:
     ``CliffordEven.terms``).  For each pair of blades a and c,
     ``prod_index[a, c]`` is the one blade b with
     ``blades[a] * blades[b] = prod_sign[a, c] * blades[c]``.
-    ``left @ v`` and ``right @ v`` are the flattened matrices of left and
-    right multiplication by the element with coefficients v.  ``grade``
-    holds each blade's grade; the bivectors come in the order of the
-    0-based pairs ``(i, j)``, i < j, that are the columns of ``bivector_ij``.
+    ``left @ v`` is the flattened matrix of left multiplication by the
+    element with coefficients v.  ``grade`` holds each blade's grade; the
+    bivectors come in the order of the 0-based pairs ``(i, j)``, i < j,
+    that are the columns of ``bivector_ij``.
 
     ``quad`` holds quadratic forms of v (rows of ``quad @ outer(v, v)``,
     flattened): first the coefficients of ``z rev(z)``, then, for each odd
@@ -358,7 +358,6 @@ class _Tables:
     prod_index: np.ndarray
     prod_sign: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     rev_sign: np.ndarray
     grade: np.ndarray
     bivector_ij: np.ndarray
@@ -401,7 +400,6 @@ def _tables(n: int) -> _Tables:
         prod_index=prod_index,
         prod_sign=prod_sign,
         left=np.ascontiguousarray(mul.transpose(0, 2, 1)).reshape(N * N, N),
-        right=mul.reshape(N * N, N),
         rev_sign=rev_sign,
         grade=np.array([len(b) for b in blades]),
         bivector_ij=np.array(by_grade[2]).T - 1,
@@ -522,10 +520,6 @@ class Spinor:
     def left_matrix(self) -> np.ndarray:
         """Matrix of ``y -> self * y`` on coefficient vectors."""
         return (_tables(self.n).left @ self.v).reshape(len(self.v), -1)
-
-    def right_matrix(self) -> np.ndarray:
-        """Matrix of ``y -> y * self`` on coefficient vectors."""
-        return (_tables(self.n).right @ self.v).reshape(len(self.v), -1)
 
     def __str__(self) -> str:
         return _terms_str(self.terms)

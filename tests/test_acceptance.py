@@ -349,11 +349,8 @@ class TestCriterion9Accessibility:
 class TestCriterion10FrenetCircle:
     def test_circle(self):
         with budget(5.0):
-            kappas = [
-                (lambda t, j=j: math.pi * math.sqrt(j * (3 - j)))
-                for j in (1, 2)
-            ]
-            curve = curvelab.integrate_frame(2, kappas, steps=800)
+            kappas = [math.pi * math.sqrt(j * (3 - j)) for j in (1, 2)]
+            curve = curvelab.integrate_frame(2, kappas)
             for t in np.linspace(0.0, 1.0, 21):
                 got = np.array(curve.matrix(float(t)))[:, 0]
                 want = 0.5 * np.array([

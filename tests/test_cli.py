@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from collections import Counter
 
 import pytest
@@ -74,7 +75,7 @@ class TestConfig:
 class TestIti:
     def test_constant_h_empty_itinerary(self, capsys, tmp_path):
         spec = tmp_path / "c.spec"
-        spec.write_text("kind = constant\nn = 2\nkappa = h\nsteps = 800\n")
+        spec.write_text("kind = constant\nn = 2\nkappa = h\n")
         code, out, _ = run(capsys, "iti", str(spec))
         assert code == 0
         data = json.loads(out)
@@ -85,6 +86,17 @@ class TestIti:
             t for t in data["endpoint"]["terms"] if t["blade"] == []
         ][0]
         assert abs(scalar["coeff"] + 1.0) < 1e-6
+
+    def test_top_letters_past_the_first_turn(self, capsys, tmp_path):
+        # z z~ = 1 holds for all t: the events of exp(t pi h) at t = 1, 2
+        code, out, _ = run_spec(
+            capsys, tmp_path, "kind = constant\nn = 3\nt1 = 2.5\n"
+        )
+        assert code == 0
+        events = json.loads(out)["itinerary"]
+        assert [ev["letter"] for ev in events] == ["abacba", "abacba"]
+        assert abs(events[0]["time"] - 1) < 1e-5
+        assert abs(events[1]["time"] - 2) < 1e-5
 
     def test_section_spec(self, capsys, tmp_path):
         spec = tmp_path / "s.spec"
@@ -98,7 +110,7 @@ class TestIti:
 
     def test_csv_traces(self, capsys, tmp_path):
         spec = tmp_path / "c.spec"
-        spec.write_text("kind = constant\nn = 2\nkappa = h\nsteps = 400\n")
+        spec.write_text("kind = constant\nn = 2\nkappa = h\n")
         csvfile = tmp_path / "m.csv"
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sing_grid = 64\n")
@@ -273,6 +285,23 @@ class TestSpecValues:
         assert err.startswith("error: ")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "kind = constant\nn = 2\nkapa = 1, 2\n",
+            "kind = constant\nn = 2\nsteps = 800\n",
+            SECTION + "kappa = h\n",
+            "kind = word\nn = 3\nword = a[cb]a\nt1 = 2\n",
+        ],
+        ids=["typo", "retired-steps", "section-kappa", "word-t1"],
+    )
+    def test_unknown_key(self, capsys, tmp_path, text):
+        code, out, err = run_spec(capsys, tmp_path, text)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "unknown key" in err
+        assert out == ""
+
 
 class TestSectionPosetFlags:
     @pytest.mark.parametrize("grid", ["3x7", "0", "-4", "1", "3x", "3x3x3", "ax3"])
@@ -364,9 +393,10 @@ class TestPosetBelowOracle:
 
 
 class TestNonFiniteCurves:
-    """Curvatures that are not positive finite floats are usage errors; an
-    integration that overflows is a numerical failure, not an empty
-    itinerary with NaN coefficients."""
+    """Curvatures that are not positive finite floats are usage errors; a
+    curve too fast for its floats is a numerical failure (a spinor that is
+    not unit, or zeros that cannot be classified), not an empty itinerary
+    with NaN coefficients."""
 
     @pytest.mark.parametrize(
         "line, code",
@@ -380,11 +410,17 @@ class TestNonFiniteCurves:
         ids=["kappa-nan", "kappa-inf", "kappa-negative", "kappa-overflow", "t1-overflow"],
     )
     def test_rejected(self, capsys, tmp_path, line, code):
-        got, out, err = run_spec(capsys, tmp_path, f"kind = constant\nn = 2\n{line}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got, out, err = run_spec(
+                capsys, tmp_path, f"kind = constant\nn = 2\n{line}\n"
+            )
         assert got == code
         assert out == ""
         prefix = "error: " if code == 1 else "numerical resolution failure: "
-        assert err.splitlines()[-1].startswith(prefix)
+        assert len(err.splitlines()) == 1
+        assert err.startswith(prefix)
+        assert caught == []
 
     def test_dip_events_far_from_zero(self, capsys, tmp_path, monkeypatch):
         # the dip brackets near t = 8192 cannot get 1e-12 narrow

@@ -9,10 +9,7 @@ from artifact import curvelab, polysect, spinalg, symgrp, triang
 
 
 def circle_kappas(n):
-    return [
-        (lambda t, j=j: math.pi * math.sqrt(j * (n + 1 - j)))
-        for j in range(1, n + 1)
-    ]
+    return [math.pi * math.sqrt(j * (n + 1 - j)) for j in range(1, n + 1)]
 
 
 def section_curve(section, point, t0=-1.0, t1=1.0, samples=201):
@@ -24,7 +21,7 @@ def section_curve(section, point, t0=-1.0, t1=1.0, samples=201):
 
 class TestIntegrateFrame:
     def test_circle(self):
-        curve = curvelab.integrate_frame(2, circle_kappas(2), steps=800)
+        curve = curvelab.integrate_frame(2, circle_kappas(2))
         for t in np.linspace(0, 1, 11):
             got = np.array(curve.matrix(float(t)))[:, 0]
             want = 0.5 * np.array(
@@ -38,11 +35,24 @@ class TestIntegrateFrame:
 
     def test_positive_curvature_required(self):
         with pytest.raises(curvelab.NonPositiveCurvature):
-            curvelab.integrate_frame(2, [lambda t: 1.0, lambda t: -1.0])
+            curvelab.integrate_frame(2, [1.0, -1.0])
 
     def test_circle_itinerary_empty(self):
-        curve = curvelab.integrate_frame(2, circle_kappas(2), steps=800)
+        curve = curvelab.integrate_frame(2, circle_kappas(2))
         assert curvelab.itinerary(curve, grid=512) == ()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_convex_arc_itinerary_empty(self, n):
+        # as for n = 2 above: exp(t pi h) is convex on the open interval
+        # (0, 1); every minor vanishes at both ends, and the noise roots
+        # next to them are not events
+        curve = curvelab.integrate_frame(n, circle_kappas(n))
+        assert curvelab.singular_events(curve) == []
+
+    @pytest.mark.parametrize("n, t0", [(2, 0.0), (3, -0.7), (4, 8190.0)])
+    def test_starts_exactly_at_one(self, n, t0):
+        curve = curvelab.integrate_frame(n, circle_kappas(n), t0=t0, t1=t0 + 1)
+        assert curve(t0) == spinalg.Spinor.one(n)
 
 
 class TestFrenet:
@@ -229,7 +239,7 @@ class TestStackedMinors:
             "word": curvelab.curve_with_itinerary(
                 symgrp.word_from_name(3, "a[cb]a"), n=3, verify=False
             ),
-            "constant": curvelab.integrate_frame(2, circle_kappas(2), steps=200),
+            "constant": curvelab.integrate_frame(2, circle_kappas(2)),
         }
 
     def test_no_lift_until_a_spinor_is_asked_for(self, monkeypatch):
@@ -326,6 +336,21 @@ class TestStackedRefinement:
         section = polysect.build_section(symgrp.letter_from_name(n, name))
         events = curvelab.singular_events(section_curve(section, point))
         assert symgrp.word_name(tuple(ev.letter for ev in events)) == label
+        assert len(calls) <= 60
+
+    @pytest.mark.parametrize("T", [64.0, 4096.0])
+    def test_bisection_far_from_zero(self, monkeypatch, T):
+        # from |t| = 64 on, adjacent doubles are wider than the 1e-14
+        # bracket width: a bracket stops once its midpoint rounds to an end
+        aba = polysect.build_section(symgrp.letter_from_name(2, "aba"))
+        point = dict(zip(aba.x_vars, (Fraction(1, 3), Fraction(-1, 18))))
+        mfun = sp.lambdify(aba.t, aba.M.subs(point), "numpy")
+        curve = curvelab.frame_curve_from_matrix_path(
+            2, lambda t: mfun(t - T), np.linspace(T - 1, T + 1, 201)
+        )
+        calls = spy_calls(monkeypatch, "minors")
+        events = curvelab.singular_events(curve)
+        assert [symgrp.letter_name(ev.letter) for ev in events] == ["ba", "a"]
         assert len(calls) <= 60
 
     def test_u_invariant_reads_its_frames_in_one_call(self, monkeypatch):
