@@ -13,24 +13,31 @@ resultants ``r_{i,j}`` are computed symbolically (sympy).  Classification
 of rational parameter points is exact: each minor is kept as a dense
 multivariate polynomial over QQ in ``t`` and the point variables, and
 sympy's ``dmp_eval_tail`` substitutes the point, leaving a polynomial in t
-over QQ.  sympy's continued-fraction real-root isolation
-(``dup_isolate_real_roots_list``) then returns, for every root in the
-curve's domain, an isolating interval, the root's irreducible integer
-factor and its multiplicity in each minor.  A rational root is reported
-exactly, as a Fraction.
+over QQ.  Its square-free decomposition over ZZ (``dup_sqf_list``) gives
+the multiplicity of every root without factoring: the roots of all minors
+are isolated once, as the simple roots of one square-free polynomial
+(``dup_isolate_real_roots_sqf``), and a root's multiplicity in ``m_j`` is
+the power of the square-free factor of ``m_j`` that vanishes there.  An
+event's exact time, isolating interval and irreducible factor are resolved
+on first read; a rational time is reported exactly, as a Fraction.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import sympy as sp
-from sympy.polys.densetools import dmp_eval_tail
+from sympy.polys.densearith import dup_exquo, dup_mul
+from sympy.polys.densetools import dmp_eval_tail, dup_clear_denoms, dup_eval
 from sympy.polys.domains import QQ, ZZ
-from sympy.polys.rootisolation import dup_isolate_real_roots_list, dup_refine_real_root
+from sympy.polys.factortools import dup_factor_list
+from sympy.polys.rootisolation import dup_isolate_real_roots_sqf, dup_refine_real_root
+from sympy.polys.sqfreetools import dup_sqf_list, dup_sqf_part
 
 from . import spinalg, symgrp, triang
 from .spinalg import IdentityLetter
@@ -238,9 +245,45 @@ def _fraction(v) -> Fraction:
     return Fraction(int(v.numerator), int(v.denominator))
 
 
+def _sign(g: Sequence[int], v) -> int:
+    """The sign of the integer polynomial ``g`` at the rational ``v``."""
+    value = dup_eval(g, v, QQ)
+    return (value > 0) - (value < 0)
+
+
+@lru_cache(maxsize=512)
+def _irreducible_factors(h: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The irreducible factors of ``h`` over ZZ.  Memoized: a minor that
+    does not depend on every coordinate repeats along a grid."""
+    return tuple(tuple(int(c) for c in g) for g, _ in dup_factor_list(list(h), ZZ)[1])
+
+
+def _rational_roots(h: list[int]) -> list[Fraction]:
+    """The rational roots of a square-free integer polynomial that is
+    linear, quadratic or irreducible: a quadratic has them exactly when its
+    discriminant is a perfect square."""
+    if len(h) == 2:
+        return [Fraction(-h[1], h[0])]
+    if len(h) == 3:
+        A, B, C = h
+        disc = B * B - 4 * A * C
+        s = math.isqrt(disc) if disc >= 0 else -1
+        if s * s == disc:
+            return [Fraction(-B - s, 2 * A), Fraction(-B + s, 2 * A)]
+    return []
+
+
 @dataclass(frozen=True)
 class ExactEvent:
     """One singular time of a section curve, exactly certified.
+
+    ``letter`` and ``mult`` are known when the event is made.  The other
+    fields are resolved once, on first read, from the square-free integer
+    factor of a minor that vanishes at the time (``_factor``) and the
+    time's isolating bracket (``_bracket``): a linear factor, or a
+    quadratic one whose discriminant is a perfect square, gives a rational
+    time; only a factor of degree >= 3 is factored (memoized by its
+    coefficients), and only that one.
 
     ``certificate`` is the irreducible primitive integer factor of the
     minors that vanishes at the time (descending coefficients).  When it
@@ -252,9 +295,39 @@ class ExactEvent:
 
     letter: Permutation
     mult: tuple[int, ...]
-    root: Fraction | None
-    interval: tuple[Fraction, Fraction]
-    certificate: tuple[int, ...]
+    _bracket: tuple = field(repr=False)
+    _factor: tuple[int, ...] = field(repr=False)
+
+    @cached_property
+    def _exact(self) -> tuple:
+        """``(root, interval, certificate)``."""
+        a, b = self._bracket
+        lo, hi = _fraction(a), _fraction(b)
+        h = [int(c) for c in self._factor]
+        if a == b:
+            r = lo
+        else:
+            if len(h) > 3:
+                (h,) = [
+                    list(g) for g in _irreducible_factors(tuple(h))
+                    if _sign(g, a) != _sign(g, b)
+                ]
+            r = next((r for r in _rational_roots(h) if lo < r < hi), None)
+        if r is None:
+            return None, (lo, hi), tuple(h)
+        return r, (r, r), (r.denominator, -r.numerator)
+
+    @property
+    def root(self) -> Fraction | None:
+        return self._exact[0]
+
+    @property
+    def interval(self) -> tuple[Fraction, Fraction]:
+        return self._exact[1]
+
+    @property
+    def certificate(self) -> tuple[int, ...]:
+        return self._exact[2]
 
     @property
     def approx(self) -> float:
@@ -291,13 +364,17 @@ def classify_point(
 
     Roots of the southwest minors are counted in the open interval
     ``domain`` (endpoints excluded, matching the convention that sing
-    excludes the endpoints of the curve).  sympy isolates the real roots
-    of all minors at once (continued fractions, Vincent-Akritas-
-    Strzebonski) and reports, for each, its irreducible factor and its
-    multiplicity in every minor; the multiplicity vector names the letter.
-    Each minor is evaluated at the point by sympy's ``dmp_eval_tail`` on
-    its dense QQ representation in ``(t, *point_vars)``, built once per
-    section.
+    excludes the endpoints of the curve).  Each minor is evaluated at the
+    point by sympy's ``dmp_eval_tail`` on its dense QQ representation in
+    ``(t, *point_vars)``, built once per section, and split into its
+    square-free integer factors ``g_{j,k}`` (``m_j = c * prod_k g_{j,k}**k``).
+    The square-free part of the product of all of them has the same roots
+    as the minors, all simple; sympy isolates them once (continued
+    fractions, Vincent-Akritas-Strzebonski).  The multiplicity of a root in
+    ``m_j`` is the ``k`` whose ``g_{j,k}`` vanishes there, tested exactly at
+    a rational root and by a sign change across an open bracket; the
+    multiplicity vector names the letter.  Nothing is factored: the exact
+    root, interval and certificate of an event are resolved on first read.
 
     >>> section = build_section(symgrp.letter_from_name(2, 'aba'))
     >>> cls = classify_point(section, (Fraction(1, 3), Fraction(-1, 18)))
@@ -319,37 +396,59 @@ def classify_point(
     lo, hi = Fraction(domain[0]), Fraction(domain[1])
 
     point = [_qq(v) for v in values]
-    ms = []
-    for dense in section._dense_minors:
+    factors = []  # (j, k, g_{j,k}): primitive, positive leading coefficient
+    for j, dense in enumerate(section._dense_minors):
         p = dmp_eval_tail(dense, point, len(point), QQ)
         if not p:
             raise ZeroPolynomial("minor vanishes identically at this point")
-        ms.append(p)
+        _, p = dup_clear_denoms(p, QQ, ZZ, convert=True)
+        factors += [(j, k, g) for g, k in dup_sqf_list(p, ZZ)[1]]
+    product = [ZZ.one]
+    for _, _, g in factors:
+        product = dup_mul(product, g, ZZ)
+
+    # a root on an end of the domain comes back as (end, end): drop it
+    brackets = [
+        (a, b)
+        for a, b in dup_isolate_real_roots_sqf(
+            dup_sqf_part(product, ZZ), ZZ, inf=_qq(lo), sup=_qq(hi)
+        )
+        if a != b or lo < _fraction(a) < hi
+    ]
+    ends = {end for bracket in brackets for end in bracket}
+    signs = [{end: _sign(g, end) for end in ends} for _, _, g in factors]
 
     out = []
-    for (a, b), where, h in dup_isolate_real_roots_list(
-        ms, QQ, inf=_qq(lo), sup=_qq(hi), basis=True
-    ):
-        # sympy may give a rational root a wide interval ((-1, 0) for -1/3)
-        # and keeps roots on the closed [lo, hi]; an irrational root lies
-        # strictly inside its interval, hence inside the open domain
-        if len(h) == 2:
-            a = b = Fraction(-int(h[1]), int(h[0]))
-            if not lo < a < hi:
-                continue
-        else:
-            a, b = _fraction(a), _fraction(b)
-        mult = tuple(where.get(j, 0) for j in range(len(ms)))
+    for a, b in brackets:
+        mult = [0] * len(section._dense_minors)
+        vanishing = []
+        for (j, k, g), sign in zip(factors, signs):
+            if a == b:
+                vanishes = not sign[a]
+            else:
+                sa, sb = sign[a], sign[b]
+                if not (sa and sb):
+                    # a rational root of g on an end of the bracket would hide
+                    # the sign change across it: divide its linear factor out
+                    for end in (a, b):
+                        if not sign[end]:
+                            g = dup_exquo(g, [end.denominator, -end.numerator], ZZ)
+                    sa, sb = _sign(g, a), _sign(g, b)
+                vanishes = sa != sb
+            if vanishes:
+                mult[j] = k
+                vanishing.append(g)
+        mult = tuple(mult)
         try:
             letter = symgrp.permutation_from_mult(mult, section.n)
         except symgrp.NotARealizableMultVector as exc:
-            raise UnrecognizedMultPattern(f"mult {mult} at root in ({a},{b})") from exc
-        out.append(
-            ExactEvent(
-                letter=letter, mult=mult, root=a if a == b else None,
-                interval=(a, b), certificate=tuple(int(c) for c in h),
-            )
-        )
+            raise UnrecognizedMultPattern(
+                f"mult {mult} at root in ({_fraction(a)},{_fraction(b)})"
+            ) from exc
+        out.append(ExactEvent(
+            letter=letter, mult=mult, _bracket=(a, b),
+            _factor=tuple(min(vanishing, key=len)),
+        ))
     return PointClassification(point=values, events=tuple(out))
 
 
