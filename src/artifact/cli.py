@@ -365,8 +365,7 @@ def cmd_section(args, cfg: RunConfig) -> int:
     json.dump(out, sys.stdout, indent=2)
     sys.stdout.write("\n")
     if args.grid:
-        weights = section.x_weights or (1,) * len(section.x_vars)
-        points = polysect.weighted_grid_points(radius, count, weights)
+        points = polysect.weighted_grid_points(radius, count, section.x_weights)
         table = polysect.stratum_map(section, points)
         sink = (
             open(args.csv, "w", newline="") if args.csv else nullcontext(sys.stdout)

@@ -30,6 +30,7 @@ stacked spinors by one contraction per stack.  The module provides
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import spinalg, symgrp, triang
-from .spinalg import CliffordEven, Spinor
+from .spinalg import Spinor
 from .symgrp import Permutation
 
 __all__ = [
@@ -568,12 +569,8 @@ def curve_with_itinerary(
         if n is None:
             raise ValueError("need n to parse a word name")
         word = symgrp.word_from_name(n, word)
-    word = tuple(word)
-    if n is None:
-        if not word:
-            raise ValueError("need explicit n for the empty word")
-        n = word[0].n
     table = spinalg.word_table(word, n)
+    word, n = table.word, table.integer[0].n
     ell = len(word)
 
     if ell == 0:
@@ -611,7 +608,6 @@ def curve_with_itinerary(
                     )
             return curve
         except (
-            triang.NotConnectableInCell,
             UnresolvedCluster,
             PathNotAccessible,
             spinalg.NotUnit,
@@ -624,17 +620,20 @@ def curve_with_itinerary(
     )
 
 
-def _corner_for_quat(n: int, eta_word, target: CliffordEven) -> list:
-    """Chart-corner angle pattern in {0, pi}**l whose alpha product is the
-    Quat element ``target`` (a boundary corner of the positive cell)."""
-    tf = target.to_float()
+@functools.lru_cache(maxsize=None)
+def _final_corner(n: int) -> tuple:
+    """Chart-corner angle pattern in {0, pi}**l whose alpha product is
+    ``acute(eta)**2``, a boundary corner of the positive cell."""
+    eta = symgrp.longest_element(n)
+    eta_word, a = symgrp.reduced_word(eta), spinalg.acute(eta)
+    tf = (a * a).to_float()
     for pat in itertools.product((0.0, math.pi), repeat=len(eta_word)):
         z = Spinor.one(n)
         for i, t in zip(eta_word, pat):
             if t != 0.0:
                 z = z * spinalg.alpha(n, i, t)
         if triang._spin_distance(z, tf) < 1e-9:
-            return list(pat)
+            return pat
     raise PathNotAccessible("endpoint is not a corner of the final chart")
 
 
@@ -653,7 +652,7 @@ def _assemble_curve(table, times, d, r) -> FrameCurve:
     c = math.pi / 4  # the model arcs are B(w, j) exp(s c h), |s| <= r
 
     arcs = [table.integer[j + 1].to_float() for j in range(ell)]
-    qs = [table.q(j).to_float() for j in range(ell + 1)]
+    qs = [qj.to_float() for qj in table.q]
 
     def arc_eval(j):
         B = arcs[j]
@@ -690,12 +689,9 @@ def _assemble_curve(table, times, d, r) -> FrameCurve:
             th_c = spinalg.positive_chart(qs[j + 1].reverse() * start_of_arc[j + 1])
             add_chart_connector(qs[j + 1], th_a, th_c, times[j] + d, times[j + 1] - d)
         else:
-            # endpoint B(w, l+1) is a Quat point on the boundary of the
-            # last component: approach it through the matching chart corner
-            th_end = _corner_for_quat(
-                n, eta_word, qs[ell].reverse() * table.integer[-1].to_float()
-            )
-            add_chart_connector(qs[ell], th_a, th_end, times[ell - 1] + d, 1.0)
+            # endpoint B(w, l+1) = q_l acute(eta)**2 is a Quat point on the
+            # boundary of the last component: approach it through that corner
+            add_chart_connector(qs[ell], th_a, _final_corner(n), times[-1] + d, 1.0)
 
     bounds = [seg[0] for seg in segments]
 
@@ -729,7 +725,8 @@ def u_invariant(curve: FrameCurve, t_star: float) -> float:
     ``b_i = f_i(t_star)``, all derivatives by Richardson-extrapolated
     central differences of step ``h = 2e-3`` (``4h`` for ``f``), inside a
     window of half-width ``min(0.05, 0.45 * span)`` around ``t_star``.  The
-    25 frames this needs are one stacked :meth:`FrameCurve.matrix` call.
+    25 frames this needs are one stacked :meth:`FrameCurve.matrix` call;
+    they and ``t_star - w/2`` must lie in the domain, else NotAnAcbEvent.
     """
     n = curve.n
     if n != 3:
@@ -737,6 +734,9 @@ def u_invariant(curve: FrameCurve, t_star: float) -> float:
     span = curve.t1 - curve.t0
     w = min(0.05, 0.45 * span)
     h = 2e-3
+    t_in = t_star - 0.5 * w  # the frames below reach t_star +- (4h + h)
+    if min(t_in, t_star - 4 * h - h) < curve.t0 or t_star + 4 * h + h > curve.t1:
+        raise NotAnAcbEvent(f"event at t={t_star} is too close to a domain end")
 
     # classify the event letter by slopes of the minors
     probes = _slope_probes(t_star, 0.2 * w, curve.t0, curve.t1)
@@ -747,16 +747,10 @@ def u_invariant(curve: FrameCurve, t_star: float) -> float:
         raise NotAnAcbEvent(f"event at t={t_star} has letter {letter}, mult {mult}")
 
     # signed component of the incoming branch fixes the chart
-    z_minus = curve(t_star - 0.5 * w)
-    eta = symgrp.longest_element(3)
-    q_found = None
-    for q in spinalg.quat_elements(3):
-        if spinalg.in_positive_cell(q.to_float().reverse() * z_minus):
-            q_found = q
-            break
-    if q_found is None:
+    q = spinalg.signed_cell(curve(t_in))
+    if q is None:
         raise NotAnAcbEvent("incoming branch is not in an open signed cell")
-    z_chart = q_found * spinalg.acute(eta) * spinalg.acute(_ACB)
+    z_chart = q * spinalg.acute(symgrp.longest_element(3)) * spinalg.acute(_ACB)
     A0 = spinalg.project(z_chart.to_float())
     A0inv = np.linalg.inv(A0)
 

@@ -82,6 +82,7 @@ class SectionFamily:
     ``M`` is the (n+1)x(n+1) sympy matrix in ``x_vars`` (+ optionally
     ``u``) and ``t``, with the transversal slice already applied.
     ``Mtilde_full`` keeps the unsliced seed matrix (when applicable).
+    ``x_weights`` holds the quasi-homogeneous weight of each of ``x_vars``.
     """
 
     sigma: Permutation
@@ -89,9 +90,9 @@ class SectionFamily:
     x_vars: tuple[sp.Symbol, ...]
     t: sp.Symbol
     M: sp.Matrix
+    x_weights: tuple[int, ...]
     Mtilde_full: sp.Matrix | None = None
     u: sp.Symbol | sp.Rational | None = None
-    x_weights: tuple[int, ...] | None = None
     _minors: tuple | None = field(default=None, repr=False)
     _dense_minors: list | None = field(default=None, repr=False)
 

@@ -93,12 +93,11 @@ def letter_oracle_section(sigma: Permutation) -> frozenset:
     origin) is always included.
     """
     section = polysect.build_section(sigma)
-    weights = section.x_weights or (1,) * len(section.x_vars)
     per_radius = []
     for k in (4, 6):
         radius = Fraction(1, 2**k)
         labels = {(sigma,)}
-        for point in polysect.weighted_grid_points(radius, 9, weights):
+        for point in polysect.weighted_grid_points(radius, 9, section.x_weights):
             cls = polysect.classify_point(section, point)
             labels.add(tuple(cls.word))
         per_radius.append(labels)

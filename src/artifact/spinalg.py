@@ -15,10 +15,10 @@ bit-exactly in this ring by :class:`CliffordEven`, whose products go
 blade by blade.
 
 Each ``hat(sigma)`` lies in the finite group Quat_{n+1} of signed even
-blades and is computed once per sigma.  The endpoint ``q_of_word(w) =
-acute(eta) hat(sigma_1) ... hat(sigma_l) acute(eta)`` is therefore a
-product of signed blades in Quat_{n+1}, followed by the map ``b ->
-acute(eta) b acute(eta)``, computed exactly once per signed blade b.
+blades and is computed once per sigma, so the prefixes ``b_j = hat(sigma_1)
+... hat(sigma_j)`` are signed blades; ``b -> acute(eta) b acute(eta)``,
+computed once per b, gives ``q_of_word`` and the word table's Quat elements
+q_j.  :func:`signed_cell` reads the signed cell of a spinor off one peel.
 
 Floats are used only for curve-side evaluation (``alpha`` at generic
 angles, ``clifford_exp``, ``project``, ``theta_exit``).  A float element
@@ -68,6 +68,7 @@ __all__ = [
     "cell_of_matrix",
     "quat_elements",
     "in_positive_cell",
+    "signed_cell",
     "positive_chart",
 ]
 
@@ -676,19 +677,13 @@ class SpinWordTable:
     """Values ``B(w, j)`` and ``B(w, j + 1/2)`` along a word.
 
     ``integer[j]`` is B(w, j) for j = 0..l and ``integer[l + 1]`` the
-    endpoint; ``half[j]`` is B(w, j + 1/2) for j = 0..l.
+    endpoint; ``half[j]`` is B(w, j + 1/2) = ``q[j]`` acute(eta), j = 0..l.
     """
 
     word: tuple[Permutation, ...]
     integer: tuple[CliffordEven, ...]
     half: tuple[CliffordEven, ...]
-
-    def q(self, j: int) -> CliffordEven:
-        """Quat element with ``B(w, j + 1/2) = q_j acute(eta)``."""
-        n = self.word[0].n if self.word else self.integer[0].n
-        qj = self.half[j] * acute(symgrp.longest_element(n)).inverse()
-        _signed_blade(qj)  # raises unless qj is in Quat
-        return qj
+    q: tuple[CliffordEven, ...]
 
 
 def _checked_word(
@@ -710,17 +705,16 @@ def _checked_word(
 def word_table(word: Sequence[Permutation], n: int | None = None) -> SpinWordTable:
     """Build the recursion B(w,0)=1, B(w,1/2)=acute(eta), B(w,j)=B(w,j-1/2)
     acute(sigma_j), B(w,j+1/2)=B(w,j-1/2) hat(sigma_j), endpoint
-    B(w,l+1)=B(w,l+1/2) acute(eta).
+    B(w,l+1)=B(w,l+1/2) acute(eta), via q_j = acute(eta) b_j acute(eta)**-1.
     """
     word, n = _checked_word(word, n)
-    eta = symgrp.longest_element(n)
-    integer = [CliffordEven.one(n)]
-    half = [acute(eta)]
-    for sigma in word:
-        integer.append(half[-1] * acute(sigma))
-        half.append(half[-1] * hat(sigma))
-    integer.append(half[-1] * acute(eta))
-    return SpinWordTable(word, tuple(integer), tuple(half))
+    a = acute(symgrp.longest_element(n))
+    b = _hat_prefixes(word)
+    a2_inv = _endpoint_cached(n, b[0]).reverse()  # acute(eta)**-2
+    q = tuple(_endpoint_cached(n, bj) * a2_inv for bj in b)
+    half = tuple(qj * a for qj in q)
+    integer = (CliffordEven.one(n),) + tuple(h * acute(s) for h, s in zip(half, word))
+    return SpinWordTable(word, integer + (_endpoint_cached(n, b[-1]),), half, q)
 
 
 @functools.lru_cache(maxsize=None)
@@ -731,25 +725,30 @@ def _endpoint_cached(n: int, b: SignedBlade) -> CliffordEven:
     return q
 
 
+def _hat_prefixes(word: tuple[Permutation, ...]) -> list[SignedBlade]:
+    """The signed blades ``b_j = hat(sigma_1) ... hat(sigma_j)``, j = 0..l."""
+    blade, sign = (), 1
+    prefixes = [(blade, sign)]
+    for sigma in word:
+        h_blade, h_sign = _hat_cached(sigma.images)
+        s, blade = _blade_mul(blade, h_blade)
+        sign *= s * h_sign
+        prefixes.append((blade, sign))
+    return prefixes
+
+
 def q_of_word(word: Sequence[Permutation], n: int | None = None) -> CliffordEven:
     """Endpoint ``acute(eta) hat(sigma_1) ... hat(sigma_l) acute(eta)``.
 
-    Each ``hat(sigma_j)`` is a signed blade of Quat_{n+1}, cached per
-    letter, so the middle product is a product of signed blades; the
-    conjugation-like map ``b -> acute(eta) b acute(eta)`` is computed
-    exactly once per signed blade b.  Equals ``word_table(word, n)``'s
-    endpoint.
+    The middle product is the last signed blade of :func:`_hat_prefixes`,
+    and ``b -> acute(eta) b acute(eta)`` is computed once per signed blade
+    b.  Equals ``word_table(word, n)``'s endpoint.
 
     >>> is_quat(q_of_word((), 2))
     True
     """
     word, n = _checked_word(word, n)
-    blade, sign = (), 1
-    for sigma in word:
-        h_blade, h_sign = _hat_cached(sigma.images)
-        s, blade = _blade_mul(blade, h_blade)
-        sign *= s * h_sign
-    return _endpoint_cached(n, (blade, sign))
+    return _endpoint_cached(n, _hat_prefixes(word)[-1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -903,24 +902,33 @@ def _peel_positive(z: "CliffordEven | Spinor") -> tuple[list[float], Spinor]:
     return thetas, cur
 
 
-def in_positive_cell(z: CliffordEven) -> bool:
-    """Whether z lies in the signed open cell ``Bru_{acute eta}``.
+def signed_cell(z: "CliffordEven | Spinor") -> CliffordEven | None:
+    """The q in Quat_{n+1} with z in ``q Bru_{acute eta}``, or None.
 
     Checks the matrix rank pattern and then peels exit angles along a
-    reduced word of eta; z is in the cell iff the peeled residue is the
-    spin identity (``-z`` and ``q z`` for nontrivial q in Quat all fail).
+    reduced word of eta; they do not depend on q, so the residue is q.
+
+    >>> i, j, k = symgrp.reduced_word(symgrp.longest_element(2))
+    >>> y = alpha(2, i, 0.4) * alpha(2, j, 1.3) * alpha(2, k, 2.2)
+    >>> signed_cell(y.scale(-1.0)) == -CliffordEven.one(2)
+    True
     """
     try:
         if cell_of_matrix(project(z.to_float())) != symgrp.longest_element(z.n):
-            return False
-    except ValueError:
-        return False
-    try:
+            return None
         _, cur = _peel_positive(z)
-    except NoRootInInterval:
-        return False
-    resid = np.abs(cur.v[1:]).max(initial=0.0)
-    return bool(resid < _CHART_TOL and abs(cur.scalar_part() - 1.0) < _CHART_TOL)
+    except ValueError:  # NotUnit, NoRootInInterval
+        return None
+    q = np.round(cur.v)
+    if not (np.abs(cur.v - q).max() < _CHART_TOL and np.abs(q).sum() == 1):
+        return None
+    (a,) = np.flatnonzero(q)
+    return _from_signed_blade(z.n, (_tables(z.n).blades[a], int(q[a])))
+
+
+def in_positive_cell(z: CliffordEven) -> bool:
+    """Whether z lies in the signed open cell ``Bru_{acute eta}``."""
+    return signed_cell(z) == CliffordEven.one(z.n)
 
 
 def positive_chart(z: CliffordEven) -> list[float]:

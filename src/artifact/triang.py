@@ -363,9 +363,8 @@ def accessibility_quasiproduct(L_x, word: Sequence[int]) -> Quasiproduct:
             raise NotTotallyPositive(str(exc)) from exc
     eta_words = {}
     for i in set(word):
-        eta_words[i] = next(
-            w for w in sorted(symgrp.all_reduced_words(eta)) if w[0] == i
-        )
+        a_i = symgrp.coxeter_generator(n, i)
+        eta_words[i] = (i,) + symgrp.reduced_word(symgrp.compose(a_i, eta))
     return Quasiproduct(n=n, word=tuple(word), L_x=L_x, _eta_words=eta_words)
 
 

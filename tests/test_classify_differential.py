@@ -1,7 +1,8 @@
 """classify_point against sympy's Poly API on random rational points.
 
-``classify_point`` isolates the roots of all minors at once with
-``dup_isolate_real_roots_list``; the checks here go through a different
+``classify_point`` takes the square-free decomposition of each minor
+(``dup_sqf_list``) and isolates the roots of all its factors at once with
+``dup_isolate_real_roots_sqf``; the checks here go through a different
 code path (``Poly.count_roots``, ``sqf_part``, ``rem``, ``real_roots``).
 """
 

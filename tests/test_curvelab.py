@@ -162,6 +162,29 @@ class TestCurveWithItinerary:
         assert [g.images for g in got] == [w.images for w in word]
 
 
+class TestSignedCellLaw:
+    """Between events j and j + 1 a synthesized curve lies in the signed
+    open cell ``q_j Bru_{acute eta}`` of its word table."""
+
+    @pytest.mark.parametrize("n, seed", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_signed_cell_between_events(self, n, seed):
+        import random
+
+        rng = random.Random(seed)
+        pool = [
+            s for s in symgrp.all_permutations(n) if 1 <= symgrp.inversions(s) <= 3
+        ]
+        for _ in range(6):
+            word = tuple(rng.choice(pool) for _ in range(rng.randint(1, 4)))
+            curve = curvelab.curve_with_itinerary(word, n=n, verify=False)
+            events = curvelab.singular_events(curve, grid=512)
+            assert [ev.letter for ev in events] == list(word)
+            table = spinalg.word_table(word, n)
+            bounds = [curve.t0] + [ev.time for ev in events] + [curve.t1]
+            for q, lo, hi in zip(table.q, bounds, bounds[1:]):
+                assert spinalg.signed_cell(curve((lo + hi) / 2)) == q
+
+
 class TestEvaluatorContract:
     """Building a curve evaluates only what its evaluator needs: the arc
     ends, no connector chart products, and ``ts`` are the segment ends."""
@@ -198,6 +221,15 @@ class TestUInvariant:
         curve = section_curve(fam, (0, 0), t0=-0.5, t1=0.5, samples=201)
         u = curvelab.u_invariant(curve, 0.0)
         assert abs(u - 0.4) < 1e-9
+
+    @pytest.mark.parametrize("t0, t1", [(-0.004, 0.5), (-0.5, 0.004)])
+    def test_event_near_a_domain_end(self, t0, t1):
+        # the incoming point t* - w/2 = -0.025, or the frame stencil
+        # t* +- 5h = +-0.01, leaves the domain
+        fam = polysect.build_perturbed_family("betaprime", Fraction(2, 5))
+        curve = section_curve(fam, (0, 0), t0=t0, t1=t1)
+        with pytest.raises(curvelab.NotAnAcbEvent):
+            curvelab.u_invariant(curve, 0.0)
 
     def test_not_an_acb_event(self):
         section = polysect.build_section(symgrp.letter_from_name(2, "aba"))

@@ -1,5 +1,6 @@
 """The endpoint ``q_of_word`` as a product in Quat_{n+1}, checked against
-the exact word table and the literal product of spinors."""
+the exact word table and the literal product of spinors; the word table
+checked against its literal recursion."""
 
 import functools
 import math
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact import polysect, spinalg, symgrp
-from artifact.spinalg import CliffordEven, IdentityLetter, NotInLiftedSignedGroup
+from artifact.spinalg import CliffordEven, IdentityLetter
 
 
 @functools.lru_cache(maxsize=None)
@@ -78,14 +79,27 @@ class TestQOfWord:
         assert spinalg._endpoint_cached.cache_info().currsize <= 2 ** (n + 1)
 
 
-class TestSpinWordTableQ:
-    def test_table_q_outside_quat_raises(self):
-        n = 2
-        a = symgrp.coxeter_generator(n, 1)
-        one = CliffordEven.one(n)
-        table = spinalg.SpinWordTable((a,), (one, one, one), (one, one))
-        with pytest.raises(NotInLiftedSignedGroup):
-            table.q(0)
+class TestWordTableRecursion:
+    @settings(max_examples=40, deadline=None)
+    @given(rank_and_word())
+    def test_matches_literal_recursion(self, nw):
+        # B(w, 0) = 1, B(w, 1/2) = acute(eta), B(w, j) = B(w, j - 1/2)
+        # acute(sigma_j), B(w, j + 1/2) = B(w, j - 1/2) hat(sigma_j) and
+        # B(w, l + 1) = B(w, l + 1/2) acute(eta), by dense products
+        n, word = nw
+        a_eta = spinalg.acute(symgrp.longest_element(n))
+        integer, half = [CliffordEven.one(n)], [a_eta]
+        for sigma in word:
+            hat = spinalg.acute(sigma) * spinalg.grave(sigma).inverse()
+            integer.append(half[-1] * spinalg.acute(sigma))
+            half.append(half[-1] * hat)
+        integer.append(half[-1] * a_eta)
+        table = spinalg.word_table(word, n)
+        assert table.word == word
+        assert table.integer == tuple(integer)
+        assert table.half == tuple(half)
+        assert table.q == tuple(b * a_eta.inverse() for b in half)
+        assert all(spinalg.is_quat(q) for q in table.q)
 
 
 def test_one_identity_letter_class():

@@ -110,7 +110,7 @@ class TestWordTable:
         table = spinalg.word_table(word, n)
         quat = {z.terms for z in spinalg.quat_elements(n)}
         for j in range(len(word) + 1):
-            assert table.q(j).terms in quat
+            assert table.q[j].terms in quat
 
     def test_q_of_word_quat(self):
         n = 3
@@ -152,6 +152,23 @@ class TestSignedCell:
                 z = z * spinalg.alpha(n, i, rng.uniform(0.1, 3.0))
             assert spinalg.in_positive_cell(z)
             assert not spinalg.in_positive_cell(z * CliffordEven.make(n, {(): -1.0}))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_signed_cell_of_every_quat_element(self, n):
+        import random
+
+        rng = random.Random(n)
+        word = symgrp.reduced_word(symgrp.longest_element(n))
+        for q in spinalg.quat_elements(n):
+            z = q.to_float()
+            for i in word:
+                z = z * spinalg.alpha(n, i, rng.uniform(0.1, 3.0))
+            assert spinalg.signed_cell(z) == q
+
+    def test_cell_corner_has_no_signed_cell(self):
+        for n in (2, 3):
+            corner = spinalg.acute(symgrp.longest_element(n))
+            assert spinalg.signed_cell(corner * corner) is None
 
     def test_positive_chart_roundtrip(self):
         n = 2
