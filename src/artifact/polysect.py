@@ -359,14 +359,17 @@ class PointClassification:
 def classify_point(
     section: SectionFamily,
     x: Sequence,
-    domain: tuple = (Fraction(-1), Fraction(1)),
+    domain: tuple | None = (Fraction(-1), Fraction(1)),
 ) -> PointClassification:
     """Exact itinerary of the section curve at a rational parameter point.
 
     Roots of the southwest minors are counted in the open interval
     ``domain`` (endpoints excluded, matching the convention that sing
-    excludes the endpoints of the curve).  Each minor is evaluated at the
-    point by sympy's ``dmp_eval_tail`` on its dense QQ representation in
+    excludes the endpoints of the curve).  ``domain=None`` counts every
+    real root, on all of R, with no end to exclude: for a section of a
+    letter that is the germ label of the point's ray (see
+    :func:`artifact.poset.letter_oracle_section`).  Each minor is evaluated
+    at the point by sympy's ``dmp_eval_tail`` on its dense QQ representation in
     ``(t, *point_vars)``, built once per section, and split into its
     square-free integer factors ``g_{j,k}`` (``m_j = c * prod_k g_{j,k}**k``).
     The square-free part of the product of all of them has the same roots
@@ -394,7 +397,6 @@ def classify_point(
             sp.Poly(mj, section.t, *section.point_vars, domain=QQ).rep.to_list()
             for mj in minors(section)
         ]
-    lo, hi = Fraction(domain[0]), Fraction(domain[1])
 
     point = [_qq(v) for v in values]
     factors = []  # (j, k, g_{j,k}): primitive, positive leading coefficient
@@ -408,14 +410,19 @@ def classify_point(
     for _, _, g in factors:
         product = dup_mul(product, g, ZZ)
 
-    # a root on an end of the domain comes back as (end, end): drop it
-    brackets = [
-        (a, b)
-        for a, b in dup_isolate_real_roots_sqf(
-            dup_sqf_part(product, ZZ), ZZ, inf=_qq(lo), sup=_qq(hi)
-        )
-        if a != b or lo < _fraction(a) < hi
-    ]
+    square_free = dup_sqf_part(product, ZZ)
+    if domain is None:
+        brackets = dup_isolate_real_roots_sqf(square_free, ZZ)
+    else:
+        # a root on an end of the domain comes back as (end, end): drop it
+        lo, hi = Fraction(domain[0]), Fraction(domain[1])
+        brackets = [
+            (a, b)
+            for a, b in dup_isolate_real_roots_sqf(
+                square_free, ZZ, inf=_qq(lo), sup=_qq(hi)
+            )
+            if a != b or lo < _fraction(a) < hi
+        ]
     ends = {end for bracket in brackets for end in bracket}
     signs = [{end: _sign(g, end) for end in ends} for _, _, g in factors]
 

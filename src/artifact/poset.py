@@ -7,8 +7,8 @@ criterion: ``w0 prec w1`` iff ``w0`` splits into ``len(w1)`` consecutive
 nonempty blocks with the i-th block preceding the one-letter word of the
 i-th letter of ``w1``.  One-letter comparisons are delegated to a letter
 oracle, implemented by classifying exact transversal sections
-(:mod:`artifact.polysect`) on grids of shrinking radius.  The empty word
-is isolated.
+(:mod:`artifact.polysect`) on one weighted grid, with every real root
+counted.  The empty word is isolated.
 
 Answers are three-valued certificates (yes / no / unknown): the oracle
 never guesses, and unknown letter comparisons propagate to ``unknown``
@@ -86,23 +86,25 @@ def necessary_conditions(
 def letter_oracle_section(sigma: Permutation) -> frozenset:
     """The set of words preceding the one-letter word ``(sigma,)``.
 
-    Classifies the exact transversal section of ``sigma`` on 9 x 9
-    weighted grids of radius ``2**-k`` for k = 4 and 6 and returns the words
-    whose label occurs at every radius (the stratification is conical,
-    so labels of small radii persist).  The one-letter word itself (the
-    origin) is always included.
+    The section of ``sigma`` is weighted-homogeneous: each southwest minor
+    satisfies ``m_j(lam t, lam**w x) = lam**d_j m_j(t, x)``.  For
+    ``lam > 0`` the minors at ``lam**w x`` have the roots of those at ``x``
+    times ``lam``, with the same multiplicities, so the strata are cones.
+    As ``lam -> 0`` every real root enters the domain (-1, 1), and the germ
+    label of the ray through ``x`` is the label at ``x`` with every real
+    root counted.  This classifies the 9 x 9 weighted grid on the unit box
+    with ``domain=None`` and returns the words that occur.  The one-letter
+    word itself (the origin) is always included.
+
+    The grid is finite, and a word whose stratum it misses is absent from
+    the set: the oracle then answers a definite ``False`` for that word,
+    where only a proof should say no.
     """
     section = polysect.build_section(sigma)
-    per_radius = []
-    for k in (4, 6):
-        radius = Fraction(1, 2**k)
-        labels = {(sigma,)}
-        for point in polysect.weighted_grid_points(radius, 9, section.x_weights):
-            cls = polysect.classify_point(section, point)
-            labels.add(tuple(cls.word))
-        per_radius.append(labels)
-    stable = set.intersection(*per_radius)
-    return frozenset(stable)
+    labels = {(sigma,)}
+    for point in polysect.weighted_grid_points(1, 9, section.x_weights):
+        labels.add(polysect.classify_point(section, point, domain=None).word)
+    return frozenset(labels)
 
 
 def oracle_from_sections(n: int) -> Callable:

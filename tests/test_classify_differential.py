@@ -2,8 +2,9 @@
 
 ``classify_point`` takes the square-free decomposition of each minor
 (``dup_sqf_list``) and isolates the roots of all its factors at once with
-``dup_isolate_real_roots_sqf``; the checks here go through a different
-code path (``Poly.count_roots``, ``sqf_part``, ``rem``, ``real_roots``).
+``dup_isolate_real_roots_sqf``, on the domain (-1, 1) or, with
+``domain=None``, on all of R; the checks here go through a different code
+path (``Poly.count_roots``, ``sqf_part``, ``rem``, ``real_roots``).
 """
 
 from fractions import Fraction
@@ -97,3 +98,38 @@ def test_rational_roots_on_a_domain_end_are_dropped(domain):
     )
     assert all(domain[0] < e.root < domain[1] for e in cls.events)
     assert len(cls.events) == (0 if domain[0] == Fraction(-1, 3) else 1)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(case=("aba", (Fraction(0), Fraction(-2))))
+@example(case=("acb", (Fraction(1, 3), Fraction(-1, 3))))
+@given(case=family_points())
+def test_classify_point_on_all_of_r_matches_real_roots(case):
+    name, point = case
+    section = FAMILIES[name]
+    try:
+        cls = polysect.classify_point(section, point, domain=None)
+    except polysect.ZeroPolynomial:
+        assert any(m.is_zero for m in minors_at(section, point))
+        return
+    ms = minors_at(section, point)
+    t = section.t
+    square_free = sp.Poly(sp.sqf_part(sp.prod(m.as_expr() for m in ms)), t)
+    assert len(cls.events) == square_free.count_roots()
+    roots = [m.real_roots() for m in ms]
+    for e in cls.events:
+        a, b = (sp.Rational(end) for end in e.interval)
+        inside = (lambda r: r == a) if a == b else (lambda r: a < r < b)
+        assert e.mult == tuple(sum(1 for r in rs if inside(r)) for rs in roots)
+
+
+def test_a_root_outside_the_domain_counts_only_on_all_of_r():
+    # m_1 = t**2/2 - 2 vanishes at t = -2, 2 and m_2 = t**2/2 + 2 nowhere
+    point = (Fraction(0), Fraction(-2))
+    assert polysect.classify_point(FAMILIES["aba"], point).events == ()
+    cls = polysect.classify_point(FAMILIES["aba"], point, domain=None)
+    assert [(e.root, e.mult) for e in cls.events] == [
+        (Fraction(-2), (1, 0)), (Fraction(2), (1, 0)),
+    ]
+    assert cls.label == "aa"

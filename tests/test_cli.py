@@ -391,6 +391,41 @@ class TestPosetBelowOracle:
         assert code == 0
         assert calls == {"aba": 1, "ba": 1, "ab": 1}
 
+    def test_below_abcb_json_pinned(self, capsys):
+        code, out, _ = run(capsys, "poset", "--below", "abcb", "--n", "3")
+        assert code == 0
+        assert out.startswith(json.dumps(BELOW_ABCB, indent=2) + "\n")
+
+
+BELOW_ABCB = {
+    "below": "abcb",
+    "words": [
+        "[abc]c", "[abcb]", "[bc]ac", "[bc]ca", "[bcb]a", "[cb]ba", "a[bc]c",
+        "a[bcb]", "a[cb]aba", "a[cb]b", "ab[cb]", "aba[cb]a", "ababa",
+        "abacbac", "abacbca", "abb", "abcbc", "ac[bc]", "acbcaba", "acbcb",
+        "acc", "b[cb]a", "bba", "bcbac", "bcbca", "c[abc]", "c[bc]a",
+        "ca[bc]", "cabcaba", "cabcb", "cac", "cbcba", "cca",
+    ],
+    "covers": [
+        ["[abc]c", "[abcb]"], ["[bc]ac", "[abc]c"], ["[bc]ca", "[bcb]a"],
+        ["[bcb]a", "[abcb]"], ["[cb]ba", "[bcb]a"], ["a[bc]c", "[abc]c"],
+        ["a[bc]c", "a[bcb]"], ["a[bcb]", "[abcb]"], ["a[cb]aba", "[abcb]"],
+        ["a[cb]b", "a[bcb]"], ["ab[cb]", "a[bcb]"], ["aba[cb]a", "[abcb]"],
+        ["ababa", "a[cb]aba"], ["ababa", "aba[cb]a"], ["abacbac", "[abc]c"],
+        ["abacbca", "aba[cb]a"], ["abb", "a[cb]b"], ["abb", "ab[cb]"],
+        ["abcbc", "a[bc]c"], ["abcbc", "ab[cb]"], ["ac[bc]", "a[bcb]"],
+        ["acbcaba", "a[cb]aba"], ["acbcb", "a[cb]b"], ["acbcb", "ac[bc]"],
+        ["acc", "a[bc]c"], ["acc", "ac[bc]"], ["b[cb]a", "[bcb]a"],
+        ["bba", "[cb]ba"], ["bba", "b[cb]a"], ["bcbac", "[bc]ac"],
+        ["bcbca", "[bc]ca"], ["bcbca", "b[cb]a"], ["c[abc]", "[abcb]"],
+        ["c[bc]a", "[bcb]a"], ["c[bc]a", "c[abc]"], ["ca[bc]", "c[abc]"],
+        ["cabcaba", "c[abc]"], ["cabcb", "ca[bc]"], ["cac", "[bc]ac"],
+        ["cac", "ca[bc]"], ["cbcba", "[cb]ba"], ["cbcba", "c[bc]a"],
+        ["cca", "[bc]ca"], ["cca", "c[bc]a"],
+    ],
+    "unknown_pairs": [],
+}
+
 
 class TestNonFiniteCurves:
     """Curvatures that are not positive finite floats are usage errors; a

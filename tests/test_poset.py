@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from artifact import poset, symgrp
+from artifact import polysect, poset, symgrp
 
 
 def word(n, text):
@@ -46,6 +46,36 @@ class TestLetterOracle:
         got = {symgrp.word_name(w) for w in poset.letter_oracle_section(acb)}
         assert len(got) == 11
         assert "[acb]" in got and "[ac]b[ac]" in got
+
+
+def _two_radius_words(sigma):
+    """The words seen on both 9 x 9 weighted grids of radii 2**-4 and
+    2**-6, roots counted in (-1, 1): an independent reference, which uses
+    the default domain and no homogeneity."""
+    section = polysect.build_section(sigma)
+    per_radius = []
+    for k in (4, 6):
+        words = {(sigma,)}
+        for point in polysect.weighted_grid_points(
+            Fraction(1, 2**k), 9, section.x_weights
+        ):
+            words.add(polysect.classify_point(section, point).word)
+        per_radius.append(words)
+    return per_radius[0] & per_radius[1]
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [
+        sigma
+        for n in (2, 3)
+        for sigma in symgrp.all_permutations(n)
+        if symgrp.inversions(sigma) in (2, 3)
+    ],
+    ids=lambda sigma: f"n{sigma.n}-{symgrp.letter_name(sigma)}",
+)
+def test_unit_grid_oracle_equals_two_radius_intersection(sigma):
+    assert poset.letter_oracle_section(sigma) == _two_radius_words(sigma)
 
 
 class TestPrec:
