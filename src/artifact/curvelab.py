@@ -7,8 +7,11 @@ frames ``Pi(z(t))`` and their southwest minors over a whole stack of
 times in one call.  Since ``Pi(z) = Pi(-z)``, a matrix path gives its
 frames and minors straight from batched QRs, without the spin lift; its
 node lifts are built only when a spinor is asked for (``curve(t)``, an
-endpoint, the ``u`` invariant).  Spinor-valued curves project their
-stacked spinors by one contraction per stack.  The module provides
+endpoint, the ``u`` invariant).  A synthesized curve computes the spinors
+of a whole stack at once, a few array operations per segment, and
+``curve(t)`` is a stack of one.  Only hand-built and constant-curvature
+curves are evaluated one time at a time.  Spinor-valued curves project
+their stacked spinors by one contraction per stack.  The module provides
 
 * constant-curvature solutions of the frame equation
   ``z' = z * sum_j kappa_j a_j`` in closed form, the one-parameter
@@ -99,11 +102,13 @@ class FrameCurve:
 
     :meth:`matrix` and :meth:`minors` take one time or a 1-d stack of
     times (one time is a stack of one) and evaluate the whole stack in one
-    call.  ``frames_fn``, when given, maps a
-    stack of times to the rotation frames ``Pi(z(t))`` without the spin
-    lift (matrix paths: their positive QR factors); otherwise the frames
-    are the projections of the stacked ``eval_fn`` spinors.  Every time of
-    a stack is checked against the domain (``ValueError``).
+    call.  ``frames_fn``, when given, maps a stack of times to the rotation
+    frames ``Pi(z(t))``: matrix paths take their positive QR factors
+    without the spin lift, and synthesized curves project the spinors of
+    the whole stack (their ``eval_fn`` reads a stack of one).  Without it,
+    which serves only hand-built and constant-curvature curves, the frames
+    are the projections of ``eval_fn``'s spinors, one call per time.
+    Every time of a stack is checked against the domain (``ValueError``).
     """
 
     n: int
@@ -407,7 +412,9 @@ def singular_events(
     call, and so are the center and slope probes of each cluster and each
     refinement step, which bisects every sign-change bracket and takes a
     golden-section step on every dip bracket together (at most 200 steps).
-    A sign-change time is bisected to 1e-14; a dip-only time (every
+    A sign-change root is bisected to 1e-14, and an event with one takes
+    its time from the minors of least multiplicity (the probes are centred
+    on the median of all its sign-change roots); a dip-only time (every
     multiplicity even) is only as accurate as ``|m_j|`` is steep near its
     minimum.  The ends are not events: a root within 1e-9 of an end is
     dropped, and so is a root of ``m_j`` within one grid step of an end
@@ -492,6 +499,13 @@ def singular_events(
             ) from exc
         if letter.is_identity():
             raise UnresolvedCluster(f"zero multiplicity cluster at t={center}")
+        if precise:
+            # rounding noise spreads the sign changes of a root of order k
+            # over about eps**(1/k): the time is read from the minors of
+            # least multiplicity, whose roots bisection pins down
+            least = min(mult[j] for _, j, sc in cl if sc)
+            best = sorted(t for t, j, sc in cl if sc and mult[j] == least)
+            center = best[len(best) // 2]
         events.append(SingularEvent(center, letter, tuple(mult)))
     return events
 
@@ -579,9 +593,7 @@ def curve_with_itinerary(
         model_end = spinalg.spin_exp_h(n, math.pi)
         if triang._spin_distance(model_end, endpoint.to_float()) > 1e-8:
             raise PathNotAccessible("empty-word endpoint is not exp(pi h)")
-        return FrameCurve(
-            n, (0.0, 1.0), lambda t: spinalg.spin_exp_h(n, math.pi * t)
-        )
+        return _stacked_curve(n, (0.0, 1.0), lambda ts: spinalg.exp_h(n, math.pi * ts))
 
     if times is None:
         times = [(j + 1) / (ell + 1) for j in range(ell)]
@@ -637,53 +649,86 @@ def _final_corner(n: int) -> tuple:
     raise PathNotAccessible("endpoint is not a corner of the final chart")
 
 
-def _chart_product(n: int, q: Spinor, eta_word, thetas) -> Spinor:
-    z = q
-    for i, th in zip(eta_word, thetas):
-        z = z * spinalg.alpha(n, i, float(th))
-    return z
+@functools.lru_cache(maxsize=None)
+def _right_blade(n: int, i: int) -> tuple:
+    """Right multiplication by ``e_{i,i+1}`` as the signed permutation
+    ``(src, sign)`` of blade columns: ``(Z e_{i,i+1})[:, c] = sign[c] *
+    Z[:, src[c]]``."""
+    t = spinalg._tables(n)
+    src = np.argmax(t.prod_index == t.index[(i, i + 1)], axis=0)
+    return src, t.prod_sign[src, np.arange(len(src))]
+
+
+def _chart_product(n: int, q: Spinor, eta_word, thetas) -> np.ndarray:
+    """Coefficient rows of ``q * prod_i alpha_{eta_word[i]}(thetas[:, i])``
+    for a ``(k, len(eta_word))`` stack of angles.
+
+    Each factor is the two-term update ``Z <- cos(th/2) Z - sin(th/2) Z
+    e_{i,i+1}``; every output blade has one term of each, so the rows equal
+    the :class:`Spinor` product chain bit for bit.
+    """
+    Z = np.tile(q.v, (len(thetas), 1))
+    for i, th in zip(eta_word, thetas.T):
+        src, sign = _right_blade(n, i)
+        half = th[:, None] / 2
+        Z = np.cos(half) * Z - np.sin(half) * (Z[:, src] * sign)
+    return Z
+
+
+def _stacked_curve(n: int, ts: tuple, spinors) -> FrameCurve:
+    """The curve whose spinors over a stack of times are the coefficient
+    rows ``spinors(times)``; ``curve(t)`` reads a stack of one."""
+    return FrameCurve(
+        n,
+        ts,
+        lambda t: Spinor(n, spinors(np.array([float(t)]))[0]),
+        lambda times: spinalg._project_float(n, spinors(times)),
+    )
 
 
 def _assemble_curve(table, times, d, r) -> FrameCurve:
+    """Model arcs ``B(w, j) exp(s c h)`` joined by chart connectors, read
+    a stack at a time: the stack is split by segment, and each segment is
+    a few array operations (one :func:`~artifact.spinalg.exp_h` product
+    per arc, one :func:`_chart_product` per connector)."""
     word = table.word
     n = word[0].n
     ell = len(word)
     eta_word = symgrp.reduced_word(symgrp.longest_element(n))
     c = math.pi / 4  # the model arcs are B(w, j) exp(s c h), |s| <= r
 
-    arcs = [table.integer[j + 1].to_float() for j in range(ell)]
+    # B(w, j) * row is the row times B's left multiplication matrix, taken
+    # row by row so that a row does not depend on the rest of its stack
+    arcs = [table.integer[j + 1].to_float().left_matrix().T for j in range(ell)]
     qs = [qj.to_float() for qj in table.q]
 
-    def arc_eval(j):
-        B = arcs[j]
-        tau = times[j]
+    def arc_rows(j, s):
+        return (spinalg.exp_h(n, s)[:, None] @ arcs[j])[:, 0]
 
-        def ev(t):
-            s = (t - tau) / d * r * c
-            return B * spinalg.spin_exp_h(n, s)
+    def arc(j):
+        return lambda t: arc_rows(j, (t - times[j]) / d * r * c)
 
-        return ev
+    # the ends B(w, j) exp(-+r c h) of every arc
+    ends = [Spinor(n, v) for j in range(ell) for v in arc_rows(j, [-r * c, r * c])]
+    start_of_arc, end_of_arc = ends[0::2], ends[1::2]
 
-    start_of_arc = [arcs[j] * spinalg.spin_exp_h(n, -r * c) for j in range(ell)]
-    end_of_arc = [arcs[j] * spinalg.spin_exp_h(n, r * c) for j in range(ell)]
-
-    segments = []  # (t_lo, t_hi, eval callable)
+    segments = []  # (t_lo, t_hi, rows of a stack of times in [t_lo, t_hi])
 
     def add_chart_connector(q, th_from, th_to, t_lo, t_hi):
         th_from = np.array(th_from)
         th_to = np.array(th_to)
 
-        def ev(t):
-            s = (t - t_lo) / (t_hi - t_lo)
+        def rows(t):
+            s = ((t - t_lo) / (t_hi - t_lo))[:, None]
             return _chart_product(n, q, eta_word, (1 - s) * th_from + s * th_to)
 
-        segments.append((t_lo, t_hi, ev))
+        segments.append((t_lo, t_hi, rows))
 
     # initial ramp: 1 -> C_1 inside the component q_0 = 1
     th_c1 = spinalg.positive_chart(qs[0].reverse() * start_of_arc[0])
     add_chart_connector(qs[0], [0.0] * len(eta_word), th_c1, 0.0, times[0] - d)
     for j in range(ell):
-        segments.append((times[j] - d, times[j] + d, arc_eval(j)))
+        segments.append((times[j] - d, times[j] + d, arc(j)))
         th_a = spinalg.positive_chart(qs[j + 1].reverse() * end_of_arc[j])
         if j + 1 < ell:
             th_c = spinalg.positive_chart(qs[j + 1].reverse() * start_of_arc[j + 1])
@@ -695,13 +740,17 @@ def _assemble_curve(table, times, d, r) -> FrameCurve:
 
     bounds = [seg[0] for seg in segments]
 
-    def eval_fn(t):
-        k = bisect.bisect_right(bounds, t) - 1
-        k = max(0, min(k, len(segments) - 1))
-        lo, hi, obj = segments[k]
-        return obj(min(max(t, lo), hi))
+    def spinors(ts: np.ndarray) -> np.ndarray:
+        seg = np.searchsorted(bounds, ts, side="right") - 1
+        seg = np.clip(seg, 0, len(segments) - 1)
+        out = np.empty((len(ts), 2**n))
+        for k in np.unique(seg).tolist():
+            lo, hi, rows = segments[k]
+            at = seg == k
+            out[at] = rows(np.clip(ts[at], lo, hi))
+        return out
 
-    return FrameCurve(n, tuple(bounds) + (1.0,), eval_fn)
+    return _stacked_curve(n, tuple(bounds) + (1.0,), spinors)
 
 
 # ---------------------------------------------------------------------------

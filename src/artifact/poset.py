@@ -17,6 +17,7 @@ rather than to a wrong answer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -93,18 +94,32 @@ def letter_oracle_section(sigma: Permutation) -> frozenset:
     As ``lam -> 0`` every real root enters the domain (-1, 1), and the germ
     label of the ray through ``x`` is the label at ``x`` with every real
     root counted.  This classifies the 9 x 9 weighted grid on the unit box
-    with ``domain=None`` and returns the words that occur.  The one-letter
-    word itself (the origin) is always included.
+    with ``domain=None``, one point per ray (:func:`_ray`), and returns the
+    words that occur.  The one-letter word itself (the origin) is always
+    included.
 
     The grid is finite, and a word whose stratum it misses is absent from
     the set: the oracle then answers a definite ``False`` for that word,
     where only a proof should say no.
     """
     section = polysect.build_section(sigma)
-    labels = {(sigma,)}
+    rays: dict = {}
     for point in polysect.weighted_grid_points(1, 9, section.x_weights):
+        rays.setdefault(_ray(point, section.x_weights), point)
+    labels = {(sigma,)}
+    for point in rays.values():
         labels.add(polysect.classify_point(section, point, domain=None).word)
     return frozenset(labels)
+
+
+def _ray(point: Sequence[Fraction], weights: Sequence[int]) -> tuple:
+    """An exact key of the ray ``{lam**w x : lam > 0}`` through ``point``:
+    the sign pattern and the rationals ``|x_l|**(L/w_l) / max``, with
+    ``L = lcm(w)``; each ``|x_l|**(L/w_l)`` scales by ``lam**L``."""
+    L = math.lcm(*weights)
+    powers = [abs(Fraction(x)) ** (L // w) for x, w in zip(point, weights)]
+    top = max(powers) or 1
+    return tuple((x > 0) - (x < 0) for x in point), tuple(p / top for p in powers)
 
 
 def oracle_from_sections(n: int) -> Callable:

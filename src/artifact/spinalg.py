@@ -63,6 +63,7 @@ __all__ = [
     "h_bivector",
     "clifford_exp",
     "exterior_exp",
+    "exp_h",
     "spin_exp_h",
     "theta_exit",
     "cell_of_matrix",
@@ -801,9 +802,42 @@ def exterior_exp(C: np.ndarray) -> Spinor:
     return Spinor(n, total)
 
 
+@functools.lru_cache(maxsize=None)
+def _h_modes(n: int) -> tuple:
+    """``(w, W)``: with ``i L = V diag(w) V^H`` for the left multiplication
+    L of frak h, row k of W is ``conj(V[0, k]) V[:, k]``, so that
+    ``exp(s L) 1 = Re(exp(-i s w) @ W)``."""
+    w, V = np.linalg.eigh(1j * h_bivector(n).left_matrix())
+    W = V.T * V[0].conj()[:, None]
+    w.setflags(write=False)  # cached: shared by every caller
+    W.setflags(write=False)
+    return w, W
+
+
+def exp_h(n: int, s) -> np.ndarray:
+    """Coefficient rows ``(k, 2**n)`` of ``exp(s_k frak h)`` for a 1-d
+    stack ``s``: one product with the eigendecomposition of frak h's left
+    multiplication, cached per n, taken row by row (as in
+    :func:`_project_float`), so a row equals the row of that s alone.  A
+    row with ``s_k == 0`` is exactly 1 (the decomposition alone gives 1
+    only to about 1e-16, and the minors that vanish there would turn to
+    noise).
+
+    >>> exp_h(2, [0.0, math.pi]).round(12) + 0.0
+    array([[ 1.,  0.,  0.,  0.],
+           [-1.,  0.,  0.,  0.]])
+    """
+    s = np.asarray(s, dtype=float)
+    w, W = _h_modes(n)
+    rows = (np.exp(-1j * s[:, None, None] * w) @ W)[:, 0].real
+    rows[s == 0.0] = np.eye(len(w))[0]
+    return rows
+
+
 def spin_exp_h(n: int, t: float) -> Spinor:
-    """``exp(t * frak h)`` in Spin_{n+1} (float)."""
-    return clifford_exp(h_bivector(n).scale(t))
+    """``exp(t * frak h)`` in Spin_{n+1} (float): :func:`exp_h` of a stack
+    of one."""
+    return Spinor(n, exp_h(n, [t])[0])
 
 
 # ---------------------------------------------------------------------------

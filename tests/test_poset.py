@@ -47,6 +47,34 @@ class TestLetterOracle:
         assert len(got) == 11
         assert "[acb]" in got and "[ac]b[ac]" in got
 
+    @pytest.mark.parametrize(
+        "n, name, rays", [(2, "aba", 61), (3, "acb", 49), (3, "cba", 69), (3, "ab", 3)]
+    )
+    def test_one_classification_per_ray(self, monkeypatch, n, name, rays):
+        # of the 9**k grid points, x and lam**w x (lam > 0) share a ray
+        points = []
+        inner = polysect.classify_point
+
+        def counted(section, point, **kw):
+            points.append(point)
+            return inner(section, point, **kw)
+
+        monkeypatch.setattr(polysect, "classify_point", counted)
+        sigma = symgrp.letter_from_name(n, name)
+        poset.letter_oracle_section(sigma)
+        assert len(points) == rays
+        weights = polysect.build_section(sigma).x_weights
+        assert len({poset._ray(p, weights) for p in points}) == rays
+
+    def test_ray_key(self):
+        # weights (1, 2): (1/2, 1/4) = (1/2)**w (1, 1); the sign pattern counts
+        w = (1, 2)
+        half = (Fraction(1, 2), Fraction(1, 4))
+        assert poset._ray(half, w) == poset._ray((1, 1), w)
+        assert poset._ray((Fraction(1, 2), Fraction(1, 2)), w) != poset._ray((1, 1), w)
+        assert poset._ray((-1, 1), w) != poset._ray((1, 1), w)
+        assert poset._ray((0, 0), w) == ((0, 0), (0, 0))
+
 
 def _two_radius_words(sigma):
     """The words seen on both 9 x 9 weighted grids of radii 2**-4 and
