@@ -309,45 +309,137 @@ def southwest_minors(M) -> np.ndarray:
     )
 
 
-def _refine(curve: FrameCurve, sj, lo, hi, flo, dj, a, b) -> tuple:
+_GOLD = (3 - math.sqrt(5)) / 2  # the golden-section fraction
+
+
+def _chandrupatla(a, b, c, fa, fb, fc) -> np.ndarray:
+    """Chandrupatla's next point of each root bracket, as the fraction of
+    the way from the newest point ``a`` to the end ``b`` of opposite sign
+    (``c`` is the point dropped last): the inverse-quadratic step through
+    the three points where their values admit it, else 1/2."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi = (a - b) / (c - b)
+        phi = (fa - fb) / (fc - fb)
+        t = fa / (fb - fa) * fc / (fb - fc) + (
+            (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+        )
+    ok = (phi * phi < xi) & ((1 - phi) ** 2 < 1 - xi) & np.isfinite(t)
+    return np.where(ok, t, 0.5)
+
+
+def _dip_probes(X, F, golden) -> np.ndarray:
+    """Three points to read inside each dip triple ``X`` with signed values
+    ``F``: the point ``q`` where the parabola through the three values has
+    least modulus, and its flanks ``q -+ s``, ``s = max(|q - x2|, 2.5e-13)``.
+    Once ``q`` is nearer the minimum than the last step was long, the flanks
+    enclose it and the next triple is ``s`` wide.  Where ``golden`` holds
+    or ``q`` falls outside the triple, the points are the golden-section
+    points of both halves (and ``x2`` again)."""
+    x1, x2, x3 = X.T
+    m1, m2, m3 = F.T
+    # P(x2 + u) = m2 + beta u + gam u^2: its root nearest x2 (Muller's
+    # step), or its vertex when it has no real root
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d1, d3 = (m1 - m2) / (x1 - x2), (m3 - m2) / (x3 - x2)
+        gam = (d3 - d1) / (x3 - x1)
+        beta = d1 - gam * (x1 - x2)
+        disc = beta * beta - 4 * gam * m2
+        root = -2 * m2 / (beta + np.copysign(np.sqrt(abs(disc)), beta))
+        q = x2 + np.where(m2 == 0, 0.0, np.where(disc >= 0, root, -beta / (2 * gam)))
+    s = np.maximum(abs(q - x2), np.maximum(2.5e-13, np.spacing(abs(x2))))
+    fit = np.clip(np.stack([q - s, q, q + s], axis=1), x1[:, None], x3[:, None])
+    section = np.stack([x2 - _GOLD * (x2 - x1), x2, x2 + _GOLD * (x3 - x2)], axis=1)
+    golden = golden | ~((x1 < q) & (q < x3))
+    return np.where(golden[:, None], section, fit)
+
+
+def _least_trio(X, F) -> tuple:
+    """Per row, the point of least ``|F|`` other than the ends (columns 0
+    and 2) and its nearest neighbours on either side, as ``(X, F)``."""
+    rows = np.arange(len(X))[:, None]
+    pick = abs(F)
+    pick[:, [0, 2]] = np.inf  # the ends bound the minimum, they are not it
+    best = pick.argmin(axis=1)[:, None]
+    xm = X[rows, best]
+    left = np.where(X < xm, X, -np.inf).argmax(axis=1)[:, None]
+    right = np.where(X > xm, X, np.inf).argmin(axis=1)[:, None]
+    trio = np.concatenate([left, best, right], axis=1)
+    return X[rows, trio], F[rows, trio]
+
+
+def _refine(curve: FrameCurve, grid_ts, vals, ks, sj, kd, dj) -> tuple:
     """Refine every bracket of every minor together, each step one stacked
     :meth:`FrameCurve.minors` call, for at most 200 steps.
 
-    The sign-change brackets ``[lo, hi]`` of minors ``sj`` (``flo =
-    m_j(lo)``) are bisected to width 1e-14, or until the midpoint rounds
-    to an end (far from t = 0 doubles are wider).  On the dip brackets
-    ``[a, b]`` of minors ``dj`` a golden-section search minimizes ``|m_j|``
-    to width 1e-12; the first step reads both of its starting points, each
-    later step one new point.  The arrays change in place.  Returns the
-    sign-change times, the dip times and ``|m_j|`` at the dip times.
+    A sign-change bracket of minor ``sj`` starts on the grid interval
+    ``[grid_ts[k], grid_ts[k + 1]]`` (``k`` in ``ks``; a grid zero is a
+    bracket of width 0).  Its first point is the secant root, each later
+    one Chandrupatla's step (:func:`_chandrupatla`), held at least 5e-15
+    and one double inside the bracket: once the interpolation has
+    converged, the next point lands across the root and the bracket
+    closes.  It stops at width 1e-14, or when its midpoint rounds to an
+    end (far from t = 0 doubles are wider), and its time is the midpoint.
+
+    A dip bracket of minor ``dj`` is a triple ``x1 < x2 < x3`` with
+    ``|m_j(x2)| <= |m_j(x1)|, |m_j(x3)|``, first the grid points ``k - 1,
+    k, k + 1`` (``k`` in ``kd``).  Each step reads three points
+    (:func:`_dip_probes`), golden-section ones when the last step did not
+    halve the bracket, and keeps the least point read with its nearest
+    neighbours.  It stops at width 1e-12, when no double lies inside it
+    but ``x2``, or when its three ``|m_j|`` are equal to within four
+    rounding units of ``|m_j(x2)|`` (a rounding plateau); its time is
+    ``x2``.
+
+    Returns the sign-change times, the dip times and ``|m_j|`` at them.
     """
-    g = (math.sqrt(5) - 1) / 2
-    x = np.stack([b - g * (b - a), a + g * (b - a)])  # golden points c < d
-    fx = np.empty_like(x)  # |m_j| at them
-    side, idx = np.repeat([0, 1], len(dj)), np.tile(np.arange(len(dj)), 2)
-    for step in range(200):
+    eps = np.finfo(float).eps
+    ends = ks + (vals[ks, sj] != 0)
+    a, b, fa, fb = grid_ts[ks], grid_ts[ends], vals[ks, sj], vals[ends, sj]
+    c, fc = a.copy(), fa.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = fa / (fa - fb)  # the secant root
+    trio = np.stack([kd - 1, kd, kd + 1], axis=1)
+    X, F = grid_ts[trio], vals[trio, dj[:, None]]  # F: signed m_j
+    width = np.full(len(dj), np.inf)  # each dip's width before its last step
+    for _ in range(200):
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
         mid = 0.5 * (lo + hi)
         live = np.flatnonzero((hi - lo >= 1e-14) & (lo < mid) & (mid < hi))
-        if step:
-            idx = np.flatnonzero(b - a > 1e-12)
-            side = np.where(fx[0, idx] < fx[1, idx], 0, 1)
-            L, R = idx[side == 0], idx[side == 1]
-            b[L], x[1, L], fx[1, L] = x[1, L], x[0, L], fx[0, L]
-            x[0, L] = b[L] - g * (b[L] - a[L])
-            a[R], x[0, R], fx[0, R] = x[0, R], x[1, R], fx[1, R]
-            x[1, R] = a[R] + g * (b[R] - a[R])
-        if not len(live) + len(idx):
+        (x1, x2, x3), (f1, f2, f3) = X.T, abs(F).T
+        dips = np.flatnonzero(
+            (x3 - x1 > 1e-12)
+            & ((np.nextafter(x1, x2) < x2) | (np.nextafter(x2, x3) < x3))
+            & (0.5 * (f1 + f3) - f2 > 4 * eps * f2)
+        )
+        if not len(live) + len(dips):
             break
-        mid = mid[live]
-        f = curve.minors(np.concatenate([mid, x[side, idx]]))
-        fx[side, idx] = np.abs(f[len(live) + np.arange(len(idx)), dj[idx]])
-        fm = f[np.arange(len(live)), sj[live]]
-        left = flo[live] * fm <= 0
-        hi[live[left]] = mid[left]
-        lo[live[~left]], flo[live[~left]] = mid[~left], fm[~left]
-    t = 0.5 * (a + b)
-    fmin = np.abs(curve.minors(t)[np.arange(len(dj)), dj]) if len(dj) else t
-    return 0.5 * (lo + hi), t, fmin
+        al, bl = a[live], b[live]
+        inside = np.maximum(5e-15, np.spacing(np.maximum(abs(al), abs(bl))))
+        tlim = inside / abs(bl - al)
+        step = np.where(tlim < 0.5, np.clip(t[live], tlim, 1 - tlim), 0.5)
+        xt = al + step * (bl - al)
+        xt = np.where((lo[live] < xt) & (xt < hi[live]), xt, mid[live])
+        P = _dip_probes(X[dips], F[dips], x3[dips] - x1[dips] > 0.5 * width[dips])
+        width[dips] = x3[dips] - x1[dips]
+
+        f = curve.minors(np.concatenate([xt, P.ravel()]))
+        ft = f[np.arange(len(live)), sj[live]]
+        fp = f[len(live) :].reshape(len(dips), 3, curve.n)
+        fp = fp[np.arange(len(dips)), :, dj[dips]]
+
+        # a is the newest point, b the end of opposite sign, c the point
+        # dropped; a zero of m_j closes its bracket
+        fal, fbl = fa[live], fb[live]
+        same = (ft > 0) == (fal > 0)
+        c[live], fc[live] = np.where(same, al, bl), np.where(same, fal, fbl)
+        b[live] = np.where(ft == 0, xt, np.where(same, bl, al))
+        fb[live] = np.where(same, fbl, fal)
+        a[live], fa[live] = xt, ft
+        t[live] = _chandrupatla(a[live], b[live], c[live], fa[live], fb[live], fc[live])
+        X[dips], F[dips] = _least_trio(
+            np.concatenate([X[dips], P], axis=1), np.concatenate([F[dips], fp], axis=1)
+        )
+    return 0.5 * (a + b), X[:, 1], abs(F[:, 1])
 
 
 def _slope_probes(tstar, d0, t0, t1) -> list:
@@ -404,21 +496,25 @@ def singular_events(
 ) -> list[SingularEvent]:
     """Locate and classify the singular set of ``curve`` on the open domain.
 
-    Zeros of the southwest minors are found by sign-change bisection and
-    by |m| dips, clustered within ``cluster_tol``, and each cluster is
-    given a multiplicity vector by log-log slope estimation at two scales
-    (:class:`UnresolvedCluster` if the scales disagree or the pattern is
-    not a permutation).  The grid is one stacked :meth:`FrameCurve.minors`
-    call, and so are the center and slope probes of each cluster and each
-    refinement step, which bisects every sign-change bracket and takes a
-    golden-section step on every dip bracket together (at most 200 steps).
-    A sign-change root is bisected to 1e-14, and an event with one takes
-    its time from the minors of least multiplicity (the probes are centred
-    on the median of all its sign-change roots); a dip-only time (every
-    multiplicity even) is only as accurate as ``|m_j|`` is steep near its
-    minimum.  The ends are not events: a root within 1e-9 of an end is
-    dropped, and so is a root of ``m_j`` within one grid step of an end
-    where ``|m_j| < zero_rel * max |m_j|``.
+    The grid is one stacked :meth:`FrameCurve.minors` call.  A zero of a
+    minor shows there as a sign change between grid points, or as a dip:
+    an interior local minimum of ``|m_j|`` below ``1e-4 * max |m_j|``.
+    :func:`_refine` refines every bracket of every minor together, one
+    stacked call per step: a sign-change root to a bracket of 1e-14 by
+    interpolating steps (most close in a few steps; a root of order 3
+    sits in rounding noise, where the steps bisect), a dip to the least
+    ``|m_j|`` it finds.  A dip is a root when that least value is below
+    ``zero_rel * max |m_j|``.  The roots are clustered within
+    ``cluster_tol``, and each cluster is given a multiplicity vector by
+    log-log slope estimation at two scales, its centre and slope probes
+    one stacked call (:class:`UnresolvedCluster` if the scales disagree
+    or the pattern is not a permutation).  An event with a sign-change
+    root takes its time from the minors of least multiplicity (the probes
+    are centred on the median of all its sign-change roots); a dip-only
+    time (every multiplicity even) is only as accurate as ``|m_j|`` is
+    steep near its minimum.  The ends are not events: a root within 1e-9
+    of an end is dropped, and so is a root of ``m_j`` within one grid step
+    of an end where ``|m_j| < zero_rel * max |m_j|``.
     """
     n = curve.n
     t0, t1 = curve.t0, curve.t1
@@ -434,12 +530,8 @@ def singular_events(
     dip[0] = False
     dip[1:] &= (a[1:-1] <= a[:-2]) & (a[1:-1] <= a[2:]) & (a[1:-1] < 1e-4 * scales)
     ks, js = np.nonzero(change)
-    flo = vals[ks, js]
     kd, jd = np.nonzero(dip)
-    ts, td, fmin = _refine(
-        curve, js, grid_ts[ks], grid_ts[ks + (flo != 0)], flo,
-        jd, grid_ts[kd - 1], grid_ts[kd + 1],
-    )
+    ts, td, fmin = _refine(curve, grid_ts, vals, ks, js, kd, jd)
     roots = list(zip(ts.tolist(), js.tolist(), itertools.repeat(True)))
     keep = fmin < zero_rel * scales[jd]
     roots += zip(td[keep].tolist(), jd[keep].tolist(), itertools.repeat(False))

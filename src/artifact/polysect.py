@@ -31,6 +31,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
+import numpy as np
 import sympy as sp
 from sympy.polys.densearith import dup_exquo, dup_mul
 from sympy.polys.densetools import dmp_eval_tail, dup_clear_denoms, dup_eval
@@ -104,9 +105,20 @@ class SectionFamily:
         return self.x_vars
 
 
+@lru_cache(maxsize=None)
+def _quarter_turn(n: int, i: int) -> np.ndarray:
+    """``Pi(alpha_i(pi/2))``, a signed permutation matrix, in integers."""
+    rows = spinalg.project(spinalg.alpha_exact(n, i, +1))
+    Q = np.array([[int(v.p) for v in row] for row in rows])
+    Q.setflags(write=False)  # cached: shared by every caller
+    return Q
+
+
 def build_section(sigma: Permutation) -> SectionFamily:
     """Build the transversal section family for the letter ``sigma``: its
-    pivots and their signs are those of ``Pi(acute(eta) acute(sigma))``.
+    pivots and their signs are those of ``Pi(acute(eta) acute(sigma))``,
+    the product of the integer matrices ``Pi(alpha_i(pi/2))`` along reduced
+    words of eta and sigma (Pi is a homomorphism).
 
     >>> aba = symgrp.letter_from_name(2, 'aba')
     >>> sp.pprint  # doctest: +SKIP
@@ -122,15 +134,9 @@ def build_section(sigma: Permutation) -> SectionFamily:
     eta = symgrp.longest_element(n)
     rho = symgrp.compose(eta, sigma)
     rho_inv = symgrp.inverse(rho)
-    Q0 = spinalg.project(spinalg.acute(eta) * spinalg.acute(sigma))
-
-    def entry_sign(i: int, j: int) -> int:  # 1-based
-        v = Q0[i - 1][j - 1]
-        f = float(v)
-        if abs(f - round(f)) > 0 or round(f) not in (-1, 0, 1):
-            raise ValueError("pivot entry is not a sign")
-        return int(round(f))
-
+    Q0 = np.eye(n + 1, dtype=int)
+    for i in symgrp.reduced_word(eta) + symgrp.reduced_word(sigma):
+        Q0 = Q0 @ _quarter_turn(n, i)
     d_plus_1 = symgrp.inversions(sigma)
     xs = sp.symbols(f"x1:{d_plus_1 + 1}")
     t = sp.Symbol("t")
@@ -144,9 +150,9 @@ def build_section(sigma: Permutation) -> SectionFamily:
     if len(positions) != d_plus_1:
         raise AssertionError("variable count mismatch with inv(sigma)")
     for i in range(1, n + 2):
-        M0[i - 1, rho(i) - 1] = entry_sign(i, rho(i))
+        M0[i - 1, rho(i) - 1] = int(Q0[i - 1, rho(i) - 1])
     for x_l, (i, j) in zip(xs, positions):
-        M0[i - 1, j - 1] = entry_sign(i, rho(i)) * x_l
+        M0[i - 1, j - 1] = M0[i - 1, rho(i) - 1] * x_l
     M_full = sp.expand(M0 * sp.Matrix(triang.exp_nilpotent(n, t)))
     M = sp.expand(M_full.subs(xs[-1], 0))
     # quasi-homogeneous weight of the variable at (i, j): rho(i) - j
@@ -274,6 +280,32 @@ def _rational_roots(h: list[int]) -> list[Fraction]:
     return []
 
 
+def _newton(h: list, lo: float, hi: float, sign_lo: int) -> float:
+    """A float root of the integer polynomial ``h`` in ``[lo, hi]``, where
+    it changes sign (``sign_lo`` at ``lo``): Newton's method from the
+    midpoint, bisecting when a step leaves the bracket, until a step moves
+    less than two units in the last place."""
+    c = [float(v) for v in h]
+    x = 0.5 * (lo + hi)
+    for _ in range(100):
+        p = dp = 0.0
+        for v in c:
+            dp = dp * x + p
+            p = p * x + v
+        if p == 0.0:
+            return x
+        if (p > 0) == (sign_lo > 0):
+            lo = x
+        else:
+            hi = x
+        step = x - p / dp if dp else lo  # a flat point bisects
+        step = step if lo < step < hi else 0.5 * (lo + hi)
+        if abs(step - x) <= 2 * math.ulp(x):
+            return step
+        x = step
+    return x
+
+
 @dataclass(frozen=True)
 class ExactEvent:
     """One singular time of a section curve, exactly certified.
@@ -330,16 +362,32 @@ class ExactEvent:
     def certificate(self) -> tuple[int, ...]:
         return self._exact[2]
 
-    @property
+    @cached_property
     def approx(self) -> float:
-        """The time as a float, within 1/128 of the exact value."""
+        """The time as a float, within 4 units in its last place of the
+        exact value (a rational time is the nearest float).
+
+        An irrational time is polished by Newton's method on
+        ``certificate`` in floats from the midpoint of ``interval``, and
+        the float ``x`` it returns is certified by the exact signs of
+        ``certificate`` at the rationals ``x -+ d``, ``d`` one and then four
+        units in the last place of ``x``: they differ, and ``interval``
+        holds no other root.  When they do not certify, sympy refines the
+        isolating interval to one unit and ``approx`` is its midpoint.
+        """
         if self.root is not None:
             return float(self.root)
-        a, b = dup_refine_real_root(
-            list(self.certificate), _qq(self.interval[0]), _qq(self.interval[1]),
-            ZZ, eps=QQ(1, 64),
-        )
-        return float(_fraction(a) + _fraction(b)) / 2
+        h = list(self.certificate)
+        lo, hi = self.interval
+        x = _newton(h, float(lo), float(hi), _sign(h, _qq(lo)))
+        ulp = Fraction(math.ulp(x))
+        for k in (1, 4):
+            below, above = Fraction(x) - k * ulp, Fraction(x) + k * ulp
+            inside = lo < below and above < hi
+            if inside and _sign(h, _qq(below)) != _sign(h, _qq(above)):
+                return x
+        a, b = dup_refine_real_root(h, _qq(lo), _qq(hi), ZZ, eps=_qq(ulp))
+        return float((_fraction(a) + _fraction(b)) / 2)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@
 path (``Poly.count_roots``, ``sqf_part``, ``rem``, ``real_roots``).
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -83,7 +84,9 @@ def test_classify_point_matches_sympy_poly(case):
             assert e.root is None
             assert h.eval(sp.Rational(a)) * h.eval(sp.Rational(b)) < 0
             (root,) = [r for r in h.real_roots() if a < r < b]
-            assert abs(e.approx - float(root)) <= 1 / 128
+            # approx is certified to 4 units in its last place
+            error = abs(sp.Float(e.approx, 30) - root.evalf(30))
+            assert error <= 4 * math.ulp(e.approx)
 
     for e1, e2 in zip(cls.events, cls.events[1:]):
         (a1, b1), (a2, b2) = e1.interval, e2.interval

@@ -5,8 +5,10 @@ with 2 to 5 parameters (``acb``, ``abcb``, ``abac``, ``bcba``, ``acba``,
 ``bacb``, ``bacba``, ``abacba``) or of the ``bdcb`` (n=4) section, the
 itinerary that ``curvelab.singular_events`` reads off the section curve
 must be the label ``polysect.classify_point`` computes exactly, unless the
-numeric engine declines with :class:`curvelab.UnresolvedCluster`.  The
-curve is sampled as in ``artifact iti``: t in [-1, 1], 201 lift nodes.
+numeric engine declines with :class:`curvelab.UnresolvedCluster`.  At
+points of the ``aba`` and ``acb`` sections, every event where some minor
+changes sign must also lie within 1e-13 of the exact root.  The curve is
+sampled as in ``artifact iti``: t in [-1, 1], 201 lift nodes.
 """
 
 from fractions import Fraction
@@ -32,8 +34,8 @@ MFUNS = {
 
 
 @st.composite
-def section_points(draw):
-    name = draw(st.sampled_from(sorted(SECTIONS)))
+def section_points(draw, names=tuple(sorted(SECTIONS))):
+    name = draw(st.sampled_from(names))
     # coordinate l is k/64 * 2**(-w_l s): the box scales like the section
     s = draw(st.sampled_from([0, 1, 2]))
     point = tuple(
@@ -64,3 +66,28 @@ def test_numeric_itinerary_is_the_exact_label(case):
     except curvelab.UnresolvedCluster:
         return
     assert symgrp.word_name(tuple(ev.letter for ev in events)) == exact
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(case=("aba", (Fraction(1, 3), Fraction(-1, 18))))
+@example(case=("aba", (Fraction(17, 32), Fraction(11, 16))))
+@example(case=("acb", (Fraction(1, 9), Fraction(1, 11))))
+@given(case=section_points(names=("aba", "acb")))
+def test_sign_change_times_are_the_exact_roots(case):
+    # an event where some minor changes sign is timed by a 1e-14 bracket
+    # of a simple root: it must be the exact root, to 1e-13
+    name, point = case
+    section = SECTIONS[name]
+    values = [float(v) for v in point]
+    curve = curvelab.frame_curve_from_matrix_path(
+        section.n,
+        lambda t: MFUNS[name](t, *values),
+        np.linspace(-1.0, 1.0, 201),
+    )
+    exact = polysect.classify_point(section, point).events
+    events = curvelab.singular_events(curve)
+    assert [ev.letter for ev in events] == [e.letter for e in exact]
+    for ev, e in zip(events, exact):
+        if any(m % 2 for m in ev.mult):
+            assert abs(ev.time - e.approx) <= 1e-13

@@ -514,6 +514,36 @@ class TestStackedRefinement:
         assert symgrp.word_name(tuple(ev.letter for ev in events)) == label
         assert len(calls) <= 60
 
+    @pytest.mark.parametrize(
+        "name, n, point, label",
+        [
+            ("acb", 3, (Fraction(1, 9), Fraction(1, 11)), "cbc"),
+            ("abcb", 3, (Fraction(1, 40), Fraction(-1, 300), Fraction(1, 2000)), "cca"),
+            ("aba", 2, (Fraction(1, 3), Fraction(-1, 18)), "[ba]a"),
+        ],
+    )
+    def test_interpolating_steps_budget(self, monkeypatch, name, n, point, label):
+        # each curve carries a dip bracket beside its simple roots:
+        # interpolating steps close them all in a handful of calls
+        # (bisection and golden-section steps made 51 or 52)
+        calls = spy_calls(monkeypatch, "minors")
+        section = polysect.build_section(symgrp.letter_from_name(n, name))
+        events = curvelab.singular_events(section_curve(section, point))
+        assert symgrp.word_name(tuple(ev.letter for ev in events)) == label
+        assert len(calls) <= 30
+
+    def test_dip_only_budget(self, monkeypatch):
+        # one [aba] event off the grid, seen only as dips of both minors
+        # (golden-section steps made 49 calls)
+        curve = curvelab.curve_with_itinerary("[aba]", n=2, times=[0.3], verify=False)
+        calls = spy_calls(monkeypatch, "minors")
+        events = curvelab.singular_events(curve)
+        assert [(symgrp.letter_name(ev.letter), ev.mult) for ev in events] == [
+            ("aba", (2, 2))
+        ]
+        assert abs(events[0].time - 0.3) < 1e-8
+        assert len(calls) <= 24
+
     @pytest.mark.parametrize("T", [64.0, 4096.0])
     def test_bisection_far_from_zero(self, monkeypatch, T):
         # from |t| = 64 on, adjacent doubles are wider than the 1e-14

@@ -2,8 +2,9 @@
 ``BENCH_<pr>.json``.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR \\
-        --plan synth:2721-2730 --plan order:2701-2710 \\
-        --claim synth:tasks_per_s --trace synth:2750 --out BENCH_17.json
+        --plan sections:2901-2910 --plan synth:2911-2915 \\
+        --claim sections:tasks_per_s --trace sections:7 --trace synth:7 \\
+        --out BENCH_18.json
 
 ``DIR`` is the root of a checkout (``perfbench/run.py`` and ``src/``).  Each
 run is a fresh ``--trace 0`` process in its own checkout, lasting the
@@ -13,10 +14,11 @@ first alternates, parent first in the first pair.  For each end-to-end
 metric of ``BENCHMARK.json`` the output
 holds each side's median and quartiles
 (``statistics.quantiles(n=4, method='inclusive')``), every run, and
-``change_wins``, the pairs the change won (ties count for neither).  An
-optional ``--trace W:SEED`` adds one ``--trace 1`` run per side with its
-digests and every nonzero per-layer metric.  The file is rewritten after
-every pair, so an interrupted run leaves the pairs it finished.
+``change_wins``, the pairs the change won (ties count for neither).  Each
+``--trace W:SEED`` (the option repeats) adds one ``--trace 1`` run of
+workload W per side, under ``trace[W]``, with its digests and every nonzero
+per-layer metric.  The file is rewritten after every pair and every traced
+run, so an interrupted run leaves what it finished.
 """
 
 from __future__ import annotations
@@ -131,7 +133,10 @@ def main() -> None:
     p.add_argument("--change", type=Path, required=True)
     p.add_argument("--plan", action="append", required=True, help="WORKLOAD:FIRST-LAST")
     p.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
-    p.add_argument("--trace", help="WORKLOAD:SEED for one --trace 1 run per side")
+    p.add_argument(
+        "--trace", action="append", default=[],
+        help="WORKLOAD:SEED for one --trace 1 run per side (repeatable)",
+    )
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args()
 
@@ -175,9 +180,9 @@ def main() -> None:
             doc["workloads"][workload] = workload_entry(pairs, metrics)
             write()
             print(f"{workload} seed {seed}: pair {k + 1}/{len(seeds)}", file=sys.stderr)
-    if args.trace:
-        workload, _, seed = args.trace.partition(":")
-        doc["trace"] = {
+    for text in args.trace:
+        workload, _, seed = text.partition(":")
+        doc.setdefault("trace", {})[workload] = {
             "command": f"python3 perfbench/run.py --workload {workload} "
             f"--seed {seed} --seconds {seconds:g} --trace 1",
             "sides": {
@@ -185,7 +190,7 @@ def main() -> None:
                 for side in SIDES
             },
         }
-    write()
+        write()
 
 
 if __name__ == "__main__":
