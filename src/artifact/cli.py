@@ -156,11 +156,9 @@ def _rank(args, cfg: RunConfig) -> int:
 def _parse_word(n: int, text: str):
     """Bracketed word syntax; '()' or '' denotes the empty word."""
     text = text.strip()
-    if text in ("()", ""):
-        return ()
     try:
         return symgrp.word_from_name(n, text)
-    except (ValueError, KeyError, symgrp.NotReducedBracket) as exc:
+    except (ValueError, KeyError) as exc:  # symgrp.NotReducedBracket too
         raise UsageError(f"bad word {text!r}: {exc}") from exc
 
 
@@ -238,7 +236,7 @@ def _curve_from_spec(spec: dict, cfg: RunConfig) -> curvelab.FrameCurve:
         try:
             sigma = symgrp.letter_from_name(n, sigma_name)
             section = polysect.build_section(sigma)
-        except ValueError as exc:  # spinalg.IdentityLetter is a ValueError
+        except ValueError as exc:  # symgrp.NotReducedBracket is a ValueError
             raise UsageError(str(exc)) from exc
         point_text = spec.get("point", "")
         point = [_parse_fraction(v) for v in point_text.split(",") if v.strip()]
@@ -330,8 +328,6 @@ def cmd_section(args, cfg: RunConfig) -> int:
         sigma = symgrp.letter_from_name(3 if args.family else n, args.sigma or "acb")
         if not args.family:
             section = polysect.build_section(sigma)
-    except spinalg.IdentityLetter as exc:
-        raise UsageError(str(exc)) from exc
     except (ValueError, KeyError) as exc:
         raise UsageError(f"bad letter {args.sigma!r}: {exc}") from exc
     if args.family:
@@ -400,8 +396,6 @@ def cmd_poset(args, cfg: RunConfig) -> int:
             sigma = symgrp.letter_from_name(n, args.below.strip("[]"))
         except (ValueError, KeyError) as exc:
             raise UsageError(f"bad letter {args.below!r}: {exc}") from exc
-        if sigma.is_identity():
-            raise UsageError(f"bad letter {args.below!r}: the identity")
         words = oracle.letter_set(sigma)
         if words is None:
             raise UsageError(f"the section of {args.below!r} cannot be classified")

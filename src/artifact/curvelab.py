@@ -7,15 +7,17 @@ frames ``Pi(z(t))`` and their southwest minors over a whole stack of
 times in one call.  Since ``Pi(z) = Pi(-z)``, a matrix path gives its
 frames and minors straight from batched QRs, without the spin lift; its
 node lifts are built only when a spinor is asked for (``curve(t)``, an
-endpoint, the ``u`` invariant).  A synthesized curve computes the spinors
-of a whole stack at once, a few array operations per segment, and
-``curve(t)`` is a stack of one.  Only hand-built and constant-curvature
-curves are evaluated one time at a time.  Spinor-valued curves project
-their stacked spinors by one contraction per stack.  The module provides
+endpoint, the ``u`` invariant).  Synthesized and constant-curvature
+curves compute the spinors of a whole stack at once, a few array
+operations per segment, and ``curve(t)`` is a stack of one; no library
+curve is read one time at a time (only hand-built ones are).
+Spinor-valued curves project their stacked spinors by one contraction per
+stack.  The module provides
 
 * constant-curvature solutions of the frame equation
   ``z' = z * sum_j kappa_j a_j`` in closed form, the one-parameter
-  subgroup ``z(t) = exp((t - t0) sum_j kappa_j a_j)``,
+  subgroup ``z(t) = exp((t - t0) sum_j kappa_j a_j)`` (the exponential of
+  the model arcs, with one decomposition per curve),
 * Frenet frames of sphere curves by positive Gram-Schmidt and a
   continuous spin lift,
 * detection of the singular set and the itinerary: zeros of the
@@ -104,10 +106,11 @@ class FrameCurve:
     times (one time is a stack of one) and evaluate the whole stack in one
     call.  ``frames_fn``, when given, maps a stack of times to the rotation
     frames ``Pi(z(t))``: matrix paths take their positive QR factors
-    without the spin lift, and synthesized curves project the spinors of
-    the whole stack (their ``eval_fn`` reads a stack of one).  Without it,
-    which serves only hand-built and constant-curvature curves, the frames
-    are the projections of ``eval_fn``'s spinors, one call per time.
+    without the spin lift, and synthesized and constant-curvature curves
+    project the spinors of the whole stack (their ``eval_fn`` reads a
+    stack of one).  Every library curve has one; without it, which serves
+    only hand-built curves, the frames are the projections of
+    ``eval_fn``'s spinors, one call per time.
     Every time of a stack is checked against the domain (``ValueError``).
     """
 
@@ -195,21 +198,20 @@ def integrate_frame(
     curvatures ``A = sum_j kappa_j a_j``: ``z(t) = exp((t - t0) A)``.
 
     All n curvatures must be strictly positive floats
-    (:class:`NonPositiveCurvature`).  Each evaluation is one
-    :func:`~artifact.spinalg.clifford_exp`, so ``z(t)`` is unit and
-    ``z(t0)`` is exactly 1.
+    (:class:`NonPositiveCurvature`).  A is decomposed once, and a stack of
+    times is one :func:`~artifact.spinalg._exp_stack` product, so ``z(t)``
+    is unit and ``z(t0)`` is exactly 1; a stack whose phases ``(t - t0) A``
+    are lost to rounding raises :class:`~artifact.spinalg.NotUnit`.
     """
     if len(kappas) != n:
         raise ValueError(f"need {n} curvatures, got {len(kappas)}")
     for j, v in enumerate(kappas, 1):
         if not v > 0.0:  # NaN too
             raise NonPositiveCurvature(f"kappa_{j} = {v} <= 0")
-    # frak a_j = (1/2) e_{j+1} e_j
-    A = Spinor.from_terms(
-        n, {(j, j + 1): -0.5 * float(v) for j, v in enumerate(kappas, 1)}
-    )
-    return FrameCurve(
-        n, (float(t0), float(t1)), lambda t: spinalg.clifford_exp(A.scale(t - t0))
+    modes = spinalg._modes(spinalg._a_sum(n, kappas))
+    t0 = float(t0)
+    return _stacked_curve(
+        n, (t0, float(t1)), lambda ts: spinalg._exp_stack(modes, ts - t0)
     )
 
 
@@ -680,12 +682,12 @@ def curve_with_itinerary(
     ell = len(word)
 
     if ell == 0:
-        # full model convex curve 1 -> hat(eta) = exp(pi h)
-        endpoint = table.integer[-1]
-        model_end = spinalg.spin_exp_h(n, math.pi)
-        if triang._spin_distance(model_end, endpoint.to_float()) > 1e-8:
+        # full model convex curve 1 -> hat(eta) = exp(pi h): the circle
+        circle = [math.pi * math.sqrt(j * (n + 1 - j)) for j in range(1, n + 1)]
+        curve = integrate_frame(n, circle)
+        if triang._spin_distance(curve(1.0), table.integer[-1].to_float()) > 1e-8:
             raise PathNotAccessible("empty-word endpoint is not exp(pi h)")
-        return _stacked_curve(n, (0.0, 1.0), lambda ts: spinalg.exp_h(n, math.pi * ts))
+        return curve
 
     if times is None:
         times = [(j + 1) / (ell + 1) for j in range(ell)]
@@ -730,15 +732,12 @@ def _final_corner(n: int) -> tuple:
     ``acute(eta)**2``, a boundary corner of the positive cell."""
     eta = symgrp.longest_element(n)
     eta_word, a = symgrp.reduced_word(eta), spinalg.acute(eta)
-    tf = (a * a).to_float()
-    for pat in itertools.product((0.0, math.pi), repeat=len(eta_word)):
-        z = Spinor.one(n)
-        for i, t in zip(eta_word, pat):
-            if t != 0.0:
-                z = z * spinalg.alpha(n, i, t)
-        if triang._spin_distance(z, tf) < 1e-9:
-            return pat
-    raise PathNotAccessible("endpoint is not a corner of the final chart")
+    pats = np.array(list(itertools.product((0.0, math.pi), repeat=len(eta_word))))
+    rows = _chart_product(n, Spinor.one(n), eta_word, pats)
+    hits = np.flatnonzero(np.linalg.norm(rows - (a * a).to_float().v, axis=1) < 1e-9)
+    if not len(hits):
+        raise PathNotAccessible("endpoint is not a corner of the final chart")
+    return tuple(pats[hits[0]].tolist())
 
 
 @functools.lru_cache(maxsize=None)
@@ -808,11 +807,11 @@ def _assemble_curve(table, times, d, r) -> FrameCurve:
 
     def add_chart_connector(q, th_from, th_to, t_lo, t_hi):
         th_from = np.array(th_from)
-        th_to = np.array(th_to)
 
         def rows(t):
             s = ((t - t_lo) / (t_hi - t_lo))[:, None]
-            return _chart_product(n, q, eta_word, (1 - s) * th_from + s * th_to)
+            end = np.array(_final_corner(n) if th_to is None else th_to)
+            return _chart_product(n, q, eta_word, (1 - s) * th_from + s * end)
 
         segments.append((t_lo, t_hi, rows))
 
@@ -827,8 +826,9 @@ def _assemble_curve(table, times, d, r) -> FrameCurve:
             add_chart_connector(qs[j + 1], th_a, th_c, times[j] + d, times[j + 1] - d)
         else:
             # endpoint B(w, l+1) = q_l acute(eta)**2 is a Quat point on the
-            # boundary of the last component: approach it through that corner
-            add_chart_connector(qs[ell], th_a, _final_corner(n), times[-1] + d, 1.0)
+            # boundary of the last component: approach it through that corner,
+            # found on first use (by a chart product, which building avoids)
+            add_chart_connector(qs[ell], th_a, None, times[-1] + d, 1.0)
 
     bounds = [seg[0] for seg in segments]
 

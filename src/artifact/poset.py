@@ -115,10 +115,11 @@ def letter_oracle_section(sigma: Permutation) -> frozenset:
 def _ray(point: Sequence[Fraction], weights: Sequence[int]) -> tuple:
     """An exact key of the ray ``{lam**w x : lam > 0}`` through ``point``:
     the sign pattern and the rationals ``|x_l|**(L/w_l) / max``, with
-    ``L = lcm(w)``; each ``|x_l|**(L/w_l)`` scales by ``lam**L``."""
+    ``L = lcm(w)``; each ``|x_l|**(L/w_l)`` scales by ``lam**L``.  A section
+    without parameters has the one point ``()``, whose ray is ``((), ())``."""
     L = math.lcm(*weights)
     powers = [abs(Fraction(x)) ** (L // w) for x, w in zip(point, weights)]
-    top = max(powers) or 1
+    top = max(powers, default=0) or 1
     return tuple((x > 0) - (x < 0) for x in point), tuple(p / top for p in powers)
 
 
@@ -182,7 +183,7 @@ def prec(
     w0: Sequence[Permutation],
     w1: Sequence[Permutation],
     oracle: Callable,
-    n: Optional[int] = None,
+    n: int,
 ) -> PrecCertificate:
     """Decide ``w0 prec w1`` by the nonempty-block criterion.
 
@@ -190,11 +191,6 @@ def prec(
     ``oracle(block, letter)`` which may answer ``None`` (unknown).
     """
     w0, w1 = tuple(w0), tuple(w1)
-    if n is None:
-        ref = w0 or w1
-        if not ref:
-            return PrecCertificate("yes", witness=(), reason="both words empty")
-        n = ref[0].n
     if not w0 or not w1:
         if not w0 and not w1:
             return PrecCertificate("yes", witness=(), reason="both words empty")
@@ -242,7 +238,7 @@ def prec(
 # ---------------------------------------------------------------------------
 
 
-def hasse(words: Iterable[Word], oracle: Callable, n: Optional[int] = None):
+def hasse(words: Iterable[Word], oracle: Callable, n: int):
     """Directed Hasse diagram (transitive reduction) of ``prec`` on a set.
 
     Returns a networkx DiGraph whose nodes are word names.  Unknown

@@ -21,11 +21,17 @@ computed once per b, gives ``q_of_word`` and the word table's Quat elements
 q_j.  :func:`signed_cell` reads the signed cell of a spinor off one peel.
 
 Floats are used only for curve-side evaluation (``alpha`` at generic
-angles, ``clifford_exp``, ``project``, ``theta_exit``).  A float element
-is a :class:`Spinor`: a dense numpy vector of coefficients over the
-``2**n`` even blades in sorted order.  Its products, its reversion and the
-quadratic form of ``project`` are contractions with tables built once per
-n (:func:`_tables`) from the exact blade product.
+angles, the exponential, ``project``, ``theta_exit``).  The one
+exponential of a bivector x is :func:`_exp_stack` of a stack of s_k, read
+from :func:`_modes`, one diagonalization of x's left multiplication:
+``clifford_exp`` is a stack of one, ``exp_h`` caches frak h's per n, and a
+constant-curvature curve keeps its own.
+
+A float element is a :class:`Spinor`: a dense numpy vector of
+coefficients over the ``2**n`` even blades in sorted order.  Its products,
+its left multiplication matrix, its reversion and the quadratic form of
+``project`` are read from tables built once per n (:func:`_tables`) from
+the exact blade product.
 """
 
 from __future__ import annotations
@@ -119,9 +125,6 @@ class QSqrt2:
         other = _as_qs(other)
         return QSqrt2(self.p - other.p, self.q - other.q)
 
-    def __rsub__(self, other) -> "QSqrt2":
-        return _as_qs(other) - self
-
     def __neg__(self) -> "QSqrt2":
         return QSqrt2(-self.p, -self.q)
 
@@ -133,13 +136,6 @@ class QSqrt2:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "QSqrt2":
-        other = _as_qs(other)
-        den = other.p * other.p - 2 * other.q * other.q
-        if den == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt 2)")
-        return self * QSqrt2(other.p / den, -other.q / den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (QSqrt2, int, Fraction)):
@@ -271,36 +267,14 @@ class CliffordEven:
             raise ValueError("rank mismatch")
         return CliffordEven.make(self.n, _terms_mul(self.tdict(), other.tdict()))
 
-    def __add__(self, other: "CliffordEven") -> "CliffordEven":
-        if not isinstance(other, CliffordEven):
-            return NotImplemented
-        out = self.tdict()
-        for I, c in other.terms:
-            out[I] = out.get(I, _ZERO) + c
-        return CliffordEven.make(self.n, out)
-
     def __neg__(self) -> "CliffordEven":
         return CliffordEven.make(self.n, {I: -c for I, c in self.terms})
-
-    def __sub__(self, other: "CliffordEven") -> "CliffordEven":
-        if not isinstance(other, CliffordEven):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, x) -> "CliffordEven":
-        return CliffordEven.make(self.n, {I: c * x for I, c in self.terms})
 
     def reverse(self) -> "CliffordEven":
         """Anti-automorphism reversing each blade; inverse on unit spinors."""
         return CliffordEven.make(
             self.n, {I: -c if _reversion_sign(I) < 0 else c for I, c in self.terms}
         )
-
-    def scalar_part(self) -> QSqrt2:
-        for I, c in self.terms:
-            if I == ():
-                return c
-        return _ZERO
 
     def inverse(self) -> "CliffordEven":
         """Inverse of a unit spinor (equals reverse)."""
@@ -313,9 +287,6 @@ class CliffordEven:
 
     def to_float(self) -> "Spinor":
         return Spinor.from_terms(self.n, {I: float(c) for I, c in self.terms})
-
-    def coefficient(self, blade: Blade) -> QSqrt2:
-        return self.tdict().get(tuple(sorted(blade)), _ZERO)
 
     def __str__(self) -> str:
         return _terms_str(self.terms)
@@ -343,11 +314,10 @@ class _Tables:
     ``blades`` lists the even blades in sorted order (the order of
     ``CliffordEven.terms``).  For each pair of blades a and c,
     ``prod_index[a, c]`` is the one blade b with
-    ``blades[a] * blades[b] = prod_sign[a, c] * blades[c]``.
-    ``left @ v`` is the flattened matrix of left multiplication by the
-    element with coefficients v.  ``grade`` holds each blade's grade; the
-    bivectors come in the order of the 0-based pairs ``(i, j)``, i < j,
-    that are the columns of ``bivector_ij``.
+    ``blades[a] * blades[b] = prod_sign[a, c] * blades[c]``.  ``grade``
+    holds each blade's grade; the bivectors come in the order of the
+    0-based pairs ``(i, j)``, i < j, that are the columns of
+    ``bivector_ij``.
 
     ``quad`` holds quadratic forms of v (rows of ``quad @ outer(v, v)``,
     flattened): first the coefficients of ``z rev(z)``, then, for each odd
@@ -359,7 +329,6 @@ class _Tables:
     index: dict
     prod_index: np.ndarray
     prod_sign: np.ndarray
-    left: np.ndarray
     rev_sign: np.ndarray
     grade: np.ndarray
     bivector_ij: np.ndarray
@@ -401,7 +370,6 @@ def _tables(n: int) -> _Tables:
         index=index,
         prod_index=prod_index,
         prod_sign=prod_sign,
-        left=np.ascontiguousarray(mul.transpose(0, 2, 1)).reshape(N * N, N),
         rev_sign=rev_sign,
         grade=np.array([len(b) for b in blades]),
         bivector_ij=np.array(by_grade[2]).T - 1,
@@ -479,27 +447,13 @@ class Spinor:
     def __rmul__(self, other) -> "Spinor":
         return other.to_float() * self
 
-    def __add__(self, other) -> "Spinor":
-        return Spinor(self.n, self.v + self._other(other))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Spinor":
-        return Spinor(self.n, -self.v)
-
     def __sub__(self, other) -> "Spinor":
         return Spinor(self.n, self.v - self._other(other))
-
-    def __rsub__(self, other) -> "Spinor":
-        return Spinor(self.n, self._other(other) - self.v)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Spinor):
             return NotImplemented
         return self.n == other.n and bool(np.array_equal(self.v, other.v))
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.terms))
 
     def scale(self, x: float) -> "Spinor":
         return Spinor(self.n, self.v * x)
@@ -520,8 +474,12 @@ class Spinor:
         return self.reverse()
 
     def left_matrix(self) -> np.ndarray:
-        """Matrix of ``y -> self * y`` on coefficient vectors."""
-        return (_tables(self.n).left @ self.v).reshape(len(self.v), -1)
+        """Matrix of ``y -> self * y`` on coefficient vectors: entry ``(c,
+        prod_index[a, c])`` is ``prod_sign[a, c] * v[a]``, as in ``*``."""
+        t, N = _tables(self.n), len(self.v)
+        L = np.empty((N, N))
+        L[np.arange(N), t.prod_index] = t.prod_sign * self.v[:, None]
+        return L + 0.0  # no -0.0 entries
 
     def __str__(self) -> str:
         return _terms_str(self.terms)
@@ -752,31 +710,58 @@ def q_of_word(word: Sequence[Permutation], n: int | None = None) -> CliffordEven
     return _endpoint_cached(n, _hat_prefixes(word)[-1])
 
 
+def _a_sum(n: int, kappas: Sequence[float]) -> Spinor:
+    """The bivector ``sum_j kappas[j - 1] frak a_j``, ``frak a_j = (1/2)
+    e_{j+1} e_j`` (float)."""
+    return Spinor.from_terms(
+        n, {(j, j + 1): -0.5 * float(k) for j, k in enumerate(kappas, 1)}
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def h_bivector(n: int) -> Spinor:
-    """The bivector for ``frak h = sum sqrt(j(n+1-j)) frak a_j`` (float).
-
-    ``frak a_j`` corresponds to ``(1/2) e_{j+1} e_j``.
-    """
-    terms = {}
-    for j in range(1, n + 1):
-        terms[(j, j + 1)] = -0.5 * math.sqrt(j * (n + 1 - j))
-    h = Spinor.from_terms(n, terms)
+    """The bivector for ``frak h = sum sqrt(j(n+1-j)) frak a_j`` (float)."""
+    h = _a_sum(n, [math.sqrt(j * (n + 1 - j)) for j in range(1, n + 1)])
     h.v.setflags(write=False)  # cached: shared by every caller
     return h
 
 
-def clifford_exp(x: "CliffordEven | Spinor") -> Spinor:
-    """Exponential of a bivector, ``exp(L) 1`` for its left multiplication L.
+def _modes(x: Spinor) -> tuple:
+    """``(w, W)`` of a bivector x: with ``i L = V diag(w) V^H`` for its left
+    multiplication L (real skew), row k of W is ``conj(V[0, k]) V[:, k]``."""
+    w, V = np.linalg.eigh(1j * x.left_matrix())
+    W = V.T * V[0].conj()[:, None]
+    w.setflags(write=False)  # shared by every stack read from them
+    W.setflags(write=False)
+    return w, W
 
-    L is real skew-symmetric, so ``i L`` is Hermitian: with
-    ``i L = V diag(w) V^H``, ``exp(L) = V diag(exp(-i w)) V^H``.
-    """
+
+def _exp_stack(modes: tuple, s) -> np.ndarray:
+    """Rows ``(k, 2**n)`` of ``exp(s_k x) = Re(exp(-i s_k w) @ W)`` for a 1-d
+    stack ``s`` and ``(w, W) = _modes(x)``, taken row by row (as in
+    :func:`_project_float`), so a row equals the row of that s alone.  A row
+    with ``s_k == 0`` is exactly 1 (the minors that vanish there would turn
+    to noise).  The phases carry an error of about ``eps * |s_k w|``, which
+    leaves rows unit but wrong: past the unit tolerance 1e-12 it raises
+    :class:`NotUnit`."""
+    s = np.asarray(s, dtype=float)
+    w, W = modes
+    phase = float(np.abs(s).max(initial=0.0)) * float(np.abs(w).max())
+    if not np.finfo(float).eps * phase <= 1e-12:
+        raise NotUnit(f"exp(s x) has lost its phase: |s x| reaches {phase:.3g}")
+    rows = (np.exp(-1j * s[:, None, None] * w) @ W)[:, 0].real
+    rows[s == 0.0] = np.eye(len(w))[0]
+    return rows
+
+
+def clifford_exp(x: "CliffordEven | Spinor") -> Spinor:
+    """Exponential of a bivector, ``exp(L) 1`` for its left multiplication
+    L: :func:`_exp_stack` of a stack of one, so a bivector whose phase is
+    lost to rounding raises :class:`NotUnit`."""
     xf = x.to_float()
     if xf.v[_tables(xf.n).not_bivector].any():
         raise ValueError(f"clifford_exp needs a bivector, got {xf}")
-    w, V = np.linalg.eigh(1j * xf.left_matrix())
-    return Spinor(xf.n, (V @ (np.exp(-1j * w) * V[0].conj())).real)
+    return Spinor(xf.n, _exp_stack(_modes(xf), [1.0])[0])
 
 
 def exterior_exp(C: np.ndarray) -> Spinor:
@@ -804,34 +789,19 @@ def exterior_exp(C: np.ndarray) -> Spinor:
 
 @functools.lru_cache(maxsize=None)
 def _h_modes(n: int) -> tuple:
-    """``(w, W)``: with ``i L = V diag(w) V^H`` for the left multiplication
-    L of frak h, row k of W is ``conj(V[0, k]) V[:, k]``, so that
-    ``exp(s L) 1 = Re(exp(-i s w) @ W)``."""
-    w, V = np.linalg.eigh(1j * h_bivector(n).left_matrix())
-    W = V.T * V[0].conj()[:, None]
-    w.setflags(write=False)  # cached: shared by every caller
-    W.setflags(write=False)
-    return w, W
+    return _modes(h_bivector(n))
 
 
 def exp_h(n: int, s) -> np.ndarray:
     """Coefficient rows ``(k, 2**n)`` of ``exp(s_k frak h)`` for a 1-d
-    stack ``s``: one product with the eigendecomposition of frak h's left
-    multiplication, cached per n, taken row by row (as in
-    :func:`_project_float`), so a row equals the row of that s alone.  A
-    row with ``s_k == 0`` is exactly 1 (the decomposition alone gives 1
-    only to about 1e-16, and the minors that vanish there would turn to
-    noise).
+    stack ``s``: :func:`_exp_stack` with the decomposition of frak h,
+    cached per n.
 
     >>> exp_h(2, [0.0, math.pi]).round(12) + 0.0
     array([[ 1.,  0.,  0.,  0.],
            [-1.,  0.,  0.,  0.]])
     """
-    s = np.asarray(s, dtype=float)
-    w, W = _h_modes(n)
-    rows = (np.exp(-1j * s[:, None, None] * w) @ W)[:, 0].real
-    rows[s == 0.0] = np.eye(len(w))[0]
-    return rows
+    return _exp_stack(_h_modes(n), s)
 
 
 def spin_exp_h(n: int, t: float) -> Spinor:

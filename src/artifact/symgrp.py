@@ -88,12 +88,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images, start=1))
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
-
-    def __str__(self) -> str:
-        return "[" + "".join(str(v) for v in self.images) + "]"
-
 
 def identity(n: int) -> Permutation:
     """Identity of S_{n+1}."""
@@ -344,7 +338,7 @@ def letter_name(sigma: Permutation) -> str:
 
 
 class NotReducedBracket(ValueError):
-    """Bracket group whose content is not a reduced word."""
+    """Letter name (bracket content) that is not a reduced word."""
 
 
 def word_name(word: Sequence[Permutation]) -> str:
@@ -379,11 +373,7 @@ def word_from_name(n: int, text: str) -> tuple[Permutation, ...]:
             end = text.find("]", pos)
             if end < 0:
                 raise ValueError(f"unbalanced bracket in {text!r}")
-            inner = text[pos + 1 : end]
-            sigma = letter_from_name(n, inner)
-            if inversions(sigma) != len(inner):
-                raise NotReducedBracket(f"bracket content {inner!r} is not reduced")
-            letters.append(sigma)
+            letters.append(letter_from_name(n, text[pos + 1 : end]))
             pos = end + 1
         elif ch == "]":
             raise ValueError(f"unbalanced bracket in {text!r}")
@@ -395,7 +385,8 @@ def word_from_name(n: int, text: str) -> tuple[Permutation, ...]:
 
 def letter_from_name(n: int, name: str) -> Permutation:
     """Parse a non-empty string over a..h as a product of Coxeter
-    generators."""
+    generators; the string must be a reduced word (else
+    :class:`NotReducedBracket`)."""
     if not name:
         raise ValueError("empty letter name")
     word = []
@@ -404,4 +395,7 @@ def letter_from_name(n: int, name: str) -> Permutation:
         if i < 0 or i + 1 > n:
             raise ValueError(f"bad generator letter {ch!r} for rank {n}")
         word.append(i + 1)
-    return from_word(n, word)
+    sigma = from_word(n, word)
+    if inversions(sigma) != len(name):
+        raise NotReducedBracket(f"letter name {name!r} is not a reduced word")
+    return sigma

@@ -446,19 +446,15 @@ def convex_connect(
     n, c = A.n, math.pi / 4
     target = A.inverse() * B
     Z = spinalg.project(target.to_float())
-    W = spinalg.project(spinalg.spin_exp_h(n, c))
-    U1w, Pw, _ = bruhat_upw(W)
+    # Pi(exp(t c h)) at t = k / samples, one stack; W is its last matrix
+    s = np.arange(samples + 1) / samples * c
+    P = spinalg._project_float(n, spinalg.exp_h(n, s))
+    U1w, Pw, _ = bruhat_upw(P[-1])
     U1z, Pz, _ = bruhat_upw(Z)
     if not np.allclose(Pw, Pz, atol=1e-9):
         raise NotConnectableInCell("endpoints lie in different components")
     U = U1w @ np.linalg.inv(U1z)
-    Uinv = np.linalg.inv(U)
-
-    mats = []
-    for k in range(samples + 1):
-        t = k / samples
-        Pt = spinalg.project(spinalg.spin_exp_h(n, t * c))
-        mats.append(qr_positive(Uinv @ Pt)[0])
+    mats = qr_positive(np.linalg.inv(U) @ P)[0]
     if not np.allclose(mats[-1], Z, atol=1e-8):
         raise NotConnectableInCell("arc endpoint mismatch")
 

@@ -503,3 +503,88 @@ class TestIgnoredFlags:
         code, out, _ = run(capsys, *argv, "--n", "3")
         assert code == 0
         assert run(capsys, *argv) == (0, out, "")
+
+
+class TestLetterNames:
+    """A letter name must be a reduced word, and a letter whose section has
+    no parameters is the whole diagram below it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("group", "mult", "aa"),
+            ("poset", "--below", "abab"),
+            ("section", "abab"),
+        ],
+        ids=["group-aa", "below-abab", "section-abab"],
+    )
+    def test_non_reduced_name_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "not a reduced word" in err
+
+    @pytest.mark.parametrize(
+        "name, n", [("a", 2), ("b", 2), ("b", 3), ("d", 4)]
+    )
+    def test_below_one_inversion_letter(self, capsys, name, n):
+        code, out, _ = run(capsys, "poset", "--below", name, "--n", str(n))
+        assert code == 0
+        data = json.loads(out[: out.index("digraph")])
+        assert data["words"] == [name]
+        assert data["covers"] == [] and data["unknown_pairs"] == []
+
+
+class TestGroupQueries:
+    def test_inv(self, capsys):
+        code, out, _ = run(capsys, "group", "inv", "acb", "--n", "3")
+        assert code == 0
+        assert json.loads(out) == {"inv": 3}
+
+    def test_acute_grave_hat(self, capsys):
+        half = {"p": "0", "q": "1/2"}
+        got = {}
+        for query in ("acute", "grave", "hat"):
+            code, out, _ = run(capsys, "group", query, "a")
+            assert code == 0
+            got[query] = [
+                (tuple(t["blade"]), t["coeff"]) for t in json.loads(out)[query]["terms"]
+            ]
+        assert got["acute"] == [((), half), ((1, 2), {"p": "0", "q": "-1/2"})]
+        assert got["grave"] == [((), half), ((1, 2), half)]
+        assert got["hat"] == [((1, 2), {"p": "-1", "q": "0"})]
+
+    def test_btable(self, capsys):
+        code, out, _ = run(capsys, "group", "btable", "a[ba]")
+        assert code == 0
+        table = json.loads(out)
+        assert table["word"] == "a[ba]"
+        assert len(table["integer"]) == 4 and len(table["half"]) == 3
+        assert table["integer"][0]["terms"] == [
+            {"blade": [], "coeff": {"p": "1", "q": "0"}}
+        ]
+        code, out, _ = run(capsys, "group", "qword", "a[ba]")
+        assert table["integer"][-1] == json.loads(out)["qword"]
+
+
+class TestUntracedOptions:
+    def test_word_spec(self, capsys, tmp_path):
+        code, out, _ = run_spec(capsys, tmp_path, "kind = word\nn = 2\nword = a[ba]\n")
+        assert code == 0
+        data = json.loads(out)
+        assert data["word"] == "a[ba]"
+        assert [ev["letter"] for ev in data["itinerary"]] == ["a", "ba"]
+
+    def test_config_grid_radius(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid_radius = 1/8\n")
+        argv = ("section", "aba", "--grid", "3")
+        code, out, _ = run(capsys, "--config", str(cfg), *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--radius", "1/8") == (0, out, "")
+        assert run(capsys, *argv)[1] != out
+
+    def test_matrix_u_family(self, capsys):
+        code, out, _ = run(capsys, "section", "--family", "matrix_u", "--u", "1/3")
+        assert code == 0
+        assert json.loads(out)["n"] == 3

@@ -57,6 +57,51 @@ class TestIntegrateFrame:
         assert curve(t0) == spinalg.Spinor.one(n)
 
 
+class TestStackedConstantCurvature:
+    """A constant-curvature curve decomposes its curvature bivector once
+    and reads every stack of times from that one decomposition."""
+
+    def test_one_decomposition_per_curve(self, monkeypatch):
+        calls = {"_modes": 0, "clifford_exp": 0}
+        for attr in calls:
+            inner = getattr(spinalg, attr)
+
+            def counted(*args, attr=attr, inner=inner):
+                calls[attr] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(spinalg, attr, counted)
+        curve = curvelab.integrate_frame(3, circle_kappas(3), t1=2.5)
+        events = curvelab.singular_events(curve)
+        assert [symgrp.letter_name(ev.letter) for ev in events] == ["abacba"] * 2
+        assert calls == {"_modes": 1, "clifford_exp": 0}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_the_exponential_of_each_time(self, n):
+        kappas = [0.7 + j for j in range(n)]
+        t0 = -0.3
+        curve = curvelab.integrate_frame(n, kappas, t0=t0, t1=2.0)
+        A = spinalg._a_sum(n, kappas)
+        for t in np.linspace(t0, 2.0, 9).tolist():
+            want = spinalg.clifford_exp(A.scale(t - t0))
+            assert np.abs(curve(t).v - want.v).max() < 1e-13
+
+    def test_hand_built_curve_reads_each_time(self):
+        # without frames_fn the frames are the projections of eval_fn's spinors
+        hand = curvelab.FrameCurve(
+            2, (0.0, 1.0), lambda t: spinalg.spin_exp_h(2, math.pi * t)
+        )
+        stack = np.linspace(0.0, 1.0, 9)
+        want = curvelab.integrate_frame(2, circle_kappas(2)).minors(stack)
+        assert np.abs(hand.minors(stack) - want).max() < 1e-13
+
+    def test_lost_phase_is_not_unit(self):
+        curve = curvelab.integrate_frame(2, circle_kappas(2), t1=1e300)
+        assert curve.minors([0.0, 1.0]).shape == (2, 2)
+        with pytest.raises(spinalg.NotUnit):
+            curve.minors([0.0, 1e300])
+
+
 class TestFrenet:
     def test_circle_frame(self):
         def jet(t):

@@ -93,6 +93,11 @@ class TestPerturbedFamilies:
         expected = u / 108 * (4 * u**2 * (x2 - x1) ** 3 + 9 * (x1 + x2) ** 2)
         assert sp.simplify(r13 - expected) == 0
 
+    def test_matrix_u_at_zero_is_the_acb_section(self):
+        fam = polysect.build_perturbed_family("matrix_u", 0)
+        assert fam.M == polysect.build_section(letter(3, "acb")).M
+        assert fam.u == 0
+
     def test_modulus_bound(self):
         with pytest.raises(ValueError):
             polysect.build_perturbed_family("betaprime", Fraction(3, 2))

@@ -173,3 +173,39 @@ class TestSplittingReport:
         assert "acbac" in rep["plus"] and "cabca" not in rep["plus"]
         assert "cabca" in rep["minus"] and "acbac" not in rep["minus"]
         assert "acbac" not in rep["zero"] and "cabca" not in rep["zero"]
+
+
+class TestUnknownAnswers:
+    """An oracle that cannot decide makes ``prec`` answer unknown, never no."""
+
+    @staticmethod
+    def undecided(block, sigma):
+        return None
+
+    def test_prec_propagates_unknown(self):
+        cert = poset.prec(word(2, "aa"), word(2, "[aba]"), self.undecided, n=2)
+        assert cert.status == "unknown"
+        # a block split that a necessary condition excludes is still a no
+        cert = poset.prec(word(2, "[aba]"), word(2, "aa"), self.undecided, n=2)
+        assert cert.status == "no"
+
+    def test_hasse_records_unknown_pairs(self):
+        words = [word(2, "aa"), word(2, "[aba]")]
+        g = poset.hasse(words, self.undecided, n=2)
+        assert list(g.edges) == []
+        assert g.graph["unknown_pairs"] == [("aa", "[aba]")]
+
+    def test_unclassifiable_section_is_unknown(self, monkeypatch):
+        def unrecognized(sigma):
+            raise polysect.UnrecognizedMultPattern("no letter")
+
+        monkeypatch.setattr(poset, "letter_oracle_section", unrecognized)
+        oracle = poset.oracle_from_sections(2)
+        assert oracle(word(2, "aa"), symgrp.letter_from_name(2, "aba")) is None
+        assert oracle.letter_set(symgrp.letter_from_name(2, "aba")) is None
+
+
+def test_ray_of_a_section_without_parameters():
+    assert poset._ray((), ()) == ((), ())
+    a = symgrp.letter_from_name(2, "a")
+    assert poset.letter_oracle_section(a) == frozenset({(a,)})

@@ -212,3 +212,26 @@ class TestSpinExpH:
                 ]
             )
             assert np.allclose(col, expected, atol=1e-12)
+
+
+class TestOneExponential:
+    def test_h_bivector_is_a_sum_of_the_a_j(self):
+        for n in (2, 3, 4):
+            roots = [math.sqrt(j * (n + 1 - j)) for j in range(1, n + 1)]
+            assert spinalg.h_bivector(n) == spinalg._a_sum(n, roots)
+
+    def test_exp_h_is_the_stack_of_h(self):
+        s = np.array([0.0, 0.3, -2.0, math.pi])
+        modes = spinalg._modes(spinalg.h_bivector(3))
+        assert np.array_equal(spinalg.exp_h(3, s), spinalg._exp_stack(modes, s))
+
+    @pytest.mark.parametrize("s", [1e13, -1e13, math.inf, math.nan])
+    def test_lost_phase_is_not_unit(self, s):
+        # eps |s w| beyond the unit tolerance: rows would be unit but wrong
+        with pytest.raises(spinalg.NotUnit):
+            spinalg.exp_h(2, [0.0, s])
+        assert spinalg.spin_exp_h(2, 1000.0).is_unit()
+
+    def test_lost_phase_of_one_bivector(self):
+        with pytest.raises(spinalg.NotUnit):
+            spinalg.clifford_exp(spinalg.h_bivector(2).scale(1e13))

@@ -119,6 +119,11 @@ class TestWordSyntax:
         with pytest.raises(symgrp.NotReducedBracket):
             symgrp.word_from_name(2, "[aa]")
 
+    @pytest.mark.parametrize("name", ["aa", "abab", "baba"])
+    def test_non_reduced_letter_rejected(self, name):
+        with pytest.raises(symgrp.NotReducedBracket):
+            symgrp.letter_from_name(2, name)
+
     def test_empty_letter_rejected(self):
         with pytest.raises(ValueError):
             symgrp.letter_from_name(2, "")

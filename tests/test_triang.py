@@ -77,6 +77,14 @@ class TestOrders:
         assert not triang.is_ll(L, L)
         assert triang.is_leq(L, L)
 
+    def test_leq_on_a_smaller_cell(self):
+        # L0^-1 L1 = jacobi(1, t) lies in the closure of Pos_eta iff t > 0
+        L0 = triang.exp_nilpotent(2, Fraction(1))
+        assert triang.is_leq(L0, triang.mat_mul(L0, triang.jacobi(2, 1, Fraction(2))))
+        assert not triang.is_leq(
+            L0, triang.mat_mul(L0, triang.jacobi(2, 1, Fraction(-2)))
+        )
+
     def test_transitivity_spot_check(self):
         rng = random.Random(5)
         eta_word = (1, 2, 1)
