@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from . import curvelab, polysect, poset, spinalg, symgrp
+from . import curvelab, polysect, poset, spinalg, symgrp, triang
 
 __all__ = ["RunConfig", "main"]
 
@@ -209,8 +209,8 @@ def _spec_domain(spec: dict, t0: float) -> tuple[float, float]:
     """The domain ``(t0, t1)`` of the spec, by default ``(t0, 1)``."""
     t0 = _spec_number("t0", spec.get("t0", t0), float)
     t1 = _spec_number("t1", spec.get("t1", 1.0), float)
-    if not t0 < t1:
-        raise UsageError(f"need t0 < t1, got t0 = {t0}, t1 = {t1}")
+    if not 0 < t1 - t0 < math.inf:
+        raise UsageError(f"need t0 < t1 at a finite distance, got t0 = {t0}, t1 = {t1}")
     return t0, t1
 
 
@@ -539,6 +539,7 @@ _NUMERIC_ERRORS = (
     curvelab.PathNotAccessible,
     spinalg.NoRootInInterval,
     spinalg.NotUnit,
+    triang.NotARotation,
 )
 
 

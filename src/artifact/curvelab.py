@@ -7,10 +7,10 @@ frames ``Pi(z(t))`` and their southwest minors over a whole stack of
 times in one call.  Since ``Pi(z) = Pi(-z)``, a matrix path gives its
 frames and minors straight from batched QRs, without the spin lift; its
 node lifts are built only when a spinor is asked for (``curve(t)``, an
-endpoint, the ``u`` invariant).  Synthesized and constant-curvature
-curves compute the spinors of a whole stack at once, a few array
-operations per segment, and ``curve(t)`` is a stack of one; no library
-curve is read one time at a time (only hand-built ones are).
+endpoint).  Synthesized and constant-curvature curves compute the spinors
+of a whole stack at once, a few array operations per segment, and
+``curve(t)`` is a stack of one; no library curve is read one time at a
+time (only hand-built ones are).
 Spinor-valued curves project their stacked spinors by one contraction per
 stack.  The module provides
 
@@ -21,14 +21,13 @@ stack.  The module provides
 * Frenet frames of sphere curves by positive Gram-Schmidt and a
   continuous spin lift,
 * detection of the singular set and the itinerary: zeros of the
-  southwest minors of ``Pi(z(t))`` are located, clustered, assigned
-  multiplicity vectors by log-log slope estimation at two scales, and
-  converted to letters; anything unstable raises
-  :class:`UnresolvedCluster` rather than guessing,
+  southwest minors of ``Pi(z(t))`` are located, clustered, and named by
+  their vanishing orders, read from log-log slopes in one stacked read;
+  anything unstable raises :class:`UnresolvedCluster` rather than guessing,
 * synthesis of a curve with a prescribed itinerary from the word table
   ``B(w, j)`` (model arcs joined by convex connectors),
 * the ``u`` invariant of an ``acb`` event read off the unit-lower
-  triangular chart of the curve, and
+  triangular chart of the curve, the chart fixed by the minors' signs, and
 * Hausdorff distance between compact subsets of the parameter interval.
 """
 
@@ -226,19 +225,23 @@ def frame_curve_from_matrix_path(
     factor ``Q`` (right upper-triangular factors do not change any
     southwest minor data).  Frames and minors over a stack of times come
     from batched QRs of the stacked ``mfun(t)``, without the spin lift;
-    a non-finite ``mfun(t)`` or a frame with ``max |Q^T Q - I| > 1e-8``
-    raises :class:`~artifact.triang.NotARotation`.  The spin lift is
-    continuous along ``ts``: the node frames and their lifts are built on
-    the first spinor request (the lift of the first node also rejects
-    ``det Q < 0``), and a spinor is lifted from the nearest node below.
+    an overflowing or non-finite ``mfun(t)`` or a frame with ``max |Q^T Q
+    - I| > 1e-8`` raises :class:`~artifact.triang.NotARotation`.  The spin
+    lift is continuous along ``ts``: the node frames and their lifts are
+    built on the first spinor request (the lift of the first node also
+    rejects ``det Q < 0``), and a spinor is lifted from the nearest node
+    below.
     """
     ts = [float(t) for t in ts]
     eye = np.eye(n + 1)
 
     def frames(times: np.ndarray) -> np.ndarray:
         M = np.empty((len(times),) + eye.shape)
-        for k, t in enumerate(times.tolist()):
-            M[k] = mfun(t)
+        try:
+            for k, t in enumerate(times.tolist()):
+                M[k] = mfun(t)
+        except OverflowError as exc:  # a float power of t past 1e308
+            raise triang.NotARotation(f"frame at t={t} overflows") from exc
         Q = triang.qr_positive(M)[0]
         gram = Q.transpose(0, 2, 1) @ Q
         gram -= eye
@@ -348,8 +351,8 @@ def _dip_probes(X, F, golden) -> np.ndarray:
         disc = beta * beta - 4 * gam * m2
         root = -2 * m2 / (beta + np.copysign(np.sqrt(abs(disc)), beta))
         q = x2 + np.where(m2 == 0, 0.0, np.where(disc >= 0, root, -beta / (2 * gam)))
-    s = np.maximum(abs(q - x2), np.maximum(2.5e-13, np.spacing(abs(x2))))
-    fit = np.clip(np.stack([q - s, q, q + s], axis=1), x1[:, None], x3[:, None])
+        s = np.maximum(abs(q - x2), np.maximum(2.5e-13, np.spacing(abs(x2))))
+        fit = np.clip(np.stack([q - s, q, q + s], axis=1), x1[:, None], x3[:, None])
     section = np.stack([x2 - _GOLD * (x2 - x1), x2, x2 + _GOLD * (x3 - x2)], axis=1)
     golden = golden | ~((x1 < q) & (q < x3))
     return np.where(golden[:, None], section, fit)
@@ -444,41 +447,34 @@ def _refine(curve: FrameCurve, grid_ts, vals, ks, sj, kd, dj) -> tuple:
     return 0.5 * (a + b), X[:, 1], abs(F[:, 1])
 
 
-def _slope_probes(tstar, d0, t0, t1) -> list:
-    """Sample points ``(side, d, t)`` of :func:`_slope_mult`: ``t = tstar
-    + side * d`` with ``d = d0 * 0.55**k`` (k < 6), inside ``[t0, t1]``."""
-    return [
-        (side, d, tstar + side * d)
-        for side in (+1.0, -1.0)
-        for d in (d0 * (0.55 ** k) for k in range(6))
-        if t0 <= tstar + side * d <= t1
-    ]
+# a side of a centre is read on the ladder centre +- r * 0.55**k (k < 6),
+# where the least-squares log-log slope is a fixed weight vector on log|m_j|
+_LADDER = 0.55 ** np.arange(6.0)
+_SLOPE = (np.arange(6.0) - 2.5) / (17.5 * math.log(0.55))
 
 
-def _slope_mult(probes, values, cap):
-    """Vanishing order of f at tstar by log-log slope on both sides.
+def _ladders(centres, reaches) -> np.ndarray:
+    """Ladder times of each centre, reach (a row per centre) and side (+
+    first): shape ``(centres, reaches, 2, 6)``."""
+    d = np.asarray(reaches, dtype=float)[:, :, None, None] * _LADDER
+    return np.asarray(centres, dtype=float)[:, None, None, None] + [[1.0], [-1.0]] * d
 
-    ``values`` are f at the times of ``probes`` (from :func:`_slope_probes`);
-    a side with fewer than 3 of them is skipped.
-    """
-    slopes = []
-    for side in (+1.0, -1.0):
-        xs, ys = [], []
-        for (s, d, _), val in zip(probes, values):
-            if s == side:
-                xs.append(math.log(d))
-                ys.append(math.log(abs(val) + 1e-300))
-        if len(xs) < 3:
-            continue
-        slopes.append(float(np.polyfit(xs, ys, 1)[0]))
-    if not slopes:
-        raise UnresolvedCluster("no usable one-sided samples for slope")
-    k = int(round(sum(slopes) / len(slopes)))
-    if k < 0 or k > cap:
-        raise UnresolvedCluster(f"slope {slopes} out of range (cap {cap})")
-    if any(abs(s - k) > 0.35 for s in slopes):
-        raise UnresolvedCluster(f"inconsistent slopes {slopes}")
-    return k
+
+def _order(values, n: int, j: int, t: float) -> int:
+    """The vanishing order k of ``m_{j+1}`` at ``t`` from its values on the
+    ladders (shape ``(reaches, 2, 6)``, NaN on a side not read): every
+    slope read must lie within 0.35 of k, and k at most the order of the
+    top letter, else :class:`UnresolvedCluster`."""
+    cap = (j + 1) * (n - j)
+    slopes = np.log(abs(values) + 1e-300) @ _SLOPE
+    read = ~np.isnan(slopes)
+    k = np.rint(slopes[read].mean())
+    if not (0 <= k <= cap and (abs(slopes[read] - k) <= 0.35).all()):
+        raise UnresolvedCluster(
+            f"no order of m_{j + 1} at t={t} fits the slopes "
+            f"{np.round(slopes, 3).tolist()} (cap {cap})"
+        )
+    return int(k)
 
 
 @dataclass(frozen=True)
@@ -507,16 +503,16 @@ def singular_events(
     sits in rounding noise, where the steps bisect), a dip to the least
     ``|m_j|`` it finds.  A dip is a root when that least value is below
     ``zero_rel * max |m_j|``.  The roots are clustered within
-    ``cluster_tol``, and each cluster is given a multiplicity vector by
-    log-log slope estimation at two scales, its centre and slope probes
-    one stacked call (:class:`UnresolvedCluster` if the scales disagree
-    or the pattern is not a permutation).  An event with a sign-change
-    root takes its time from the minors of least multiplicity (the probes
-    are centred on the median of all its sign-change roots); a dip-only
-    time (every multiplicity even) is only as accurate as ``|m_j|`` is
-    steep near its minimum.  The ends are not events: a root within 1e-9
-    of an end is dropped, and so is a root of ``m_j`` within one grid step
-    of an end where ``|m_j| < zero_rel * max |m_j|``.
+    ``cluster_tol``.  The centres of all clusters and their ladders at two
+    reaches are one stacked call, and :func:`_order` reads the vanishing
+    order of each minor from its log-log slopes; an unresolved order or a
+    vector that is not a letter raises :class:`UnresolvedCluster`.  An
+    event with a sign-change root takes its time from the minors of least
+    multiplicity; a dip-only time (every multiplicity even) is only as
+    accurate as ``|m_j|`` is steep near its minimum.  The ends are not
+    events: a root within 1e-9 of an end is dropped, and so is a root of
+    ``m_j`` within one grid step of an end where ``|m_j| < zero_rel * max
+    |m_j|``.
     """
     n = curve.n
     t0, t1 = curve.t0, curve.t1
@@ -554,53 +550,49 @@ def singular_events(
         else:
             clusters.append([r])
 
+    # a reach stops a quarter of the way short of the neighbouring
+    # clusters, whose zeros would bend the slopes; at most 1 % of the span,
+    # it keeps the side away from the nearer end inside the domain
+    centres = []
+    for cl in clusters:
+        pick = sorted(t for t, _, sc in cl if sc) or sorted(t for t, _, _ in cl)
+        centres.append(pick[len(pick) // 2])
+    mid = np.array(centres)
+    before = np.array([-np.inf] + [cl[-1][0] for cl in clusters[:-1]])
+    after = np.array([cl[0][0] for cl in clusters[1:]] + [np.inf])
+    reach = np.minimum(0.01 * span, np.minimum(mid - before, after - mid) / 4)
+    ladders = _ladders(centres, np.stack([reach, reach / 3.0], axis=1))
+    inside = (ladders.min(axis=-1) >= t0) & (ladders.max(axis=-1) <= t1)
+    at = curve.minors(np.concatenate([centres, ladders[inside].ravel()]))
+    values = np.full(ladders.shape + (n,), np.nan)
+    values[inside] = at[len(centres) :].reshape(-1, 6, n)
+
     events = []
-    for i, cl in enumerate(clusters):
-        precise = sorted(t for t, j, sc in cl if sc)
-        allts = sorted(t for t, j, sc in cl)
-        center = precise[len(precise) // 2] if precise else allts[len(allts) // 2]
+    for c, (cl, center) in enumerate(zip(clusters, centres)):
         jset = {j for _, j, _ in cl}
-        mult = []
-        d0 = 0.01 * span
-        # keep the probes a quarter of the way short of the neighbouring
-        # clusters, whose zeros would bend the log-log slopes
-        if i > 0:
-            d0 = min(d0, (center - clusters[i - 1][-1][0]) / 4)
-        if i + 1 < len(clusters):
-            d0 = min(d0, (clusters[i + 1][0][0] - center) / 4)
-        # the center and the probes of both scales, for all minors at once
-        coarse = _slope_probes(center, d0, t0, t1)
-        fine = _slope_probes(center, d0 / 3.0, t0, t1)
-        at = curve.minors([center] + [t for _, _, t in coarse + fine])
-        at_coarse, at_fine = at[1 : 1 + len(coarse)], at[1 + len(coarse) :]
-        for j in range(n):
-            if j not in jset and abs(at[0, j]) > 1e-6 * scales[j]:
-                mult.append(0)
-                continue
-            cap = (j + 1) * (n - j)  # mult_j of the top letter
-            k1 = _slope_mult(coarse, at_coarse[:, j], cap)
-            k2 = _slope_mult(fine, at_fine[:, j], cap)
-            if k1 != k2:
-                raise UnresolvedCluster(
-                    f"multiplicity unstable for m_{j + 1} at t={center}: {k1} vs {k2}"
-                )
-            mult.append(k1)
+        mult = tuple(
+            0
+            if j not in jset and abs(at[c, j]) > 1e-6 * scales[j]
+            else _order(values[c, ..., j], n, j, center)
+            for j in range(n)
+        )
         try:
-            letter = symgrp.permutation_from_mult(tuple(mult), n)
+            letter = symgrp.permutation_from_mult(mult, n)
         except symgrp.NotARealizableMultVector as exc:
             raise UnresolvedCluster(
-                f"multiplicity pattern {tuple(mult)} at t={center} is not a letter"
+                f"multiplicity pattern {mult} at t={center} is not a letter"
             ) from exc
         if letter.is_identity():
             raise UnresolvedCluster(f"zero multiplicity cluster at t={center}")
-        if precise:
+        changes = [(t, j) for t, j, sc in cl if sc]
+        if changes:
             # rounding noise spreads the sign changes of a root of order k
             # over about eps**(1/k): the time is read from the minors of
             # least multiplicity, whose roots bisection pins down
-            least = min(mult[j] for _, j, sc in cl if sc)
-            best = sorted(t for t, j, sc in cl if sc and mult[j] == least)
+            least = min(mult[j] for _, j in changes)
+            best = sorted(t for t, j in changes if mult[j] == least)
             center = best[len(best) // 2]
-        events.append(SingularEvent(center, letter, tuple(mult)))
+        events.append(SingularEvent(center, letter, mult))
     return events
 
 
@@ -865,9 +857,11 @@ def u_invariant(curve: FrameCurve, t_star: float) -> float:
     with ``beta_i = (L^-1 L')_{i+1,i}``, ``f_i = beta_i / beta_2`` and
     ``b_i = f_i(t_star)``, all derivatives by Richardson-extrapolated
     central differences of step ``h = 2e-3`` (``4h`` for ``f``), inside a
-    window of half-width ``min(0.05, 0.45 * span)`` around ``t_star``.  The
-    25 frames this needs are one stacked :meth:`FrameCurve.matrix` call;
-    they and ``t_star - w/2`` must lie in the domain, else NotAnAcbEvent.
+    window of half-width ``min(0.05, 0.45 * span)`` around ``t_star``.
+    The letter is read as by :func:`singular_events` (one reach, 0.2 w),
+    and the chart is fixed by the minors' signs at ``t_star - w/2``, with
+    those frames in one stacked :meth:`FrameCurve.matrix` call: no spinor
+    is read.  The frames must lie in the domain, else NotAnAcbEvent.
     """
     n = curve.n
     if n != 3:
@@ -879,28 +873,31 @@ def u_invariant(curve: FrameCurve, t_star: float) -> float:
     if min(t_in, t_star - 4 * h - h) < curve.t0 or t_star + 4 * h + h > curve.t1:
         raise NotAnAcbEvent(f"event at t={t_star} is too close to a domain end")
 
-    # classify the event letter by slopes of the minors
-    probes = _slope_probes(t_star, 0.2 * w, curve.t0, curve.t1)
-    at = curve.minors([t for _, _, t in probes])
-    mult = [_slope_mult(probes, at[:, j], (j + 1) * (4 - j)) for j in range(3)]
-    letter = symgrp.permutation_from_mult(tuple(mult), 3)
-    if letter != _ACB:
-        raise NotAnAcbEvent(f"event at t={t_star} has letter {letter}, mult {mult}")
-
-    # signed component of the incoming branch fixes the chart
-    q = spinalg.signed_cell(curve(t_in))
-    if q is None:
-        raise NotAnAcbEvent("incoming branch is not in an open signed cell")
-    z_chart = q * spinalg.acute(symgrp.longest_element(3)) * spinalg.acute(_ACB)
-    A0 = spinalg.project(z_chart.to_float())
-    A0inv = np.linalg.inv(A0)
-
-    # beta at the five Richardson centres t_star + H * (0, +-1, +-1/2), H = 4h,
-    # each from L at the offsets h * (0, +-1, +-1/2): one stacked read
+    # one stacked read: the frame at t_in, the ladders, and L at the offsets
+    # h * (0, +-1, +-1/2) of the five Richardson centres t_star + 4 * offsets
     H = 4 * h
     offsets = np.array([0.0, h, -h, h / 2, -h / 2])
     times = (t_star + 4 * offsets)[:, None] + offsets
-    frames = curve.matrix(times.ravel())
+    ladders = _ladders([t_star], [[0.2 * w]]).ravel()
+    frames = curve.matrix(np.concatenate([[t_in], ladders, times.ravel()]))
+    at_in, on_ladders, frames = np.split(frames, [1, 1 + len(ladders)])
+    values = southwest_minors(on_ladders).reshape(1, 2, 6, 3)
+    mult = tuple(_order(values[..., j], 3, j, t_star) for j in range(3))
+    if mult != (2, 1, 2):
+        raise NotAnAcbEvent(f"event at t={t_star} has mult {mult}, not (2, 1, 2)")
+
+    # the signed cell q at t_in fixes the chart: Pi(q) = D is diagonal with
+    # det D = 1, and m_j(D M) = (D's last j entries) m_j(M), so with r_j the
+    # sign of m_j at t_in against m_j(Pi(acute eta)), D = diag(r_3, r_3 r_2,
+    # r_2 r_1, r_1)
+    eta = spinalg.acute(symgrp.longest_element(3))
+    m = southwest_minors(np.stack([at_in[0], spinalg.project(eta.to_float())]))
+    r = np.sign(m[0] * m[1])
+    if not r.all():
+        raise NotAnAcbEvent("incoming branch is not in an open signed cell")
+    r = np.concatenate([[1.0], r, [1.0]])
+    chart = spinalg.project((eta * spinalg.acute(_ACB)).to_float())
+    A0inv = np.linalg.inv((r[1:] * r[:-1])[::-1, None] * chart)
     L = np.array([triang.lu_of_rotation(A0inv @ M)[0] for M in frames])
     L0, Lp, Lm, Lp2, Lm2 = L.reshape(5, 5, 4, 4).transpose(1, 0, 2, 3)
     d1 = (Lp - Lm) / (2 * h)

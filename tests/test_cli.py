@@ -476,6 +476,41 @@ class TestNonFiniteCurves:
         assert json.loads(out)["word"] == "[aba][aba]"
 
 
+class TestHugeDomains:
+    """A domain whose length overflows is a usage error; a section path
+    whose evaluation overflows is a numerical failure, one line each."""
+
+    @pytest.mark.parametrize(
+        "spec, code",
+        [
+            ("kind = constant\nt0 = -1e308\nt1 = 1e308\n", 1),
+            ("kind = section\nsigma = aba\npoint = 0, 0\nt0 = -1e308\nt1 = 1e308\n", 1),
+            ("kind = section\nn = 3\nsigma = acb\npoint = 0, 0\nt0 = -1e160\nt1 = 1e160\n", 2),
+            ("kind = section\nsigma = aba\npoint = 0, 0\nt0 = -1e160\nt1 = 1e160\n", 2),
+            ("kind = section\nsigma = aba\npoint = 0, 0\nt0 = -1e120\nt1 = 1e120\n", 2),
+            ("kind = section\nn = 3\nsigma = acb\npoint = 0, 0\nt0 = -1e100\nt1 = 1e100\n", 2),
+        ],
+        ids=[
+            "constant-span",
+            "section-span",
+            "acb-overflow",
+            "aba-overflow",
+            "aba-no-warning",
+            "acb-no-warning",
+        ],
+    )
+    def test_rejected(self, capsys, tmp_path, spec, code):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got, out, err = run_spec(capsys, tmp_path, spec)
+        assert got == code
+        assert out == ""
+        prefix = "error: " if code == 1 else "numerical resolution failure: "
+        assert len(err.splitlines()) == 1
+        assert err.startswith(prefix)
+        assert caught == []
+
+
 class TestIgnoredFlags:
     @pytest.mark.parametrize(
         "argv, message",

@@ -426,6 +426,17 @@ class TestUInvariant:
         with pytest.raises(curvelab.NotAnAcbEvent):
             curvelab.u_invariant(curve, 0.0)
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [("aba", r"mult \(2, 2, 0\), not"), ("abcb", r"mult \(3, 2, 2\), not")],
+    )
+    def test_other_letter_of_n3(self, name, message):
+        # the letter is read from the minors' orders, not from a spinor
+        section = polysect.build_section(symgrp.letter_from_name(3, name))
+        curve = section_curve(section, [0] * len(section.x_vars))
+        with pytest.raises(curvelab.NotAnAcbEvent, match=message):
+            curvelab.u_invariant(curve, 0.0)
+
 
 class TestSlopeProbeDomain:
     def test_event_near_the_end_of_the_domain(self):
@@ -624,6 +635,57 @@ class TestStackedRefinement:
         events = curvelab.singular_events(curve)
         assert [symgrp.letter_name(ev.letter) for ev in events] == ["aba"]
         assert abs(events[0].time - T) < 1e-6
+
+
+class TestOrderReader:
+    """One stacked read classifies every cluster of a curve, one rule reads
+    every order, and an order that no rule accepts is a typed failure."""
+
+    @pytest.mark.parametrize(
+        "word, n, times, message",
+        [
+            ("[bacb][abcb][ab]", 3, [0.4329, 0.8656, 0.8768], "m_1 at t=0.4329"),
+            ("[bcba]aa", 3, [0.3245, 0.688, 0.6996], "m_2 at t=0.3245"),
+            ("[cbad][abacbadcba]", 4, [0.2481, 0.7783], "zero multiplicity"),
+        ],
+        ids=["inconsistent-slopes", "reaches-disagree", "zero-multiplicity"],
+    )
+    def test_unresolved_cluster(self, word, n, times, message):
+        curve = curvelab.curve_with_itinerary(word, n=n, times=times, verify=False)
+        with pytest.raises(curvelab.UnresolvedCluster, match=message):
+            curvelab.singular_events(curve)
+
+    def test_one_read_classifies_every_cluster(self, monkeypatch):
+        curve = curvelab.curve_with_itinerary("a[cb]a[bc]", n=3, verify=False)
+        calls = spy_calls(monkeypatch, "minors")
+        refine, refined = curvelab._refine, []
+
+        def counted(*args):
+            out = refine(*args)
+            refined.append(len(calls))
+            return out
+
+        monkeypatch.setattr(curvelab, "_refine", counted)
+        events = curvelab.singular_events(curve)
+        assert symgrp.word_name(tuple(ev.letter for ev in events)) == "a[cb]a[bc]"
+        assert len(calls) - refined[0] == 1
+
+    def test_u_invariant_reads_no_spinor(self, monkeypatch):
+        fam = polysect.build_perturbed_family("betaprime", Fraction(2, 5))
+        curve = section_curve(fam, (0, 0), t0=-0.5, t1=0.5)
+        calls = spy_calls(monkeypatch, "__call__")
+        lifts = []
+        monkeypatch.setattr(triang, "_lift_rotation_step", lambda *a: lifts.append(a))
+        assert curvelab.u_invariant(curve, 0.0) == 0.3999999999921371
+        assert calls == [] and lifts == []
+
+    @pytest.mark.xfail(raises=curvelab.PathNotAccessible, strict=True)
+    @pytest.mark.parametrize("name", ["[abacbdcba]a", "[bdcba][cbd]"])
+    def test_n4_two_letter_words(self, name):
+        # every attempt (five r halvings) ends in a slope error at the
+        # default times, though each letter alone synthesizes
+        curve = curvelab.curve_with_itinerary(name, n=4)
+        assert symgrp.word_name(curvelab.itinerary(curve)) == name
 
 
 def spy_calls(monkeypatch, method, limit=None):
