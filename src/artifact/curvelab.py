@@ -25,7 +25,8 @@ stack.  The module provides
   their vanishing orders, read from log-log slopes in one stacked read;
   anything unstable raises :class:`UnresolvedCluster` rather than guessing,
 * synthesis of a curve with a prescribed itinerary from the word table
-  ``B(w, j)`` (model arcs joined by convex connectors),
+  ``B(w, j)`` (model arcs joined by chart connectors, the chart angles of
+  the arcs' ends read once per letter and r),
 * the ``u`` invariant of an ``acb`` event read off the unit-lower
   triangular chart of the curve, the chart fixed by the minors' signs, and
 * Hausdorff distance between compact subsets of the parameter interval.
@@ -36,6 +37,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -66,6 +68,9 @@ __all__ = [
     "curve_with_itinerary",
     "u_invariant",
 ]
+
+
+_log = logging.getLogger(__name__)
 
 
 class NonPositiveCurvature(ValueError):
@@ -694,7 +699,7 @@ def curve_with_itinerary(
 
     r = 0.5
     last_exc: Exception | None = None
-    for _ in range(6):
+    for attempt in range(1, 7):
         try:
             curve = _assemble_curve(table, times, d, r)
             if verify:
@@ -704,6 +709,11 @@ def curve_with_itinerary(
                         f"re-extracted itinerary {symgrp.word_name(got)} "
                         "differs from request"
                     )
+            if _log.isEnabledFor(logging.DEBUG):  # word_name costs 40 us
+                _log.debug(
+                    "synthesized %s on attempt %d, r = %g",
+                    symgrp.word_name(word), attempt, r,
+                )
             return curve
         except (
             UnresolvedCluster,
@@ -769,11 +779,37 @@ def _stacked_curve(n: int, ts: tuple, spinors) -> FrameCurve:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _arc_end_charts(images: tuple[int, ...], r: float) -> tuple:
+    """Chart angles of the two ends of a model arc of the letter sigma,
+    each in the cell it lies in.
+
+    The arc of sigma_j is ``B(w, j) exp(s c h)``, ``|s| <= r``.  Its start
+    is ``q_{j-1} acute(eta) acute(sigma) exp(-r c h)`` and its end ``q_j
+    acute(eta) grave(sigma) exp(r c h)``; their charts in the cells of
+    ``q_{j-1}`` and ``q_j`` depend on sigma and r alone, so each is read
+    once per letter and r, as ``(start, end)``."""
+    sigma = Permutation(images)
+    n = sigma.n
+    a = spinalg.acute(symgrp.longest_element(n))
+    c = math.pi / 4
+    E = spinalg.exp_h(n, [-r * c, r * c])[:, None]
+    rows = [
+        (E @ (a * x).to_float().left_matrix().T)[k, 0]
+        for k, x in enumerate((spinalg.acute(sigma), spinalg.grave(sigma)))
+    ]
+    return tuple(tuple(spinalg.positive_chart(Spinor(n, v))) for v in rows)
+
+
 def _assemble_curve(table, times, d, r) -> FrameCurve:
     """Model arcs ``B(w, j) exp(s c h)`` joined by chart connectors, read
     a stack at a time: the stack is split by segment, and each segment is
     a few array operations (one :func:`~artifact.spinalg.exp_h` product
-    per arc, one :func:`_chart_product` per connector)."""
+    per arc, one :func:`_chart_product` per connector).
+
+    A connector runs in the chart of its cell ``q_j`` between the ends of
+    the arcs around it, whose angles come from :func:`_arc_end_charts`
+    per letter; only the arcs' crossings ``B(w, j)`` come from the word."""
     word = table.word
     n = word[0].n
     ell = len(word)
@@ -784,16 +820,12 @@ def _assemble_curve(table, times, d, r) -> FrameCurve:
     # row by row so that a row does not depend on the rest of its stack
     arcs = [table.integer[j + 1].to_float().left_matrix().T for j in range(ell)]
     qs = [qj.to_float() for qj in table.q]
-
-    def arc_rows(j, s):
-        return (spinalg.exp_h(n, s)[:, None] @ arcs[j])[:, 0]
+    charts = [_arc_end_charts(sigma.images, r) for sigma in word]
 
     def arc(j):
-        return lambda t: arc_rows(j, (t - times[j]) / d * r * c)
-
-    # the ends B(w, j) exp(-+r c h) of every arc
-    ends = [Spinor(n, v) for j in range(ell) for v in arc_rows(j, [-r * c, r * c])]
-    start_of_arc, end_of_arc = ends[0::2], ends[1::2]
+        return lambda t: (
+            spinalg.exp_h(n, (t - times[j]) / d * r * c)[:, None] @ arcs[j]
+        )[:, 0]
 
     segments = []  # (t_lo, t_hi, rows of a stack of times in [t_lo, t_hi])
 
@@ -808,13 +840,12 @@ def _assemble_curve(table, times, d, r) -> FrameCurve:
         segments.append((t_lo, t_hi, rows))
 
     # initial ramp: 1 -> C_1 inside the component q_0 = 1
-    th_c1 = spinalg.positive_chart(qs[0].reverse() * start_of_arc[0])
-    add_chart_connector(qs[0], [0.0] * len(eta_word), th_c1, 0.0, times[0] - d)
+    add_chart_connector(qs[0], [0.0] * len(eta_word), charts[0][0], 0.0, times[0] - d)
     for j in range(ell):
         segments.append((times[j] - d, times[j] + d, arc(j)))
-        th_a = spinalg.positive_chart(qs[j + 1].reverse() * end_of_arc[j])
+        th_a = charts[j][1]
         if j + 1 < ell:
-            th_c = spinalg.positive_chart(qs[j + 1].reverse() * start_of_arc[j + 1])
+            th_c = charts[j + 1][0]
             add_chart_connector(qs[j + 1], th_a, th_c, times[j] + d, times[j + 1] - d)
         else:
             # endpoint B(w, l+1) = q_l acute(eta)**2 is a Quat point on the

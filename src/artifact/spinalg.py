@@ -662,18 +662,56 @@ def _checked_word(
 
 
 def word_table(word: Sequence[Permutation], n: int | None = None) -> SpinWordTable:
-    """Build the recursion B(w,0)=1, B(w,1/2)=acute(eta), B(w,j)=B(w,j-1/2)
+    """The recursion B(w,0)=1, B(w,1/2)=acute(eta), B(w,j)=B(w,j-1/2)
     acute(sigma_j), B(w,j+1/2)=B(w,j-1/2) hat(sigma_j), endpoint
-    B(w,l+1)=B(w,l+1/2) acute(eta), via q_j = acute(eta) b_j acute(eta)**-1.
+    B(w,l+1)=B(w,l+1/2) acute(eta), read from signed blades.
+
+    With b_j the signed blades of :func:`_hat_prefixes`, the cell of the
+    j-th gap is ``q_j = acute(eta) b_j acute(eta)**-1`` (one conjugation per
+    signed blade), ``B(w, j + 1/2) = q_j acute(eta)``, and the crossing is
+    ``B(w, j) = q_{j-1} (acute(eta) acute(sigma_j))`` with the bracket
+    computed once per letter.  So the word enters only through the b_j, and
+    each entry is a signed permutation of a cached element's terms, exact
+    as the recursion.
     """
     word, n = _checked_word(word, n)
     a = acute(symgrp.longest_element(n))
     b = _hat_prefixes(word)
-    a2_inv = _endpoint_cached(n, b[0]).reverse()  # acute(eta)**-2
-    q = tuple(_endpoint_cached(n, bj) * a2_inv for bj in b)
-    half = tuple(qj * a for qj in q)
-    integer = (CliffordEven.one(n),) + tuple(h * acute(s) for h, s in zip(half, word))
-    return SpinWordTable(word, integer + (_endpoint_cached(n, b[-1]),), half, q)
+    cells = [_cell_cached(n, bj) for bj in b]
+    half = tuple(_blade_times(qj, a) for qj in cells)
+    crossings = tuple(
+        _blade_times(qj, _crossing_cached(s.images)) for qj, s in zip(cells, word)
+    )
+    integer = (CliffordEven.one(n),) + crossings + (_endpoint_cached(n, b[-1]),)
+    q = tuple(_from_signed_blade(n, qj) for qj in cells)
+    return SpinWordTable(word, integer, half, q)
+
+
+def _blade_times(b: SignedBlade, z: CliffordEven) -> CliffordEven:
+    """``b * z`` for a signed blade b: a signed permutation of z's terms,
+    with no product of coefficients."""
+    blade, sign = b
+    terms = {}
+    for I, c in z.terms:
+        s, K = _blade_mul(blade, I)
+        terms[K] = c if s == sign else -c
+    return CliffordEven(z.n, tuple(sorted(terms.items())))
+
+
+@functools.lru_cache(maxsize=None)
+def _crossing_cached(images: tuple[int, ...]) -> CliffordEven:
+    """``acute(eta) acute(sigma)``: the crossing of the letter sigma in the
+    cell of the positive blade, ``B(w, j) = q_{j-1} acute(eta)
+    acute(sigma_j)``."""
+    return acute(symgrp.longest_element(len(images) - 1)) * _acute_cached(images, +1)
+
+
+@functools.lru_cache(maxsize=None)
+def _cell_cached(n: int, b: SignedBlade) -> SignedBlade:
+    """The signed cell ``q = acute(eta) b acute(eta)**-1`` of the signed
+    blade b; raises unless q is in Quat."""
+    a = acute(symgrp.longest_element(n))
+    return _signed_blade(a * _from_signed_blade(n, b) * a.reverse())
 
 
 @functools.lru_cache(maxsize=None)
@@ -935,11 +973,11 @@ def in_positive_cell(z: CliffordEven) -> bool:
     return signed_cell(z) == CliffordEven.one(z.n)
 
 
-def positive_chart(z: CliffordEven) -> list[float]:
-    """Chart coordinates of z in ``Bru_{acute eta}``: the angles theta in
-    (0, pi)**l with ``z = prod alpha_{i_k}(theta_k)`` along the reduced
-    word of eta.  Raises :class:`NoRootInInterval` / ValueError when z is
-    not in the signed cell."""
+def positive_chart(z: "CliffordEven | Spinor") -> list[float]:
+    """Chart coordinates of z, exact or float, in ``Bru_{acute eta}``: the
+    angles theta in (0, pi)**l with ``z = prod alpha_{i_k}(theta_k)`` along
+    the reduced word of eta.  Raises :class:`NoRootInInterval` / ValueError
+    when z is not in the signed cell."""
     thetas, cur = _peel_positive(z)
     resid = np.abs(cur.v[1:]).max(initial=0.0)
     if resid > _CHART_TOL or abs(cur.scalar_part() - 1.0) > _CHART_TOL:

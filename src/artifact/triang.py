@@ -4,14 +4,15 @@ Jacobi one-parameter subgroups ``jacobi(j, t) = I + t E_{j+1,j}``, the
 nilpotent flow ``exp(t n)``, factorization along reduced words (with
 exact verification by re-multiplication), the orders ``<<``
 (``L0 << L1`` iff ``L0^-1 L1`` is totally positive) and ``<=``
-(closure), accessibility quasiproducts, and the LU / QR bridges
-to the rotation-matrix picture, including ``convex_connect``.
+(closure), accessibility quasiproducts, and the bridges to the
+rotation-matrix picture: LU, positive QR, and the continuous spin lift of
+a rotation path by Cayley steps.
 
 The Lo1 algebra works on plain lists of rows whose entries are exact:
 ints, ``Fraction``s, or sympy expressions (factorization works
 generically, so the closed forms of the accessibility example can be
-reproduced symbolically).  The rotation bridges (LU, QR, Bruhat normal
-form, ``convex_connect``) work on float numpy arrays.
+reproduced symbolically).  The rotation bridges (LU, QR, spin lift) work
+on float numpy arrays.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "NotFactorizable",
     "NotTotallyPositive",
     "NotLUDecomposable",
-    "NotConnectableInCell",
     "NotARotation",
     "NearHalfTurn",
     "DegenerateSum",
@@ -49,8 +49,6 @@ __all__ = [
     "accessibility_quasiproduct",
     "lu_of_rotation",
     "qr_positive",
-    "bruhat_upw",
-    "convex_connect",
 ]
 
 
@@ -64,10 +62,6 @@ class NotTotallyPositive(ValueError):
 
 class NotLUDecomposable(ValueError):
     """A leading principal minor vanishes."""
-
-
-class NotConnectableInCell(ValueError):
-    """No convex arc connects the two points inside the open cell."""
 
 
 class NotARotation(ValueError):
@@ -406,65 +400,6 @@ def qr_positive(M) -> tuple:
     Q *= signs[..., None, :]
     R *= signs[..., :, None]
     return Q, R
-
-
-def bruhat_upw(M: Matrix) -> tuple:
-    """Normal form ``M = U1 P U2`` for M in the open cell, with U1 unit
-    upper-triangular, P a signed antidiagonal permutation matrix and U2
-    upper with positive diagonal.  Via LU of J M."""
-    A = np.array(M, dtype=float)
-    m = A.shape[0]
-    J = np.fliplr(np.eye(m))
-    # LU without pivoting; failure means M is not in the open cell
-    try:
-        L, U2 = lu_of_rotation(J @ A)
-    except NotLUDecomposable as exc:
-        raise NotConnectableInCell("matrix not in the open Bruhat cell") from exc
-    if np.abs(np.diag(U2)).min() < 1e-10:
-        raise NotConnectableInCell("matrix not in the open Bruhat cell")
-    U1 = J @ L @ J  # unit upper-triangular
-    signs = np.sign(np.diag(U2))
-    P = J @ np.diag(signs)
-    U2 = np.diag(signs) @ U2
-    return U1, P, U2
-
-
-def convex_connect(
-    A: "spinalg.CliffordEven",
-    B: "spinalg.CliffordEven",
-    samples: int = 64,
-) -> list["spinalg.Spinor"]:
-    """A sampled convex arc in Spin from A to B.
-
-    Requires ``A^-1 B`` to lie in the open cell ``Bru_{acute eta}`` in
-    the component reachable by a convex arc.  The arc is the projective
-    transform of the model arc ``exp(t c h)``, ``c = pi/4``: with
-    ``W = Pi(exp(c h)) = U_w P U_w'`` and ``Z = Pi(A^-1 B) = U_z P U_z'``,
-    the matrix arc is ``N(t) = Q((U_w U_z^-1)^-1 Pi(exp(t c h)))``, which
-    runs from I to Z; the returned spin samples are ``A * lift(N(t))``.
-    """
-    n, c = A.n, math.pi / 4
-    target = A.inverse() * B
-    Z = spinalg.project(target.to_float())
-    # Pi(exp(t c h)) at t = k / samples, one stack; W is its last matrix
-    s = np.arange(samples + 1) / samples * c
-    P = spinalg._project_float(n, spinalg.exp_h(n, s))
-    U1w, Pw, _ = bruhat_upw(P[-1])
-    U1z, Pz, _ = bruhat_upw(Z)
-    if not np.allclose(Pw, Pz, atol=1e-9):
-        raise NotConnectableInCell("endpoints lie in different components")
-    U = U1w @ np.linalg.inv(U1z)
-    mats = qr_positive(np.linalg.inv(U) @ P)[0]
-    if not np.allclose(mats[-1], Z, atol=1e-8):
-        raise NotConnectableInCell("arc endpoint mismatch")
-
-    out = _lift_path(n, A.to_float(), mats)
-    end_err = _spin_distance(out[-1], B.to_float())
-    if end_err > 1e-6:
-        raise NotConnectableInCell(
-            f"spin lift ends at the antipodal point (err {end_err:.2e})"
-        )
-    return out
 
 
 def _lift_rotation_step(n: int, R) -> "spinalg.Spinor":

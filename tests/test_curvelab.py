@@ -1,3 +1,4 @@
+import logging
 import math
 from fractions import Fraction
 
@@ -294,6 +295,80 @@ class TestEvaluatorContract:
         assert len(ts) == 2 * ell + 2
         assert ts[0] == 0.0 and ts[-1] == 1.0
         assert all(a < b for a, b in zip(ts, ts[1:]))
+
+
+class TestPerLetterChartEnds:
+    """The chart angles of a model arc's ends depend on its letter and r
+    alone, and are read once per letter and r."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        case=st.sampled_from([2, 3, 4]).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.sampled_from(
+                        [s for s in symgrp.all_permutations(n) if not s.is_identity()]
+                    ),
+                    min_size=1,
+                    max_size=3,
+                ),
+            )
+        ),
+        r=st.sampled_from([0.5, 0.25, 0.125]),
+    )
+    def test_match_the_word_table(self, case, r):
+        # the arc of sigma_j starts at B(w, j) exp(-r c h) in the cell of
+        # q_{j-1} and ends at B(w, j) exp(r c h) in the cell of q_j
+        n, word = case
+        table = spinalg.word_table(word, n)
+        h = spinalg.h_bivector(n)
+        for j, sigma in enumerate(word):
+            B = table.integer[j + 1].to_float()
+            got = curvelab._arc_end_charts(sigma.images, r)
+            for k, (side, q) in enumerate(((-1, table.q[j]), (1, table.q[j + 1]))):
+                end = B * spinalg.clifford_exp(h.scale(side * r * math.pi / 4))
+                want = spinalg.positive_chart(q.to_float().reverse() * end)
+                assert np.abs(np.array(got[k]) - want).max() < 1e-13
+
+    def test_second_synthesis_reads_no_chart(self, monkeypatch):
+        n = 3
+        word = symgrp.word_from_name(n, "a[cb]ab")
+        calls = []
+        inner = spinalg.positive_chart
+
+        def counted(z):
+            calls.append(z)
+            return inner(z)
+
+        monkeypatch.setattr(spinalg, "positive_chart", counted)
+        curvelab._arc_end_charts.cache_clear()
+        first = curvelab.curve_with_itinerary(word, n=n)
+        assert len(calls) == 2 * len(set(word))  # two ends per letter
+        del calls[:]
+        second = curvelab.curve_with_itinerary(word, n=n)
+        assert calls == []
+        stack = np.linspace(0.0, 1.0, 101)
+        assert np.array_equal(first.matrix(stack), second.matrix(stack))
+
+
+class TestSynthesisLog:
+    """``curve_with_itinerary`` logs its attempt and r at DEBUG only."""
+
+    def test_attempt_and_r(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="artifact.curvelab")
+        word = symgrp.word_from_name(2, "[ab][aba]")
+        curvelab.curve_with_itinerary(word, times=[0.409, 0.429], n=2)
+        curvelab.curve_with_itinerary(word, n=2)
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "synthesized [ab][aba] on attempt 4, r = 0.0625",
+            "synthesized [ab][aba] on attempt 1, r = 0.5",
+        ]
+
+    def test_silent_by_default(self, caplog, capsys):
+        curvelab.curve_with_itinerary(symgrp.word_from_name(2, "ab"), n=2)
+        assert caplog.records == []
+        assert capsys.readouterr() == ("", "")
 
 
 def _reference_curve(table, times, d, r):

@@ -152,11 +152,5 @@ class TestNoMatrixFunctions:
         numeric = symgrp.word_name(tuple(ev.letter for ev in events))
         assert numeric == polysect.classify_point(section, point).label
 
-    def test_convex_connect(self, no_matrix_functions):
-        A = spinalg.spin_exp_h(2, 0.2)
-        B = spinalg.spin_exp_h(2, 0.9)
-        path = triang.convex_connect(A, B, samples=16)
-        assert triang._spin_distance(path[-1], B) < 1e-8
-
     def test_half_turn(self, no_matrix_functions):
         curvelab._lift_rotation(3, np.diag([1.0, -1.0, -1.0, 1.0]))

@@ -102,6 +102,48 @@ class TestWordTableRecursion:
         assert all(spinalg.is_quat(q) for q in table.q)
 
 
+class TestWordTableFromBlades:
+    """Every entry of the word table is a signed blade times an element
+    cached per letter or per signed blade, equal to the product chain it
+    replaces."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_matches_former_recursion(self, n, data):
+        # the construction from the hat prefixes b_j by dense products:
+        # q_j = (acute(eta) b_j acute(eta)) acute(eta)**-2, B(w, j + 1/2) =
+        # q_j acute(eta), B(w, j) = B(w, j - 1/2) acute(sigma_j)
+        word = tuple(data.draw(st.lists(st.sampled_from(letters(n)), max_size=6)))
+        a = spinalg.acute(symgrp.longest_element(n))
+        a2_inv = (a * a).inverse()
+        q = tuple(
+            a * spinalg._from_signed_blade(n, b) * a * a2_inv
+            for b in spinalg._hat_prefixes(word)
+        )
+        half = tuple(qj * a for qj in q)
+        integer = (
+            (CliffordEven.one(n),)
+            + tuple(h * spinalg.acute(s) for h, s in zip(half, word))
+            + (half[-1] * a,)
+        )
+        table = spinalg.word_table(word, n)
+        assert table.q == q
+        assert table.half == half
+        assert table.integer == integer
+        assert all(type(z) is CliffordEven for z in table.integer + table.half)
+
+    def test_caches_bounded_by_group(self):
+        n = 3
+        spinalg._cell_cached.cache_clear()
+        spinalg._crossing_cached.cache_clear()
+        pool = letters(n)
+        for k in range(len(pool)):
+            spinalg.word_table(pool[k:] + pool[:k], n)
+        assert spinalg._crossing_cached.cache_info().currsize == len(pool)
+        assert spinalg._cell_cached.cache_info().currsize <= 2 ** (n + 1)
+
+
 def test_one_identity_letter_class():
     assert polysect.IdentityLetter is spinalg.IdentityLetter
     assert "IdentityLetter" in polysect.__all__

@@ -225,15 +225,3 @@ class TestCellOfUnitriangular:
         assert triang.cell_of_unitriangular(
             triang.identity_matrix(2)
         ) == symgrp.identity(2)
-
-
-class TestConvexConnect:
-    def test_endpoints(self):
-        from artifact import spinalg
-
-        A = spinalg.spin_exp_h(2, 0.2)
-        B = spinalg.spin_exp_h(2, 0.9)
-        path = triang.convex_connect(A, B, samples=16)
-        d0 = triang._spin_distance(path[0], A)
-        d1 = triang._spin_distance(path[-1], B)
-        assert d0 < 1e-8 and d1 < 1e-8
