@@ -1,18 +1,15 @@
 """Numeric engine for locally convex curves in Spin_{n+1}.
 
-A curve is a :class:`FrameCurve`: an evaluator ``t -> z(t)`` of unit
-spinors on ``[ts[0], ts[-1]]``, where ``ts`` are the knots it starts
-from.  Everything downstream reads the curve pointwise, and the rotation
-frames ``Pi(z(t))`` and their southwest minors over a whole stack of
-times in one call.  Since ``Pi(z) = Pi(-z)``, a matrix path gives its
-frames and minors straight from batched QRs, without the spin lift; its
-node lifts are built only when a spinor is asked for (``curve(t)``, an
-endpoint).  Synthesized and constant-curvature curves compute the spinors
-of a whole stack at once, a few array operations per segment, and
-``curve(t)`` is a stack of one; no library curve is read one time at a
-time (only hand-built ones are).
-Spinor-valued curves project their stacked spinors by one contraction per
-stack.  The module provides
+A curve is a :class:`FrameCurve`: an evaluator of the unit spinors
+``z(t)`` over a whole stack of times in ``[ts[0], ts[-1]]``, where ``ts``
+are the knots it is built from.  Every read is a stack: the spinors, the
+rotation frames ``Pi(z(t))`` and their southwest minors, and ``curve(t)``
+is a stack of one.  Synthesized and constant-curvature curves compute the
+spinors of a stack a few array operations per segment and project them by
+one contraction per stack.  Since ``Pi(z) = Pi(-z)``, a matrix path gives
+its frames and minors straight from batched QRs, without the spin lift;
+its node lifts are built only when a spinor is asked for (``curve(t)``, an
+endpoint).  The module provides
 
 * constant-curvature solutions of the frame equation
   ``z' = z * sum_j kappa_j a_j`` in closed form, the one-parameter
@@ -34,7 +31,6 @@ stack.  The module provides
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import logging
@@ -99,29 +95,28 @@ class NotAnAcbEvent(ValueError):
 
 @dataclass
 class FrameCurve:
-    """A curve in Spin_{n+1}, given by its evaluators.
+    """A curve in Spin_{n+1}, read a stack of times at a time.
 
-    ``eval_fn(t)`` is the unit :class:`Spinor` at ``t``.  ``ts`` is the
-    strictly increasing tuple of knots the evaluator starts from (lift
-    nodes, segment ends, or just the domain ends of a closed form); its
-    first and last entries bound the domain.
+    ``spinors(times)`` maps a 1-d stack of times to the coefficient rows of
+    the unit spinors ``z(t)``, shape ``(k, 2**n)``.  ``ts`` is the strictly
+    increasing tuple of knots the curve is built from (lift nodes, segment
+    ends, or just the domain ends of a closed form); its first and last
+    entries bound the domain.
 
+    ``curve(t)`` is the :class:`Spinor` at one time, a stack of one.
     :meth:`matrix` and :meth:`minors` take one time or a 1-d stack of
     times (one time is a stack of one) and evaluate the whole stack in one
-    call.  ``frames_fn``, when given, maps a stack of times to the rotation
-    frames ``Pi(z(t))``: matrix paths take their positive QR factors
-    without the spin lift, and synthesized and constant-curvature curves
-    project the spinors of the whole stack (their ``eval_fn`` reads a
-    stack of one).  Every library curve has one; without it, which serves
-    only hand-built curves, the frames are the projections of
-    ``eval_fn``'s spinors, one call per time.
-    Every time of a stack is checked against the domain (``ValueError``).
+    call.  The frames ``Pi(z(t))`` are the projections of the spinor stack,
+    except on a matrix path, whose ``frames(times)`` takes its positive QR
+    factors without the spin lift.  Every time read through the curve is
+    checked against the domain (``ValueError``); ``spinors`` and ``frames``
+    check nothing.
     """
 
     n: int
     ts: tuple
-    eval_fn: Callable[[float], Spinor]
-    frames_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    spinors: Callable[[np.ndarray], np.ndarray]
+    frames: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @property
     def t0(self) -> float:
@@ -141,8 +136,7 @@ class FrameCurve:
         return times
 
     def __call__(self, t: float) -> Spinor:
-        self._times(t)
-        return self.eval_fn(t)
+        return Spinor(self.n, self.spinors(self._times(t))[0])
 
     def matrix(self, t) -> np.ndarray:
         """``Pi(z(t))``: one matrix, or a ``(k, n+1, n+1)`` stack."""
@@ -155,36 +149,9 @@ class FrameCurve:
         )
 
     def _frames(self, times: np.ndarray) -> np.ndarray:
-        if self.frames_fn is not None:
-            return self.frames_fn(times)
-        vs = np.fromiter(
-            (self.eval_fn(s).v for s in times.tolist()),
-            dtype=(float, 2**self.n),  # the 2^n even blades
-            count=len(times),
-        )
-        return spinalg._project_float(self.n, vs)
-
-
-def _lift_rotation(n: int, R: np.ndarray) -> Spinor:
-    """A spin lift of an arbitrary rotation (sign chosen arbitrarily).
-
-    A rotation with an eigenvalue -1 is lifted as ``lift(R D) e_F``: D is
-    the diagonal sign matrix in SO_{n+1} with the largest ``det(I + R D)``
-    and e_F the blade of the coordinates it negates, so ``Pi(e_F) = D``.
-    Over all 2^(n+1) sign matrices ``det(I + R D)`` averages to 1 and
-    vanishes when ``det D = -1``, so the chosen D has ``det(I + R D) >= 2``.
-    """
-    R = np.asarray(R, dtype=float)
-    try:
-        return triang._lift_rotation_step(n, R)
-    except triang.NearHalfTurn:
-        pass
-    signs = np.array(
-        [d for d in itertools.product((1.0, -1.0), repeat=n + 1) if np.prod(d) > 0]
-    )
-    d = signs[np.argmax(np.linalg.det(np.eye(n + 1) + R * signs[:, None, :]))]
-    flipped = tuple(int(i) + 1 for i in np.flatnonzero(d < 0))
-    return triang._lift_rotation_step(n, R * d) * Spinor.from_terms(n, {flipped: 1.0})
+        if self.frames is not None:
+            return self.frames(times)
+        return spinalg._project_float(self.n, self.spinors(times))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +181,7 @@ def integrate_frame(
             raise NonPositiveCurvature(f"kappa_{j} = {v} <= 0")
     modes = spinalg._modes(spinalg._a_sum(n, kappas))
     t0 = float(t0)
-    return _stacked_curve(
+    return FrameCurve(
         n, (t0, float(t1)), lambda ts: spinalg._exp_stack(modes, ts - t0)
     )
 
@@ -232,10 +199,11 @@ def frame_curve_from_matrix_path(
     from batched QRs of the stacked ``mfun(t)``, without the spin lift;
     an overflowing or non-finite ``mfun(t)`` or a frame with ``max |Q^T Q
     - I| > 1e-8`` raises :class:`~artifact.triang.NotARotation`.  The spin
-    lift is continuous along ``ts``: the node frames and their lifts are
-    built on the first spinor request (the lift of the first node also
-    rejects ``det Q < 0``), and a spinor is lifted from the nearest node
-    below.
+    lift is continuous along ``ts`` (:func:`~artifact.triang._lift_path`):
+    the node frames and their lifts are built on the first spinor request
+    (the lift of the first node also rejects ``det Q < 0``).  A stack of
+    spinors is one batched frame read, and each row is the lift of its
+    nearest node below times one Cayley step to its frame.
     """
     ts = [float(t) for t in ts]
     eye = np.eye(n + 1)
@@ -258,17 +226,19 @@ def frame_curve_from_matrix_path(
 
     nodes = []  # node frames and their lifts, built on the first spinor request
 
-    def eval_fn(t: float) -> Spinor:
+    def spinors(times: np.ndarray) -> np.ndarray:
         if not nodes:
             qs = frames(np.array(ts))
-            nodes[:] = [qs, triang._lift_path(n, _lift_rotation(n, qs[0]), qs)]
+            nodes[:] = [qs, triang._lift_path(n, qs)]
         qs, lifts = nodes
-        k = bisect.bisect_right(ts, t) - 1
-        k = max(0, min(k, len(ts) - 1))
-        step = qs[k].T @ frames(np.array([t]))[0]
-        return lifts[k] * triang._lift_rotation_step(n, step)
+        below = np.clip(np.searchsorted(ts, times, side="right") - 1, 0, len(ts) - 1)
+        rows = [
+            (lifts[k] * triang._lift_rotation_step(n, qs[k].T @ frame)).v
+            for k, frame in zip(below.tolist(), frames(times))
+        ]
+        return np.reshape(rows, (len(times), 2**n))  # the 2^n even blades
 
-    return FrameCurve(n, tuple(ts), eval_fn, frames)
+    return FrameCurve(n, tuple(ts), spinors, frames)
 
 
 def frenet_frame(
@@ -634,11 +604,12 @@ def hausdorff(X: Sequence[float], Y: Sequence[float]) -> float:
     return max(directed(X, Y), directed(Y, X))
 
 
-def is_convex_arc(curve: FrameCurve, samples: int = 10) -> bool:
-    """Check convexity: every chord ``z(s)^-1 z(t)`` (s < t) must lie in
-    the signed open cell ``Bru_{acute eta}``."""
-    ts = np.linspace(curve.t0, curve.t1, samples)
-    spins = [curve(t) for t in ts]
+def is_convex_arc(curve: FrameCurve) -> bool:
+    """Check convexity at ten equally spaced times, read as one stack:
+    every chord ``z(s)^-1 z(t)`` (s < t) must lie in the signed open cell
+    ``Bru_{acute eta}``."""
+    ts = np.linspace(curve.t0, curve.t1, 10)
+    spins = [Spinor(curve.n, v) for v in curve.spinors(ts)]
     for a in range(len(ts)):
         for b in range(a + 1, len(ts)):
             d = spins[a].reverse() * spins[b]
@@ -657,7 +628,6 @@ def curve_with_itinerary(
     times: Optional[Sequence[float]] = None,
     n: Optional[int] = None,
     verify: bool = True,
-    verify_grid: int = 1024,
 ) -> FrameCurve:
     """A curve from 1 to ``q_of_word(word)`` whose itinerary is ``word``.
 
@@ -667,8 +637,8 @@ def curve_with_itinerary(
     ``Bru_{q_j acute eta}``; the connectors interpolate linearly in the
     exact angle chart of that cell, which keeps them strictly inside the
     cell (no extra singular events).  With ``verify=True`` the itinerary
-    is re-extracted and compared (hard postcondition); failure raises
-    :class:`PathNotAccessible`.
+    is re-extracted on the default grid and compared (hard postcondition);
+    failure raises :class:`PathNotAccessible`.
     """
     if isinstance(word, str):
         if n is None:
@@ -703,7 +673,7 @@ def curve_with_itinerary(
         try:
             curve = _assemble_curve(table, times, d, r)
             if verify:
-                got = itinerary(curve, grid=verify_grid)
+                got = itinerary(curve)
                 if [g.images for g in got] != [w.images for w in word]:
                     raise PathNotAccessible(
                         f"re-extracted itinerary {symgrp.word_name(got)} "
@@ -766,17 +736,6 @@ def _chart_product(n: int, q: Spinor, eta_word, thetas) -> np.ndarray:
         half = th[:, None] / 2
         Z = np.cos(half) * Z - np.sin(half) * (Z[:, src] * sign)
     return Z
-
-
-def _stacked_curve(n: int, ts: tuple, spinors) -> FrameCurve:
-    """The curve whose spinors over a stack of times are the coefficient
-    rows ``spinors(times)``; ``curve(t)`` reads a stack of one."""
-    return FrameCurve(
-        n,
-        ts,
-        lambda t: Spinor(n, spinors(np.array([float(t)]))[0]),
-        lambda times: spinalg._project_float(n, spinors(times)),
-    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -865,7 +824,7 @@ def _assemble_curve(table, times, d, r) -> FrameCurve:
             out[at] = rows(np.clip(ts[at], lo, hi))
         return out
 
-    return _stacked_curve(n, tuple(bounds) + (1.0,), spinors)
+    return FrameCurve(n, tuple(bounds) + (1.0,), spinors)
 
 
 # ---------------------------------------------------------------------------

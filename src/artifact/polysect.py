@@ -94,8 +94,6 @@ class SectionFamily:
     x_weights: tuple[int, ...]
     Mtilde_full: sp.Matrix | None = None
     u: sp.Symbol | sp.Rational | None = None
-    _minors: tuple | None = field(default=None, repr=False)
-    _dense_minors: list | None = field(default=None, repr=False)
 
     @property
     def point_vars(self) -> tuple[sp.Symbol, ...]:
@@ -103,6 +101,27 @@ class SectionFamily:
         if isinstance(self.u, sp.Symbol):
             return self.x_vars + (self.u,)
         return self.x_vars
+
+    @cached_property
+    def _minors(self) -> tuple:
+        """The southwest minors, read by :func:`minors`."""
+        n = self.n
+        out = []
+        for j in range(1, n + 1):
+            mj = sp.expand(self.M[n + 1 - j :, :j].det())
+            if mj == 0:
+                raise ZeroPolynomial(f"minor m_{j} vanishes identically")
+            out.append(mj)
+        return tuple(out)
+
+    @cached_property
+    def _dense_minors(self) -> list:
+        """Each minor as a dense QQ polynomial in ``t`` and the point
+        variables, read by :func:`classify_point`."""
+        return [
+            sp.Poly(mj, self.t, *self.point_vars, domain=QQ).rep.to_list()
+            for mj in self._minors
+        ]
 
 
 @lru_cache(maxsize=None)
@@ -210,16 +229,6 @@ def build_perturbed_family(kind: str, u: object | None = None) -> SectionFamily:
 
 def minors(section: SectionFamily) -> tuple:
     """Southwest minors ``m_j = det M[n+2-j.., :j]`` as sympy polynomials."""
-    if section._minors is None:
-        n = section.n
-        out = []
-        for j in range(1, n + 1):
-            sub = section.M[n + 1 - j :, :j]
-            mj = sp.expand(sub.det())
-            if mj == 0:
-                raise ZeroPolynomial(f"minor m_{j} vanishes identically")
-            out.append(mj)
-        section._minors = tuple(out)
     return section._minors
 
 
@@ -440,11 +449,6 @@ def classify_point(
         raise ValueError(
             f"expected {len(section.point_vars)} coordinates, got {len(values)}"
         )
-    if section._dense_minors is None:
-        section._dense_minors = [
-            sp.Poly(mj, section.t, *section.point_vars, domain=QQ).rep.to_list()
-            for mj in minors(section)
-        ]
 
     point = [_qq(v) for v in values]
     factors = []  # (j, k, g_{j,k}): primitive, positive leading coefficient

@@ -5,8 +5,9 @@ nilpotent flow ``exp(t n)``, factorization along reduced words (with
 exact verification by re-multiplication), the orders ``<<``
 (``L0 << L1`` iff ``L0^-1 L1`` is totally positive) and ``<=``
 (closure), accessibility quasiproducts, and the bridges to the
-rotation-matrix picture: LU, positive QR, and the continuous spin lift of
-a rotation path by Cayley steps.
+rotation-matrix picture: LU, positive QR, and the one rotation -> spin
+lift (Cayley steps, with a diagonal sign matrix in front of a half-turn),
+continuous along a rotation path.
 
 The Lo1 algebra works on plain lists of rows whose entries are exact:
 ints, ``Fraction``s, or sympy expressions (factorization works
@@ -17,6 +18,7 @@ on float numpy arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -438,11 +440,33 @@ def _lift_rotation_step(n: int, R) -> "spinalg.Spinor":
     return psi.scale(1.0 / np.linalg.norm(psi.v))
 
 
-def _lift_path(n: int, start: "spinalg.Spinor", mats) -> list["spinalg.Spinor"]:
-    """The continuous spin lift of the rotations ``mats`` that starts at
-    ``start``, a lift of ``mats[0]``: each next lift is the previous one
-    times the lift of the step ``mats[k]^T mats[k + 1]``."""
-    out = [start]
+def _lift_rotation(n: int, R) -> "spinalg.Spinor":
+    """A spin lift of an arbitrary rotation (sign chosen arbitrarily).
+
+    A rotation with an eigenvalue -1 is lifted as ``lift(R D) e_F``: D is
+    the diagonal sign matrix in SO_{n+1} with the largest ``det(I + R D)``
+    and e_F the blade of the coordinates it negates, so ``Pi(e_F) = D``.
+    Over all 2^(n+1) sign matrices ``det(I + R D)`` averages to 1 and
+    vanishes when ``det D = -1``, so the chosen D has ``det(I + R D) >= 2``.
+    """
+    R = np.asarray(R, dtype=float)
+    try:
+        return _lift_rotation_step(n, R)
+    except NearHalfTurn:
+        pass
+    signs = np.array(
+        [d for d in itertools.product((1.0, -1.0), repeat=n + 1) if np.prod(d) > 0]
+    )
+    d = signs[np.argmax(np.linalg.det(np.eye(n + 1) + R * signs[:, None, :]))]
+    flipped = tuple(int(i) + 1 for i in np.flatnonzero(d < 0))
+    return _lift_rotation_step(n, R * d) * spinalg.Spinor.from_terms(n, {flipped: 1.0})
+
+
+def _lift_path(n: int, mats) -> list["spinalg.Spinor"]:
+    """The continuous spin lift of the rotations ``mats``: it starts at
+    :func:`_lift_rotation` of ``mats[0]``, and each next lift is the
+    previous one times the lift of the step ``mats[k]^T mats[k + 1]``."""
+    out = [_lift_rotation(n, mats[0])]
     for prev, nxt in zip(mats, mats[1:]):
         out.append(out[-1] * _lift_rotation_step(n, prev.T @ nxt))
     return out

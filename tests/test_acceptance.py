@@ -201,9 +201,7 @@ class TestCriterion6EndpointLaw:
                 word = tuple(rng.choice(pools[n]) for _ in range(ell))
                 # verify=True re-extracts the itinerary and raises unless
                 # it equals the requested word exactly
-                curve = curvelab.curve_with_itinerary(
-                    word, n=n, verify=True, verify_grid=512
-                )
+                curve = curvelab.curve_with_itinerary(word, n=n, verify=True)
                 end = curve(curve.ts[-1])
                 q = spinalg.q_of_word(word, n).to_float()
                 diff = max(

@@ -87,14 +87,23 @@ class TestStackedConstantCurvature:
             want = spinalg.clifford_exp(A.scale(t - t0))
             assert np.abs(curve(t).v - want.v).max() < 1e-13
 
-    def test_hand_built_curve_reads_each_time(self):
-        # without frames_fn the frames are the projections of eval_fn's spinors
-        hand = curvelab.FrameCurve(
-            2, (0.0, 1.0), lambda t: spinalg.spin_exp_h(2, math.pi * t)
-        )
+    def test_curve_without_frames_projects_its_spinor_stack(self):
+        # without frames the frames are the projections of the spinor
+        # stack, read by one spinors call per stack
+        calls = []
+
+        def spinors(ts):
+            calls.append(len(ts))
+            return spinalg.exp_h(2, math.pi * ts)
+
+        curve = curvelab.FrameCurve(2, (0.0, 1.0), spinors)
         stack = np.linspace(0.0, 1.0, 9)
-        want = curvelab.integrate_frame(2, circle_kappas(2)).minors(stack)
-        assert np.abs(hand.minors(stack) - want).max() < 1e-13
+        got = curve.matrix(stack)
+        assert calls == [9]
+        want = spinalg._project_float(2, spinalg.exp_h(2, math.pi * stack))
+        assert np.array_equal(got, want)
+        circle = curvelab.integrate_frame(2, circle_kappas(2)).minors(stack)
+        assert np.abs(curve.minors(stack) - circle).max() < 1e-13
 
     def test_lost_phase_is_not_unit(self):
         curve = curvelab.integrate_frame(2, circle_kappas(2), t1=1e300)
@@ -171,9 +180,10 @@ class TestSingularEvents:
         wobble = amp * np.sin(np.arange(16.0) + 1.0).reshape(4, 4)
 
         def frames(ts):
-            return curve.frames_fn(ts) + np.sin(1e7 * ts)[:, None, None] * wobble
+            exact = spinalg._project_float(3, curve.spinors(ts))
+            return exact + np.sin(1e7 * ts)[:, None, None] * wobble
 
-        noisy = curvelab.FrameCurve(3, curve.ts, curve.eval_fn, frames)
+        noisy = curvelab.FrameCurve(3, curve.ts, curve.spinors, frames)
         events = curvelab.singular_events(noisy)
         assert [ev.letter for ev in events] == list(word)
         for j, ev in enumerate(events):
@@ -208,9 +218,9 @@ class TestHausdorff:
 class TestConvexity:
     def test_short_exp_h_arc_is_convex(self):
         curve = curvelab.FrameCurve(
-            2, (0.0, 0.4 * math.pi), lambda t: spinalg.spin_exp_h(2, t)
+            2, (0.0, 0.4 * math.pi), lambda ts: spinalg.exp_h(2, ts)
         )
-        assert curvelab.is_convex_arc(curve, samples=6)
+        assert curvelab.is_convex_arc(curve)
 
 
 class TestCurveWithItinerary:
@@ -224,20 +234,20 @@ class TestCurveWithItinerary:
     def test_single_letters(self):
         for name in ("a", "b", "[ab]"):
             word = symgrp.word_from_name(2, name)
-            curve = curvelab.curve_with_itinerary(word, n=2, verify_grid=512)
+            curve = curvelab.curve_with_itinerary(word, n=2)
             got = curvelab.itinerary(curve, grid=512)
             assert [g.images for g in got] == [w.images for w in word]
 
     def test_endpoint_law(self):
         word = symgrp.word_from_name(2, "abab")
-        curve = curvelab.curve_with_itinerary(word, n=2, verify_grid=512)
+        curve = curvelab.curve_with_itinerary(word, n=2)
         end = curve(1.0)
         q = spinalg.q_of_word(word, 2)
         assert triang._spin_distance(end, q.to_float()) < 1e-8
 
     def test_acb_word(self):
         word = symgrp.word_from_name(3, "a[cb]a")
-        curve = curvelab.curve_with_itinerary(word, n=3, verify_grid=512)
+        curve = curvelab.curve_with_itinerary(word, n=3)
         got = curvelab.itinerary(curve, grid=512)
         assert [g.images for g in got] == [w.images for w in word]
 
@@ -547,7 +557,17 @@ class TestStackedMinors:
                 symgrp.word_from_name(3, "a[cb]a"), n=3, verify=False
             ),
             "constant": curvelab.integrate_frame(2, circle_kappas(2)),
+            "half-turn": curvelab.frame_curve_from_matrix_path(
+                2, self.half_turn_path, np.linspace(0.0, 1.0, 11)
+            ),
         }
+
+    @staticmethod
+    def half_turn_path(t):
+        """A turn about e_1 after the half-turn diag(-1, -1, 1): the first
+        node has no Cayley lift."""
+        c, s = np.cos(t), np.sin(t)
+        return np.diag([-1.0, -1.0, 1.0]) @ [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]
 
     def test_no_lift_until_a_spinor_is_asked_for(self, monkeypatch):
         calls = []
@@ -566,11 +586,14 @@ class TestStackedMinors:
         assert calls == []
         # the endpoint is still the continuous lift along the nodes
         qs = [triang.qr_positive(mfun(t))[0] for t in ts]
-        want = curvelab._lift_rotation(2, qs[0])
+        want = triang._lift_rotation(2, qs[0])
         for prev, nxt in zip(qs, qs[1:]):
             want = want * inner(2, prev.T @ nxt)
+        calls.clear()
         end = curve(1.0)
-        assert calls
+        assert len(calls) == len(ts) + 1  # the node chain, then one step per row
+        curve.spinors(np.linspace(-1.0, 1.0, 5))
+        assert len(calls) == len(ts) + 6
         assert triang._spin_distance(end, want) < 1e-12
         assert np.abs(spinalg.project(end) - curve.matrix(1.0)).max() < 1e-12
 
@@ -585,6 +608,17 @@ class TestStackedMinors:
             [curvelab.southwest_minors(spinalg.project(curve(t))) for t in stack]
         )
         assert np.abs(got - lifted).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", ["section", "word", "constant", "half-turn"])
+    def test_spinor_stack_equals_each_time(self, kind):
+        # each row of a stack is, bit for bit, the spinor of its time alone
+        curve = self.curves()[kind]
+        stack = np.linspace(curve.t0, curve.t1, 37)
+        rows = curve.spinors(stack)
+        assert rows.shape == (37, 2**curve.n)
+        assert np.array_equal(rows, np.array([curve(t).v for t in stack]))
+        projected = spinalg._project_float(curve.n, rows)
+        assert np.abs(projected - curve.matrix(stack)).max() < 1e-12
 
     def test_out_of_domain_time_in_a_stack(self):
         curve = self.curves()["section"]

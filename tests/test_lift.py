@@ -1,6 +1,6 @@
 """The rotation -> spin lift: the Cayley formula of
 ``triang._lift_rotation_step``, the half-turn lift of
-``curvelab._lift_rotation`` and their typed errors."""
+``triang._lift_rotation`` and their typed errors."""
 
 from fractions import Fraction
 
@@ -85,19 +85,19 @@ class TestHalfTurns:
         for R in half_turns(n):
             with pytest.raises(triang.NearHalfTurn):
                 triang._lift_rotation_step(n, R)
-            z = curvelab._lift_rotation(n, R)
+            z = triang._lift_rotation(n, R)
             assert z.is_unit()
             assert np.abs(spinalg.project(z) - R).max() < 1e-12
 
     def test_examples(self):
-        z = curvelab._lift_rotation(2, np.diag([-1.0, -1.0, 1.0]))
+        z = triang._lift_rotation(2, np.diag([-1.0, -1.0, 1.0]))
         assert abs(abs(z.coefficient((1, 2))) - 1.0) < 1e-15
-        z = curvelab._lift_rotation(3, np.diag([1.0, -1.0, -1.0, 1.0]))
+        z = triang._lift_rotation(3, np.diag([1.0, -1.0, -1.0, 1.0]))
         assert abs(abs(z.coefficient((2, 3))) - 1.0) < 1e-15
 
     def test_generic_rotation_lifts_like_the_step(self):
         R = expm(0.4 * (np.eye(4, k=1) - np.eye(4, k=-1)))
-        assert curvelab._lift_rotation(3, R) == triang._lift_rotation_step(3, R)
+        assert triang._lift_rotation(3, R) == triang._lift_rotation_step(3, R)
 
 
 class TestTypedErrors:
@@ -114,7 +114,7 @@ class TestTypedErrors:
         with pytest.raises(triang.NotARotation):
             triang._lift_rotation_step(2, R)
         with pytest.raises(triang.NotARotation):
-            curvelab._lift_rotation(2, R)
+            triang._lift_rotation(2, R)
 
     def test_near_half_turn(self):
         eps = 1e-9
@@ -153,4 +153,4 @@ class TestNoMatrixFunctions:
         assert numeric == polysect.classify_point(section, point).label
 
     def test_half_turn(self, no_matrix_functions):
-        curvelab._lift_rotation(3, np.diag([1.0, -1.0, -1.0, 1.0]))
+        triang._lift_rotation(3, np.diag([1.0, -1.0, -1.0, 1.0]))

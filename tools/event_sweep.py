@@ -15,6 +15,8 @@ The list is fixed, so that two outputs always compare the same curves:
 
 A line holds the task (``at`` is a word's requested times, null for the
 default ones), and either the letters with the full-precision event times
+and the coefficients of the curve's endpoint ``curve(curve.t1)`` (which
+cover the spin lift of a section curve and the end of a synthesized one),
 or the class of the exception that ended it.  The last line is the
 number of ``FrameCurve.minors`` calls the whole list made.  Run it under two
 trees and diff the outputs: the curves must read the same.
@@ -46,6 +48,7 @@ def read(curve) -> dict:
     return {
         "letters": [symgrp.letter_name(ev.letter) for ev in events],
         "times": [ev.time for ev in events],
+        "end": curve(curve.t1).v.tolist(),
     }
 
 
