@@ -10,14 +10,21 @@ last variable to zero.
 
 Southwest minors ``m_j``, their discriminants ``d_j`` and mutual
 resultants ``r_{i,j}`` are computed symbolically (sympy).  Classification
-of rational parameter points is exact: each minor is kept as a dense
-multivariate polynomial over QQ in ``t`` and the point variables, and
-sympy's ``dmp_eval_tail`` substitutes the point, leaving a polynomial in t
-over QQ.  Its square-free decomposition over ZZ (``dup_sqf_list``) gives
-the multiplicity of every root without factoring: the roots of all minors
-are isolated once, as the simple roots of one square-free polynomial
-(``dup_isolate_real_roots_sqf``), and a root's multiplicity in ``m_j`` is
-the power of the square-free factor of ``m_j`` that vanishes there.  An
+of rational parameter points is exact.  Each minor is kept as integer terms
+in ``t`` and the point variables, and is evaluated at a point in integers,
+leaving an integer polynomial in t.  At a generic point, where every zero
+of every minor is simple and no two minors share one, the minors alone
+decide: each has degree at most 3 in t, the sign of its discriminant gives
+its number of real roots, and each root is bracketed exactly (through
+``isqrt`` of the discriminant for a quadratic, by exact sign changes around
+numpy's float roots for a cubic); pairwise disjoint brackets prove that
+every event is a simple zero of one minor.  Any other point goes to sympy:
+the square-free decomposition of each minor over ZZ (``dup_sqf_list``)
+gives the multiplicity of every root without factoring.  The roots of all
+minors are isolated once, as the simple roots of one square-free
+polynomial (``dup_isolate_real_roots_sqf``), and a root's multiplicity in
+``m_j`` is the power of the square-free factor of ``m_j`` that vanishes
+there.  An
 event's exact time, isolating interval and irreducible factor are resolved
 on first read; a rational time is reported exactly, as a Fraction.
 """
@@ -34,7 +41,6 @@ from typing import Iterable, Sequence
 import numpy as np
 import sympy as sp
 from sympy.polys.densearith import dup_exquo, dup_mul
-from sympy.polys.densetools import dmp_eval_tail, dup_clear_denoms, dup_eval
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.rootisolation import dup_isolate_real_roots_sqf, dup_refine_real_root
@@ -115,13 +121,25 @@ class SectionFamily:
         return tuple(out)
 
     @cached_property
-    def _dense_minors(self) -> list:
-        """Each minor as a dense QQ polynomial in ``t`` and the point
-        variables, read by :func:`classify_point`."""
-        return [
-            sp.Poly(mj, self.t, *self.point_vars, domain=QQ).rep.to_list()
-            for mj in self._minors
-        ]
+    def _integer_minors(self) -> tuple:
+        """Each minor as ``(terms, degree)``, read by :func:`classify_point`:
+        the terms ``(k, e, c, s)`` of a positive integer multiple of it,
+        ``c * t**k * prod_l x_l**e_l``, with ``s`` the total degree in the
+        point variables missing from ``e``, and its degree in ``t``."""
+        out = []
+        for mj in self._minors:
+            terms = sp.Poly(mj, self.t, *self.point_vars, domain=QQ).terms()
+            scale = math.lcm(*(int(c.denominator) for _, c in terms))
+            top = max(sum(m[1:]) for m, _ in terms)
+            out.append((
+                tuple(
+                    (m[0], m[1:], int(c.numerator) * scale // int(c.denominator),
+                     top - sum(m[1:]))
+                    for m, c in terms
+                ),
+                max(m[0] for m, _ in terms),
+            ))
+        return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -262,9 +280,131 @@ def _fraction(v) -> Fraction:
 
 
 def _sign(g: Sequence[int], v) -> int:
-    """The sign of the integer polynomial ``g`` at the rational ``v``."""
-    value = dup_eval(g, v, QQ)
+    """The sign of the integer polynomial ``g`` at the rational ``v`` (a
+    Fraction or a QQ element)."""
+    return _sign_at(g, int(v.numerator), int(v.denominator))
+
+
+def _sign_at(g: Sequence[int], num: int, den: int) -> int:
+    """The sign of the integer polynomial ``g`` at ``num / den``, ``den > 0``:
+    of ``den**deg(g) * g(num / den)``, evaluated in integers."""
+    value, scale = g[0], 1
+    for c in g[1:]:
+        scale *= den
+        value = value * num + c * scale
     return (value > 0) - (value < 0)
+
+
+def _minors_at(section: SectionFamily, values: Sequence[Fraction]) -> list:
+    """Each minor at the point, a positive integer multiple of it as a
+    polynomial in t (descending coefficients, no leading zeros)."""
+    den = math.lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    out = []
+    for terms, degree in section._integer_minors:
+        p = [0] * (degree + 1)
+        for k, e, c, s in terms:
+            for x, el in zip(nums, e):
+                c *= x**el
+            p[degree - k] += c * den**s
+        lead = next((i for i, c in enumerate(p) if c), None)
+        if lead is None:
+            raise ZeroPolynomial("minor vanishes identically at this point")
+        out.append(p[lead:])
+    return out
+
+
+_ULPS = (4, 64, 4096)
+
+
+def _certify(p: list[int], x: float) -> tuple[Fraction, Fraction] | None:
+    """A bracket of a root of ``p`` near the float ``x``: the dyadic
+    rationals ``x -+ k`` units in the last place of ``x``, for the first
+    ``k`` of 4, 64, 4096 at which the exact signs of ``p`` differ; None when
+    none does."""
+    if not abs(x) < 2.0**52:
+        return None
+    num, den = x.as_integer_ratio()
+    scale = math.ulp(x).as_integer_ratio()[1]
+    mid = num * (scale // den)
+    for k in _ULPS:
+        if _sign_at(p, mid - k, scale) * _sign_at(p, mid + k, scale) < 0:
+            return Fraction(mid - k, scale), Fraction(mid + k, scale)
+    return None
+
+
+@lru_cache(maxsize=None)
+def _simple_zero(n: int, j: int) -> tuple:
+    """The multiplicity vector ``e_j`` of a simple zero of minor ``j`` alone,
+    and its letter."""
+    mult = tuple(int(i == j) for i in range(n))
+    return mult, symgrp.permutation_from_mult(mult, n)
+
+
+def _simple_roots(polys: Sequence[list[int]], domain) -> list | None:
+    """The real roots of the integer polynomials ``polys`` (one per minor)
+    as ``(lo, hi, j, p)``, sorted, when every one is certified simple and
+    no two polynomials share one; None otherwise.
+
+    ``p`` is the primitive ``polys[j]`` with a positive leading coefficient,
+    and ``[lo, hi]`` holds exactly one of its roots and no root of another
+    polynomial (``lo == hi`` at a rational root).  The sign of the
+    discriminant gives the number of real roots of a polynomial of degree
+    at most 3, all simple when it is nonzero: a quadratic's are bracketed
+    by ``isqrt`` of it, a cubic's by :func:`_certify` around numpy's
+    floats.  With a ``domain``, only the roots strictly inside it are kept,
+    and a bracket that meets an end declines.  A zero discriminant, a
+    degree above 3, a root that does not certify and brackets that meet
+    each other decline too.
+    """
+    found = []
+    for j, p in enumerate(polys):
+        g = math.gcd(*p)
+        p = [c // g for c in p] if p[0] > 0 else [-c // g for c in p]
+        if len(p) == 2:
+            r = Fraction(-p[1], p[0])
+            found.append((r, r, j, p))
+        elif len(p) == 3:
+            a, b, c = p
+            disc = b * b - 4 * a * c
+            if disc == 0:
+                return None
+            if disc < 0:
+                continue
+            # 2**32 sqrt(disc) is s, or lies in (s, s + 1) when irrational
+            s = math.isqrt(disc << 64)
+            w = int(s * s != disc << 64)
+            found += [
+                (Fraction(lo, a << 33), Fraction(lo + w, a << 33), j, p)
+                for lo in (-(b << 32) - s - w, -(b << 32) + s)
+            ]
+        elif len(p) == 4:
+            a, b, c, d = p
+            disc = (18 * a * b * c * d - 4 * b**3 * d + b * b * c * c
+                    - 4 * a * c**3 - 27 * a * a * d * d)
+            if disc == 0:
+                return None
+            try:
+                roots = np.roots([float(v) for v in p])
+            except OverflowError:
+                return None
+            real = sorted(roots, key=lambda z: abs(z.imag))[: 3 if disc > 0 else 1]
+            for z in real:
+                bracket = _certify(p, float(z.real))
+                if bracket is None:
+                    return None
+                found.append((*bracket, j, p))
+        elif len(p) > 4:
+            return None
+    found.sort(key=lambda root: root[0])
+    if any(not a[1] < b[0] for a, b in zip(found, found[1:])):
+        return None
+    if domain is None:
+        return found
+    lo, hi = domain
+    if any(not (r[1] < lo or hi < r[0] or lo < r[0] and r[1] < hi) for r in found):
+        return None
+    return [r for r in found if lo < r[0] and r[1] < hi]
 
 
 @lru_cache(maxsize=512)
@@ -332,7 +472,12 @@ class ExactEvent:
     is linear the time is rational: ``root`` is that Fraction and
     ``interval`` is ``(root, root)``.  Otherwise ``root`` is None and
     ``interval`` is an open isolating interval of the time: it holds no
-    other root of any minor.
+    other root of any minor.  At a generic point it is the bracket that
+    certified the root (see :func:`classify_point`): a quadratic's interval
+    is 2**-33 / a wide, where ``a`` is the certificate's leading
+    coefficient, and a cubic's spans ``k`` units in the last place of a
+    float on each side of it, ``k`` one of 4, 64, 4096.  Elsewhere it is
+    sympy's isolating interval.
     """
 
     letter: Permutation
@@ -388,12 +533,12 @@ class ExactEvent:
             return float(self.root)
         h = list(self.certificate)
         lo, hi = self.interval
-        x = _newton(h, float(lo), float(hi), _sign(h, _qq(lo)))
+        x = _newton(h, float(lo), float(hi), _sign(h, lo))
         ulp = Fraction(math.ulp(x))
         for k in (1, 4):
             below, above = Fraction(x) - k * ulp, Fraction(x) + k * ulp
             inside = lo < below and above < hi
-            if inside and _sign(h, _qq(below)) != _sign(h, _qq(above)):
+            if inside and _sign(h, below) != _sign(h, above):
                 return x
         a, b = dup_refine_real_root(h, _qq(lo), _qq(hi), ZZ, eps=_qq(ulp))
         return float((_fraction(a) + _fraction(b)) / 2)
@@ -426,16 +571,27 @@ def classify_point(
     real root, on all of R, with no end to exclude: for a section of a
     letter that is the germ label of the point's ray (see
     :func:`artifact.poset.letter_oracle_section`).  Each minor is evaluated
-    at the point by sympy's ``dmp_eval_tail`` on its dense QQ representation in
-    ``(t, *point_vars)``, built once per section, and split into its
-    square-free integer factors ``g_{j,k}`` (``m_j = c * prod_k g_{j,k}**k``).
-    The square-free part of the product of all of them has the same roots
-    as the minors, all simple; sympy isolates them once (continued
-    fractions, Vincent-Akritas-Strzebonski).  The multiplicity of a root in
-    ``m_j`` is the ``k`` whose ``g_{j,k}`` vanishes there, tested exactly at
-    a rational root and by a sign change across an open bracket; the
-    multiplicity vector names the letter.  Nothing is factored: the exact
-    root, interval and certificate of an event are resolved on first read.
+    at the point in integers, from its terms with cleared denominators
+    (built once per section), as a positive integer multiple of it in t.
+
+    A generic point is read from those polynomials alone
+    (:func:`_simple_roots`): when every minor has degree at most 3 and a
+    nonzero discriminant, every real root is simple and their count is
+    known; a quadratic's roots are bracketed through ``isqrt`` of the
+    discriminant and a cubic's by exact sign changes around numpy's floats.
+    When all the brackets are disjoint (and, with a domain, none meets an
+    end of it), every event is a simple zero of one minor: its
+    multiplicity vector is a unit vector.  Any other point takes the
+    general path.  There each minor is split into its square-free integer
+    factors ``g_{j,k}`` (``m_j = c * prod_k g_{j,k}**k``); the square-free
+    part of the product of all of them has the same roots as the minors,
+    all simple, and sympy isolates them once (continued fractions,
+    Vincent-Akritas-Strzebonski).  The multiplicity of a root in ``m_j``
+    is the ``k`` whose ``g_{j,k}`` vanishes there, tested exactly at a
+    rational root and by a sign change across an open bracket; the
+    multiplicity vector names the letter.  On both paths nothing is
+    factored: the exact root, interval and certificate of an event are
+    resolved on first read, and they are the same on both.
 
     >>> section = build_section(symgrp.letter_from_name(2, 'aba'))
     >>> cls = classify_point(section, (Fraction(1, 3), Fraction(-1, 18)))
@@ -450,13 +606,21 @@ def classify_point(
             f"expected {len(section.point_vars)} coordinates, got {len(values)}"
         )
 
-    point = [_qq(v) for v in values]
+    if domain is not None:
+        domain = (Fraction(domain[0]), Fraction(domain[1]))
+    polys = _minors_at(section, values)
+    simple = _simple_roots(polys, domain)
+    if simple is not None:
+        events = []
+        for lo, hi, j, p in simple:
+            mult, letter = _simple_zero(section.n, j)
+            events.append(ExactEvent(
+                letter=letter, mult=mult, _bracket=(lo, hi), _factor=tuple(p)
+            ))
+        return PointClassification(point=values, events=tuple(events))
+
     factors = []  # (j, k, g_{j,k}): primitive, positive leading coefficient
-    for j, dense in enumerate(section._dense_minors):
-        p = dmp_eval_tail(dense, point, len(point), QQ)
-        if not p:
-            raise ZeroPolynomial("minor vanishes identically at this point")
-        _, p = dup_clear_denoms(p, QQ, ZZ, convert=True)
+    for j, p in enumerate(polys):
         factors += [(j, k, g) for g, k in dup_sqf_list(p, ZZ)[1]]
     product = [ZZ.one]
     for _, _, g in factors:
@@ -467,7 +631,7 @@ def classify_point(
         brackets = dup_isolate_real_roots_sqf(square_free, ZZ)
     else:
         # a root on an end of the domain comes back as (end, end): drop it
-        lo, hi = Fraction(domain[0]), Fraction(domain[1])
+        lo, hi = domain
         brackets = [
             (a, b)
             for a, b in dup_isolate_real_roots_sqf(
@@ -480,7 +644,7 @@ def classify_point(
 
     out = []
     for a, b in brackets:
-        mult = [0] * len(section._dense_minors)
+        mult = [0] * len(polys)
         vanishing = []
         for (j, k, g), sign in zip(factors, signs):
             if a == b:

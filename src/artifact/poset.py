@@ -93,10 +93,14 @@ def letter_oracle_section(sigma: Permutation) -> frozenset:
     times ``lam``, with the same multiplicities, so the strata are cones.
     As ``lam -> 0`` every real root enters the domain (-1, 1), and the germ
     label of the ray through ``x`` is the label at ``x`` with every real
-    root counted.  This classifies the 9 x 9 weighted grid on the unit box
-    with ``domain=None``, one point per ray (:func:`_ray`), and returns the
-    words that occur.  The one-letter word itself (the origin) is always
-    included.
+    root counted.  This classifies the weighted grid of 9**k points on the
+    unit box (k the number of section parameters) with ``domain=None``,
+    one point per ray (:func:`_ray`), and returns the words that occur.
+    At most rays every zero of every minor is simple and no two minors
+    share one, and :func:`artifact.polysect.classify_point` reads the
+    label from the minors' discriminants and exact sign changes; only the
+    rest go through sympy's root isolation.  The one-letter word itself
+    (the origin) is always included.
 
     The grid is finite, and a word whose stratum it misses is absent from
     the set: the oracle then answers a definite ``False`` for that word,

@@ -1,14 +1,19 @@
-"""classify_point against sympy's Poly API on random rational points.
+"""classify_point against sympy's Poly API on random rational points, and
+its generic-point filter against its general path.
 
-``classify_point`` takes the square-free decomposition of each minor
-(``dup_sqf_list``) and isolates the roots of all its factors at once with
-``dup_isolate_real_roots_sqf``, on the domain (-1, 1) or, with
-``domain=None``, on all of R; the checks here go through a different code
-path (``Poly.count_roots``, ``sqf_part``, ``rem``, ``real_roots``).
+``classify_point`` reads a generic point from its minors' discriminants and
+exact sign changes; at any other point it takes the square-free
+decomposition of each minor (``dup_sqf_list``) and isolates the roots of
+all its factors at once with ``dup_isolate_real_roots_sqf``, on the domain
+(-1, 1) or, with ``domain=None``, on all of R.  The first checks here go
+through a different code path (``Poly.count_roots``, ``sqf_part``, ``rem``,
+``real_roots``).  The last ones run every point twice, once with the filter
+forced to decline, and compare the answers.
 """
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy as sp
@@ -29,11 +34,14 @@ coordinate = st.fractions(min_value=-1, max_value=1, max_denominator=64)
 
 
 @st.composite
-def family_points(draw):
-    name = draw(st.sampled_from(sorted(FAMILIES)))
-    weights = FAMILIES[name].x_weights
-    # scale each coordinate like its quasi-homogeneous weight, so that
-    # points near the letter's stratum (the origin) are drawn often
+def family_points(draw, sections=FAMILIES):
+    name = draw(st.sampled_from(sorted(sections)))
+    section = sections[name]
+    # scale each coordinate like its quasi-homogeneous weight (a symbolic
+    # perturbation parameter has none), so that points near the letter's
+    # stratum (the origin) are drawn often
+    missing = len(section.point_vars) - len(section.x_weights)
+    weights = section.x_weights + (0,) * missing
     scale = draw(st.sampled_from([1, 2, 4]))
     point = tuple(draw(coordinate) / scale ** w for w in weights)
     return name, point
@@ -136,3 +144,109 @@ def test_a_root_outside_the_domain_counts_only_on_all_of_r():
         (Fraction(-2), (1, 0)), (Fraction(2), (1, 0)),
     ]
     assert cls.label == "aa"
+
+
+# ---------------------------------------------------------------------------
+# the generic-point filter against the general path
+# ---------------------------------------------------------------------------
+
+SECTIONS = {
+    **FAMILIES,  # "aba" (n = 2) and "acb" are two of the order letters
+    # u is a coordinate: at u = 0 the t**3 terms of m_1 and m_3 vanish
+    "betaprime-u": polysect.build_perturbed_family("betaprime"),
+    **{
+        f"{name}/3": polysect.build_section(symgrp.letter_from_name(3, name))
+        for name in ("aba", "bcb", "cba", "bac", "abc")
+    },
+}
+DOMAINS = [None, (LO, HI)]
+
+
+@st.composite
+def section_points(draw):
+    return *draw(family_points(SECTIONS)), draw(st.sampled_from(DOMAINS))
+
+
+def outcome(section, point, domain):
+    try:
+        return polysect.classify_point(section, point, domain=domain)
+    except (polysect.ZeroPolynomial, polysect.UnrecognizedMultPattern) as exc:
+        return type(exc)
+
+
+def general_path(section, point, domain):
+    with mock.patch.object(polysect, "_simple_roots", lambda polys, domain: None):
+        return outcome(section, point, domain)
+
+
+DECLINED = [
+    # m_1 = (t**2 - 1) / 2: roots on both ends of (-1, 1)
+    ("aba", (Fraction(0), Fraction(-1, 2)), (LO, HI)),
+    # m_1 has a double root at -5/2: no letter has the mult vector (2, 0, 0)
+    ("betaprime+", (Fraction(1), Fraction(-25, 24)), None),
+    ("betaprime+", (Fraction(1), Fraction(-25, 24)), (LO, HI)),
+    # m_1 = m_3 = t**2/2 - 1/8 share both roots
+    ("acb", (Fraction(1, 8), Fraction(-1, 8)), None),
+    ("acb", (Fraction(1, 8), Fraction(-1, 8)), (LO, HI)),
+]
+READ = [
+    ("aba", (Fraction(0), Fraction(-1, 2)), None),
+    # 2t**2 - 1 and 2t**2 - 4t + 1 (discriminant 8 each): the brackets
+    # (-b -+ (isqrt(8) + {0, 1})) / 2a would be (1/4, 1/2) and (1/2, 3/4),
+    # which touch; read with 32 more bits they are disjoint
+    ("aba", (Fraction(-1), Fraction(-1, 4)), None),
+    ("aba", (Fraction(-1), Fraction(-1, 4)), (LO, HI)),
+    # m_3 = -(t**3 + 3t + 3) / 3: negative discriminant, one real root
+    ("cba/3", (Fraction(1, 2), Fraction(-1, 2)), None),
+    # m_3 = -(4t**3 - 24t + 3) / 24: positive discriminant, three real roots
+    ("cba/3", (Fraction(1, 8), Fraction(1)), None),
+    ("cba/3", (Fraction(1, 8), Fraction(1)), (LO, HI)),
+    # m_1 and m_3 lose their t**3 terms at u = 0
+    ("betaprime-u", (Fraction(1, 3), Fraction(-1, 5), Fraction(0)), None),
+]
+
+
+def check_same_answer(name, point, domain):
+    section = SECTIONS[name]
+    fast, exact = outcome(section, point, domain), general_path(section, point, domain)
+    if isinstance(exact, type):
+        assert fast is exact
+        return
+    assert fast.label == exact.label
+    assert [e.mult for e in fast.events] == [e.mult for e in exact.events]
+    assert [e.root for e in fast.events] == [e.root for e in exact.events]
+    assert [e.certificate for e in fast.events] == [e.certificate for e in exact.events]
+    t = section.t
+    for e in fast.events:
+        if e.root is not None:
+            assert e.approx == float(e.root)
+            continue
+        h = sp.Poly(list(e.certificate), t)
+        a, b = e.interval
+        (root,) = [r for r in h.real_roots() if a < r < b]
+        error = abs(sp.Float(e.approx, 30) - root.evalf(30))
+        assert error <= 4 * math.ulp(e.approx)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(case=DECLINED[0])
+@example(case=DECLINED[1])
+@example(case=DECLINED[3])
+@example(case=READ[1])
+@example(case=READ[3])
+@example(case=READ[4])
+@example(case=READ[6])
+@given(case=section_points())
+def test_filter_matches_the_general_path(case):
+    check_same_answer(*case)
+
+
+@pytest.mark.parametrize(
+    "case, declines", [(c, True) for c in DECLINED] + [(c, False) for c in READ]
+)
+def test_filter_declines_only_non_generic_points(case, declines):
+    name, point, domain = case
+    polys = polysect._minors_at(SECTIONS[name], point)
+    assert (polysect._simple_roots(polys, domain) is None) == declines
+    check_same_answer(*case)

@@ -66,6 +66,25 @@ class TestLetterOracle:
         weights = polysect.build_section(sigma).x_weights
         assert len({poset._ray(p, weights) for p in points}) == rays
 
+    @pytest.mark.parametrize(
+        "n, name, isolated", [(2, "aba", 5), (3, "acb", 6), (3, "cba", 5)]
+    )
+    def test_sympy_isolates_only_the_non_generic_rays(self, monkeypatch, n, name,
+                                                      isolated):
+        # every other ray is read from its minors' discriminants and exact
+        # sign changes: of 61, 49 and 69 rays, these are the ones where a
+        # minor has a multiple zero or two minors share one
+        calls = []
+        inner = polysect.dup_isolate_real_roots_sqf
+
+        def counted(f, K, **kw):
+            calls.append(list(f))
+            return inner(f, K, **kw)
+
+        monkeypatch.setattr(polysect, "dup_isolate_real_roots_sqf", counted)
+        poset.letter_oracle_section(symgrp.letter_from_name(n, name))
+        assert len(calls) == isolated
+
     def test_ray_key(self):
         # weights (1, 2): (1/2, 1/4) = (1/2)**w (1, 1); the sign pattern counts
         w = (1, 2)
