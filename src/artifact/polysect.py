@@ -12,21 +12,16 @@ Southwest minors ``m_j``, their discriminants ``d_j`` and mutual
 resultants ``r_{i,j}`` are computed symbolically (sympy).  Classification
 of rational parameter points is exact.  Each minor is kept as integer terms
 in ``t`` and the point variables, and is evaluated at a point in integers,
-leaving an integer polynomial in t.  At a generic point, where every zero
-of every minor is simple and no two minors share one, the minors alone
-decide: each has degree at most 3 in t, the sign of its discriminant gives
-its number of real roots, and each root is bracketed exactly (through
-``isqrt`` of the discriminant for a quadratic, by exact sign changes around
-numpy's float roots for a cubic); pairwise disjoint brackets prove that
-every event is a simple zero of one minor.  Any other point goes to sympy:
-the square-free decomposition of each minor over ZZ (``dup_sqf_list``)
-gives the multiplicity of every root without factoring.  The roots of all
-minors are isolated once, as the simple roots of one square-free
-polynomial (``dup_isolate_real_roots_sqf``), and a root's multiplicity in
-``m_j`` is the power of the square-free factor of ``m_j`` that vanishes
-there.  An
-event's exact time, isolating interval and irreducible factor are resolved
-on first read; a rational time is reported exactly, as a Fraction.
+leaving an integer polynomial in t.
+
+One exact root layer reads their roots: ``_brackets`` brackets the real
+roots of an integer polynomial of degree at most 3 with a nonzero
+discriminant, and ``_certify`` proves a bracket around a float by exact
+signs.  A generic point is read from its minors' brackets alone; any other
+point goes to sympy's square-free decomposition and real-root isolation
+(see :func:`classify_point`).  An event's exact time, isolating interval
+and irreducible factor are resolved on first read; a rational time is
+reported exactly, as a Fraction.
 """
 
 from __future__ import annotations
@@ -279,10 +274,9 @@ def _fraction(v) -> Fraction:
     return Fraction(int(v.numerator), int(v.denominator))
 
 
-def _sign(g: Sequence[int], v) -> int:
-    """The sign of the integer polynomial ``g`` at the rational ``v`` (a
-    Fraction or a QQ element)."""
-    return _sign_at(g, int(v.numerator), int(v.denominator))
+def _sign(g: Sequence[int], v: Fraction) -> int:
+    """The sign of the integer polynomial ``g`` at the Fraction ``v``."""
+    return _sign_at(g, v.numerator, v.denominator)
 
 
 def _sign_at(g: Sequence[int], num: int, den: int) -> int:
@@ -314,31 +308,71 @@ def _minors_at(section: SectionFamily, values: Sequence[Fraction]) -> list:
     return out
 
 
-_ULPS = (4, 64, 4096)
-
-
-def _certify(p: list[int], x: float) -> tuple[Fraction, Fraction] | None:
-    """A bracket of a root of ``p`` near the float ``x``: the dyadic
+def _certify(p: Sequence[int], x: float, ulps: Sequence[int]) -> tuple | None:
+    """A bracket of a root of ``p`` around the float ``x``: the dyadic
     rationals ``x -+ k`` units in the last place of ``x``, for the first
-    ``k`` of 4, 64, 4096 at which the exact signs of ``p`` differ; None when
+    ``k`` of ``ulps`` at which the exact signs of ``p`` differ; None when
     none does."""
-    if not abs(x) < 2.0**52:
-        return None
     num, den = x.as_integer_ratio()
-    scale = math.ulp(x).as_integer_ratio()[1]
+    step, scale = math.ulp(x).as_integer_ratio()  # x is a multiple: scale >= den
     mid = num * (scale // den)
-    for k in _ULPS:
-        if _sign_at(p, mid - k, scale) * _sign_at(p, mid + k, scale) < 0:
-            return Fraction(mid - k, scale), Fraction(mid + k, scale)
+    for k in ulps:
+        if _sign_at(p, mid - k * step, scale) * _sign_at(p, mid + k * step, scale) < 0:
+            return Fraction(mid - k * step, scale), Fraction(mid + k * step, scale)
     return None
 
 
+def _brackets(p: list[int]) -> list | None:
+    """The real roots of the primitive integer polynomial ``p`` (positive
+    leading coefficient) as sorted brackets, each holding one root: ``(r,
+    r)`` for a linear root, through ``isqrt`` of the discriminant for a
+    quadratic (exact when it is a square), by :func:`_certify` around
+    numpy's floats for a cubic.  None at a zero discriminant, a degree above
+    3 or a root that does not certify."""
+    if len(p) == 1:
+        return []
+    if len(p) == 2:
+        r = Fraction(-p[1], p[0])
+        return [(r, r)]
+    if len(p) == 3:
+        a, b, c = p
+        disc = b * b - 4 * a * c
+        if disc <= 0:
+            return [] if disc else None
+        # 2**32 sqrt(disc) is s, or lies in (s, s + 1) when irrational
+        s = math.isqrt(disc << 64)
+        w = int(s * s != disc << 64)
+        return [
+            (Fraction(lo, a << 33), Fraction(lo + w, a << 33))
+            for lo in (-(b << 32) - s - w, -(b << 32) + s)
+        ]
+    if len(p) > 4:
+        return None
+    a, b, c, d = p
+    disc = (18 * a * b * c * d - 4 * b**3 * d + b * b * c * c
+            - 4 * a * c**3 - 27 * a * a * d * d)
+    if disc == 0:
+        return None
+    try:
+        roots = np.roots([float(v) for v in p])
+    except OverflowError:
+        return None
+    out = []
+    for z in sorted(roots, key=lambda z: abs(z.imag))[: 3 if disc > 0 else 1]:
+        bracket = _certify(p, float(z.real), (4, 64, 4096))
+        if bracket is None:
+            return None
+        out.append(bracket)
+    return sorted(out)
+
+
 @lru_cache(maxsize=None)
-def _simple_zero(n: int, j: int) -> tuple:
-    """The multiplicity vector ``e_j`` of a simple zero of minor ``j`` alone,
-    and its letter."""
-    mult = tuple(int(i == j) for i in range(n))
-    return mult, symgrp.permutation_from_mult(mult, n)
+def _letter(mult: tuple[int, ...], n: int) -> Permutation:
+    """The letter whose multiplicity vector is ``mult``."""
+    try:
+        return symgrp.permutation_from_mult(mult, n)
+    except symgrp.NotARealizableMultVector as exc:
+        raise UnrecognizedMultPattern(f"mult {mult} names no letter") from exc
 
 
 def _simple_roots(polys: Sequence[list[int]], domain) -> list | None:
@@ -346,56 +380,20 @@ def _simple_roots(polys: Sequence[list[int]], domain) -> list | None:
     as ``(lo, hi, j, p)``, sorted, when every one is certified simple and
     no two polynomials share one; None otherwise.
 
-    ``p`` is the primitive ``polys[j]`` with a positive leading coefficient,
-    and ``[lo, hi]`` holds exactly one of its roots and no root of another
-    polynomial (``lo == hi`` at a rational root).  The sign of the
-    discriminant gives the number of real roots of a polynomial of degree
-    at most 3, all simple when it is nonzero: a quadratic's are bracketed
-    by ``isqrt`` of it, a cubic's by :func:`_certify` around numpy's
-    floats.  With a ``domain``, only the roots strictly inside it are kept,
-    and a bracket that meets an end declines.  A zero discriminant, a
-    degree above 3, a root that does not certify and brackets that meet
-    each other decline too.
+    ``p`` is the primitive ``polys[j]`` with a positive leading coefficient
+    and ``[lo, hi]`` one of its :func:`_brackets`, which holds no root of
+    another polynomial.  With a ``domain``, only the roots strictly inside
+    it are kept, and a bracket that meets an end declines, as do a
+    polynomial that :func:`_brackets` declines and brackets that meet.
     """
     found = []
     for j, p in enumerate(polys):
         g = math.gcd(*p)
         p = [c // g for c in p] if p[0] > 0 else [-c // g for c in p]
-        if len(p) == 2:
-            r = Fraction(-p[1], p[0])
-            found.append((r, r, j, p))
-        elif len(p) == 3:
-            a, b, c = p
-            disc = b * b - 4 * a * c
-            if disc == 0:
-                return None
-            if disc < 0:
-                continue
-            # 2**32 sqrt(disc) is s, or lies in (s, s + 1) when irrational
-            s = math.isqrt(disc << 64)
-            w = int(s * s != disc << 64)
-            found += [
-                (Fraction(lo, a << 33), Fraction(lo + w, a << 33), j, p)
-                for lo in (-(b << 32) - s - w, -(b << 32) + s)
-            ]
-        elif len(p) == 4:
-            a, b, c, d = p
-            disc = (18 * a * b * c * d - 4 * b**3 * d + b * b * c * c
-                    - 4 * a * c**3 - 27 * a * a * d * d)
-            if disc == 0:
-                return None
-            try:
-                roots = np.roots([float(v) for v in p])
-            except OverflowError:
-                return None
-            real = sorted(roots, key=lambda z: abs(z.imag))[: 3 if disc > 0 else 1]
-            for z in real:
-                bracket = _certify(p, float(z.real))
-                if bracket is None:
-                    return None
-                found.append((*bracket, j, p))
-        elif len(p) > 4:
+        brackets = _brackets(p)
+        if brackets is None:
             return None
+        found += [(lo, hi, j, p) for lo, hi in brackets]
     found.sort(key=lambda root: root[0])
     if any(not a[1] < b[0] for a, b in zip(found, found[1:])):
         return None
@@ -412,21 +410,6 @@ def _irreducible_factors(h: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The irreducible factors of ``h`` over ZZ.  Memoized: a minor that
     does not depend on every coordinate repeats along a grid."""
     return tuple(tuple(int(c) for c in g) for g, _ in dup_factor_list(list(h), ZZ)[1])
-
-
-def _rational_roots(h: list[int]) -> list[Fraction]:
-    """The rational roots of a square-free integer polynomial that is
-    linear, quadratic or irreducible: a quadratic has them exactly when its
-    discriminant is a perfect square."""
-    if len(h) == 2:
-        return [Fraction(-h[1], h[0])]
-    if len(h) == 3:
-        A, B, C = h
-        disc = B * B - 4 * A * C
-        s = math.isqrt(disc) if disc >= 0 else -1
-        if s * s == disc:
-            return [Fraction(-B - s, 2 * A), Fraction(-B + s, 2 * A)]
-    return []
 
 
 def _newton(h: list, lo: float, hi: float, sign_lo: int) -> float:
@@ -462,44 +445,44 @@ class ExactEvent:
     ``letter`` and ``mult`` are known when the event is made.  The other
     fields are resolved once, on first read, from the square-free integer
     factor of a minor that vanishes at the time (``_factor``) and the
-    time's isolating bracket (``_bracket``): a linear factor, or a
-    quadratic one whose discriminant is a perfect square, gives a rational
-    time; only a factor of degree >= 3 is factored (memoized by its
-    coefficients), and only that one.
+    time's isolating bracket (``_bracket``, two Fractions): only a factor
+    of degree >= 3 is factored (memoized by its coefficients), and a
+    rational time is a root ``(r, r)`` that :func:`_brackets` reads from an
+    irreducible factor of degree at most 2.
 
     ``certificate`` is the irreducible primitive integer factor of the
     minors that vanishes at the time (descending coefficients).  When it
     is linear the time is rational: ``root`` is that Fraction and
     ``interval`` is ``(root, root)``.  Otherwise ``root`` is None and
     ``interval`` is an open isolating interval of the time: it holds no
-    other root of any minor.  At a generic point it is the bracket that
-    certified the root (see :func:`classify_point`): a quadratic's interval
-    is 2**-33 / a wide, where ``a`` is the certificate's leading
-    coefficient, and a cubic's spans ``k`` units in the last place of a
-    float on each side of it, ``k`` one of 4, 64, 4096.  Elsewhere it is
-    sympy's isolating interval.
+    other root of any minor.  At a generic point it is the root's bracket
+    from :func:`_brackets` (a quadratic's is 2**-33 / a wide, ``a`` the
+    certificate's leading coefficient; a cubic's spans 4, 64 or 4096 units
+    in the last place of a float on each side of it), elsewhere sympy's
+    isolating interval.
     """
 
     letter: Permutation
     mult: tuple[int, ...]
-    _bracket: tuple = field(repr=False)
+    _bracket: tuple[Fraction, Fraction] = field(repr=False)
     _factor: tuple[int, ...] = field(repr=False)
 
     @cached_property
     def _exact(self) -> tuple:
         """``(root, interval, certificate)``."""
-        a, b = self._bracket
-        lo, hi = _fraction(a), _fraction(b)
-        h = [int(c) for c in self._factor]
-        if a == b:
+        lo, hi = self._bracket
+        h = list(self._factor)
+        if lo == hi:
             r = lo
         else:
             if len(h) > 3:
                 (h,) = [
                     list(g) for g in _irreducible_factors(tuple(h))
-                    if _sign(g, a) != _sign(g, b)
+                    if _sign(g, lo) != _sign(g, hi)
                 ]
-            r = next((r for r in _rational_roots(h) if lo < r < hi), None)
+            # an irreducible factor of degree >= 3 has no rational root
+            roots = _brackets(h) if len(h) <= 3 else None
+            r = next((a for a, b in roots or () if a == b and lo < a < hi), None)
         if r is None:
             return None, (lo, hi), tuple(h)
         return r, (r, r), (r.denominator, -r.numerator)
@@ -523,24 +506,22 @@ class ExactEvent:
 
         An irrational time is polished by Newton's method on
         ``certificate`` in floats from the midpoint of ``interval``, and
-        the float ``x`` it returns is certified by the exact signs of
-        ``certificate`` at the rationals ``x -+ d``, ``d`` one and then four
-        units in the last place of ``x``: they differ, and ``interval``
-        holds no other root.  When they do not certify, sympy refines the
-        isolating interval to one unit and ``approx`` is its midpoint.
+        the float ``x`` it returns is certified by :func:`_certify` at one
+        and then four units in the last place of ``x``, on a bracket inside
+        ``interval``, which holds no other root.  When it does not certify,
+        sympy refines the isolating interval to one unit and ``approx`` is
+        its midpoint.
         """
         if self.root is not None:
             return float(self.root)
         h = list(self.certificate)
         lo, hi = self.interval
         x = _newton(h, float(lo), float(hi), _sign(h, lo))
-        ulp = Fraction(math.ulp(x))
-        for k in (1, 4):
-            below, above = Fraction(x) - k * ulp, Fraction(x) + k * ulp
-            inside = lo < below and above < hi
-            if inside and _sign(h, below) != _sign(h, above):
-                return x
-        a, b = dup_refine_real_root(h, _qq(lo), _qq(hi), ZZ, eps=_qq(ulp))
+        bracket = _certify(h, x, (1, 4))
+        if bracket is not None and lo < bracket[0] and bracket[1] < hi:
+            return x
+        eps = _qq(Fraction(math.ulp(x)))
+        a, b = dup_refine_real_root(h, _qq(lo), _qq(hi), ZZ, eps=eps)
         return float((_fraction(a) + _fraction(b)) / 2)
 
 
@@ -575,10 +556,9 @@ def classify_point(
     (built once per section), as a positive integer multiple of it in t.
 
     A generic point is read from those polynomials alone
-    (:func:`_simple_roots`): when every minor has degree at most 3 and a
-    nonzero discriminant, every real root is simple and their count is
-    known; a quadratic's roots are bracketed through ``isqrt`` of the
-    discriminant and a cubic's by exact sign changes around numpy's floats.
+    (:func:`_simple_roots`): when :func:`_brackets` reads every minor (degree
+    at most 3, a nonzero discriminant, every float root certified by
+    :func:`_certify`), every real root is simple and bracketed exactly.
     When all the brackets are disjoint (and, with a domain, none meets an
     end of it), every event is a simple zero of one minor: its
     multiplicity vector is a unit vector.  Any other point takes the
@@ -589,9 +569,10 @@ def classify_point(
     Vincent-Akritas-Strzebonski).  The multiplicity of a root in ``m_j``
     is the ``k`` whose ``g_{j,k}`` vanishes there, tested exactly at a
     rational root and by a sign change across an open bracket; the
-    multiplicity vector names the letter.  On both paths nothing is
-    factored: the exact root, interval and certificate of an event are
-    resolved on first read, and they are the same on both.
+    multiplicity vector names the letter (:func:`_letter` on both paths).
+    On both paths nothing is factored: the exact root, interval and
+    certificate of an event are resolved on first read, and they are the
+    same on both.
 
     >>> section = build_section(symgrp.letter_from_name(2, 'aba'))
     >>> cls = classify_point(section, (Fraction(1, 3), Fraction(-1, 18)))
@@ -613,9 +594,10 @@ def classify_point(
     if simple is not None:
         events = []
         for lo, hi, j, p in simple:
-            mult, letter = _simple_zero(section.n, j)
+            mult = tuple(int(i == j) for i in range(section.n))
             events.append(ExactEvent(
-                letter=letter, mult=mult, _bracket=(lo, hi), _factor=tuple(p)
+                letter=_letter(mult, section.n), mult=mult,
+                _bracket=(lo, hi), _factor=tuple(p),
             ))
         return PointClassification(point=values, events=tuple(events))
 
@@ -628,17 +610,18 @@ def classify_point(
 
     square_free = dup_sqf_part(product, ZZ)
     if domain is None:
-        brackets = dup_isolate_real_roots_sqf(square_free, ZZ)
+        isolated = dup_isolate_real_roots_sqf(square_free, ZZ)
     else:
         # a root on an end of the domain comes back as (end, end): drop it
         lo, hi = domain
-        brackets = [
+        isolated = [
             (a, b)
             for a, b in dup_isolate_real_roots_sqf(
                 square_free, ZZ, inf=_qq(lo), sup=_qq(hi)
             )
             if a != b or lo < _fraction(a) < hi
         ]
+    brackets = [(_fraction(a), _fraction(b)) for a, b in isolated]
     ends = {end for bracket in brackets for end in bracket}
     signs = [{end: _sign(g, end) for end in ends} for _, _, g in factors]
 
@@ -663,15 +646,9 @@ def classify_point(
                 mult[j] = k
                 vanishing.append(g)
         mult = tuple(mult)
-        try:
-            letter = symgrp.permutation_from_mult(mult, section.n)
-        except symgrp.NotARealizableMultVector as exc:
-            raise UnrecognizedMultPattern(
-                f"mult {mult} at root in ({_fraction(a)},{_fraction(b)})"
-            ) from exc
         out.append(ExactEvent(
-            letter=letter, mult=mult, _bracket=(a, b),
-            _factor=tuple(min(vanishing, key=len)),
+            letter=_letter(mult, section.n), mult=mult, _bracket=(a, b),
+            _factor=tuple(int(c) for c in min(vanishing, key=len)),
         ))
     return PointClassification(point=values, events=tuple(out))
 

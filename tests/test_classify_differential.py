@@ -205,6 +205,16 @@ READ = [
     ("betaprime-u", (Fraction(1, 3), Fraction(-1, 5), Fraction(0)), None),
 ]
 
+# Near the double root of m_1 at -5/2, as (case, declines)
+CLOSE_ROOTS = [
+    # m_1 has two roots 2**-43.5 apart, closer than 4096 units in the last
+    # place: no bracket around numpy's floats holds just one
+    (("betaprime+", (Fraction(1), Fraction(-25, 24) + Fraction(1, 2**90)), None), True),
+    # m_1's two roots lie 2**-9.5 apart and certify only at 4096 units in
+    # the last place, and one root of m_3 only at 64
+    (("betaprime+", (Fraction(1), Fraction(-25, 24) + Fraction(1, 2**20)), None), False),
+]
+
 
 def check_same_answer(name, point, domain):
     section = SECTIONS[name]
@@ -243,10 +253,56 @@ def test_filter_matches_the_general_path(case):
 
 
 @pytest.mark.parametrize(
-    "case, declines", [(c, True) for c in DECLINED] + [(c, False) for c in READ]
+    "case, declines",
+    [(c, True) for c in DECLINED] + [(c, False) for c in READ] + CLOSE_ROOTS,
 )
 def test_filter_declines_only_non_generic_points(case, declines):
     name, point, domain = case
     polys = polysect._minors_at(SECTIONS[name], point)
     assert (polysect._simple_roots(polys, domain) is None) == declines
     check_same_answer(*case)
+
+
+@st.composite
+def integer_polynomials(draw):
+    """A primitive integer polynomial of degree 0 to 4 with a positive
+    leading coefficient, its roots scaled by 2**s for s up to 64."""
+    degree = draw(st.integers(0, 4))
+    p = [draw(st.integers(1, 10**6))]
+    p += [draw(st.integers(-(10**6), 10**6)) for _ in range(degree)]
+    s = draw(st.integers(0, 64))
+    p = [c << (s * i) for i, c in enumerate(p)]
+    g = math.gcd(*p)
+    return [c // g for c in p]
+
+
+@settings(max_examples=300, deadline=None)
+@example(p=[7])
+@example(p=[1, -(2**60) - 1])  # a rational root beyond 2**52
+@example(p=[1, 0, -(2**121)])  # roots +-2**60.5
+@example(p=[1, -(2**62) - 2**61, 2**123, 0])  # 0, 2**61 and 2**62
+@example(p=[1, 22885555, 0, -1])  # roots -22885555.00 and +-0.000209
+@example(p=[1, -3, 3, -1])  # (t - 1)**3
+@example(p=[1, 0, 0, -(10**400)])  # no float coefficients
+@given(p=integer_polynomials())
+def test_brackets_of_integer_polynomials(p):
+    poly = sp.Poly(p, sp.Symbol("t"))
+    brackets = polysect._brackets(p)
+    if poly.degree() > 3 or poly.degree() >= 2 and poly.discriminant() == 0:
+        assert brackets is None
+        return
+    if brackets is None:
+        # a cubic whose coefficients are no floats, or some root of which
+        # numpy cannot place within 4096 units in the last place: here the
+        # two small roots of t**3 + 22885555 t**2 - 1
+        assert poly.degree() == 3
+        return
+    assert len(brackets) == poly.count_roots()
+    for (_, hi), (lo, _) in zip(brackets, brackets[1:]):
+        assert hi < lo
+    for lo, hi in brackets:
+        if lo == hi:
+            assert poly.eval(sp.Rational(lo)) == 0
+        else:
+            assert lo < hi
+            assert poly.eval(sp.Rational(lo)) * poly.eval(sp.Rational(hi)) < 0

@@ -16,11 +16,13 @@ The list is fixed, so that two outputs always compare the same points:
 
 A line holds the section and point, and either the label and, per event,
 the multiplicity vector, the exact root (a Fraction as text, null when it
-is irrational), the certificate and ``approx`` at ``.12g``, or the class of
-the exception that ended the classification.  The last line is the number
-of points that took sympy's root isolation (``dup_isolate_real_roots_sqf``)
-rather than the generic-point filter.  Run it under two trees and diff the
-outputs: every point must classify the same.
+is irrational), the ends of the isolating interval (Fractions as text),
+the certificate and ``repr(approx)``, the shortest text that reads back as
+the same float, or the class of the exception that ended the
+classification.  The last line is the number of points that took sympy's
+root isolation (``dup_isolate_real_roots_sqf``) rather than the
+generic-point filter.  Run it under two trees and diff the outputs: every
+point must classify the same, bit for bit.
 """
 
 from __future__ import annotations
@@ -84,8 +86,9 @@ def classify(section, point, domain) -> dict:
             {
                 "mult": list(e.mult),
                 "root": None if e.root is None else str(e.root),
+                "interval": [str(end) for end in e.interval],
                 "certificate": list(e.certificate),
-                "approx": f"{e.approx:.12g}",
+                "approx": repr(e.approx),
             }
             for e in cls.events
         ],
