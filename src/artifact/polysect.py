@@ -8,11 +8,15 @@ free variables fill the positions ``(i, j)`` with ``j < i**rho`` and
 ``j**(rho^-1) < i`` in reading order.  The transversal slice sets the
 last variable to zero.
 
-Southwest minors ``m_j``, their discriminants ``d_j`` and mutual
-resultants ``r_{i,j}`` are computed symbolically (sympy).  Classification
-of rational parameter points is exact.  Each minor is kept as integer terms
-in ``t`` and the point variables, and is evaluated at a point in integers,
-leaving an integer polynomial in t.
+A section is built once per letter, in sympy's sparse polynomial ring
+``QQ[t, x...]``, and is read-only: the southwest minors ``m_j`` are ring
+determinants, and ``M``, the seed matrix and the minors as sympy
+expressions are views computed on first read (for lambdify, printing and
+the discriminants ``d_j`` and mutual resultants ``r_{i,j}``).
+Classification of rational parameter points is exact.  Each minor is kept
+as integer terms in ``t`` and the point variables, read from the ring
+element, and is evaluated at a point in integers, leaving an integer
+polynomial in t.
 
 One exact root layer reads their roots: ``_brackets`` brackets the real
 roots of an integer polynomial of degree at most 3 with a nonzero
@@ -38,6 +42,8 @@ import sympy as sp
 from sympy.polys.densearith import dup_exquo, dup_mul
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.factortools import dup_factor_list
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.rings import ring
 from sympy.polys.rootisolation import dup_isolate_real_roots_sqf, dup_refine_real_root
 from sympy.polys.sqfreetools import dup_sqf_list, dup_sqf_part
 
@@ -77,23 +83,32 @@ class UnrecognizedMultPattern(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SectionFamily:
-    """Polynomial transversal-section family for one letter.
+    """Polynomial transversal-section family for one letter, read-only.
 
-    ``M`` is the (n+1)x(n+1) sympy matrix in ``x_vars`` (+ optionally
-    ``u``) and ``t``, with the transversal slice already applied.
-    ``Mtilde_full`` keeps the unsliced seed matrix (when applicable).
-    ``x_weights`` holds the quasi-homogeneous weight of each of ``x_vars``.
+    The family is held once, as ring elements over ``QQ[t, *point_vars]``
+    (sympy's sparse polynomial ring): ``_M`` the rows of the section matrix
+    with the transversal slice already applied, ``_seed`` those of the
+    unsliced seed matrix (when applicable).  The southwest minors are
+    ``DomainMatrix`` determinants in that ring, and :func:`classify_point`
+    reads their integer terms; it never builds a sympy expression.
+
+    ``M``, ``Mtilde_full`` and :func:`minors` are views computed on first
+    read, as ``ImmutableMatrix`` and sympy expressions in ``x_vars`` (+
+    optionally ``u``) and ``t``: for lambdify, the discriminants and
+    resultants and printing.  ``x_weights`` holds the quasi-homogeneous
+    weight of each of ``x_vars``.  :func:`build_section` returns one shared
+    section per letter.
     """
 
     sigma: Permutation
     n: int
     x_vars: tuple[sp.Symbol, ...]
     t: sp.Symbol
-    M: sp.Matrix
     x_weights: tuple[int, ...]
-    Mtilde_full: sp.Matrix | None = None
+    _M: tuple = field(repr=False)
+    _seed: tuple | None = field(default=None, repr=False)
     u: sp.Symbol | sp.Rational | None = None
 
     @property
@@ -104,16 +119,31 @@ class SectionFamily:
         return self.x_vars
 
     @cached_property
-    def _minors(self) -> tuple:
-        """The southwest minors, read by :func:`minors`."""
+    def M(self) -> sp.ImmutableMatrix:
+        return _expr_matrix(self._M)
+
+    @cached_property
+    def Mtilde_full(self) -> sp.ImmutableMatrix | None:
+        return None if self._seed is None else _expr_matrix(self._seed)
+
+    @cached_property
+    def _ring_minors(self) -> tuple:
+        """The southwest minors as ring elements."""
         n = self.n
+        domain = self._M[0][0].ring.to_domain()
         out = []
         for j in range(1, n + 1):
-            mj = sp.expand(self.M[n + 1 - j :, :j].det())
-            if mj == 0:
+            rows = [list(row[:j]) for row in self._M[n + 1 - j :]]
+            mj = DomainMatrix(rows, (j, j), domain).det()
+            if not mj:
                 raise ZeroPolynomial(f"minor m_{j} vanishes identically")
             out.append(mj)
         return tuple(out)
+
+    @cached_property
+    def _minors(self) -> tuple:
+        """The southwest minors as sympy expressions, read by :func:`minors`."""
+        return tuple(mj.as_expr() for mj in self._ring_minors)
 
     @cached_property
     def _integer_minors(self) -> tuple:
@@ -122,8 +152,8 @@ class SectionFamily:
         ``c * t**k * prod_l x_l**e_l``, with ``s`` the total degree in the
         point variables missing from ``e``, and its degree in ``t``."""
         out = []
-        for mj in self._minors:
-            terms = sp.Poly(mj, self.t, *self.point_vars, domain=QQ).terms()
+        for mj in self._ring_minors:
+            terms = mj.terms()
             scale = math.lcm(*(int(c.denominator) for _, c in terms))
             top = max(sum(m[1:]) for m, _ in terms)
             out.append((
@@ -137,6 +167,10 @@ class SectionFamily:
         return tuple(out)
 
 
+def _expr_matrix(rows: Sequence) -> sp.ImmutableMatrix:
+    return sp.ImmutableMatrix([[e.as_expr() for e in row] for row in rows])
+
+
 @lru_cache(maxsize=None)
 def _quarter_turn(n: int, i: int) -> np.ndarray:
     """``Pi(alpha_i(pi/2))``, a signed permutation matrix, in integers."""
@@ -146,11 +180,13 @@ def _quarter_turn(n: int, i: int) -> np.ndarray:
     return Q
 
 
+@lru_cache(maxsize=None)
 def build_section(sigma: Permutation) -> SectionFamily:
     """Build the transversal section family for the letter ``sigma``: its
     pivots and their signs are those of ``Pi(acute(eta) acute(sigma))``,
     the product of the integer matrices ``Pi(alpha_i(pi/2))`` along reduced
-    words of eta and sigma (Pi is a homomorphism).
+    words of eta and sigma (Pi is a homomorphism).  Memoized: every caller
+    shares the one read-only section of a letter.
 
     >>> aba = symgrp.letter_from_name(2, 'aba')
     >>> sp.pprint  # doctest: +SKIP
@@ -172,7 +208,6 @@ def build_section(sigma: Permutation) -> SectionFamily:
     d_plus_1 = symgrp.inversions(sigma)
     xs = sp.symbols(f"x1:{d_plus_1 + 1}")
     t = sp.Symbol("t")
-    M0 = sp.zeros(n + 1, n + 1)
     positions = [
         (i, j)
         for i in range(1, n + 2)
@@ -181,18 +216,31 @@ def build_section(sigma: Permutation) -> SectionFamily:
     ]
     if len(positions) != d_plus_1:
         raise AssertionError("variable count mismatch with inv(sigma)")
+    R, _, *gens = ring((t,) + xs, QQ)
+    seed = [[R.zero] * (n + 1) for _ in range(n + 1)]
     for i in range(1, n + 2):
-        M0[i - 1, rho(i) - 1] = int(Q0[i - 1, rho(i) - 1])
-    for x_l, (i, j) in zip(xs, positions):
-        M0[i - 1, j - 1] = M0[i - 1, rho(i) - 1] * x_l
-    M_full = sp.expand(M0 * sp.Matrix(triang.exp_nilpotent(n, t)))
-    M = sp.expand(M_full.subs(xs[-1], 0))
-    # quasi-homogeneous weight of the variable at (i, j): rho(i) - j
-    weights = tuple(rho(i) - j for (i, j) in positions[:-1])
+        seed[i - 1][rho(i) - 1] = R(int(Q0[i - 1, rho(i) - 1]))
+    for x_l, (i, j) in zip(gens, positions):
+        seed[i - 1][j - 1] = seed[i - 1][rho(i) - 1] * x_l
+    seed = tuple(map(tuple, seed))
     return SectionFamily(
         sigma=sigma, n=n, x_vars=tuple(xs[:-1]), t=t,
-        M=M, Mtilde_full=M0, x_weights=weights,
+        # quasi-homogeneous weight of the variable at (i, j): rho(i) - j
+        x_weights=tuple(rho(i) - j for (i, j) in positions[:-1]),
+        _M=_sliced_times_exp(seed, gens[-1]), _seed=seed,
     )
+
+
+def _sliced_times_exp(seed: Sequence, last) -> tuple:
+    """The rows of ``seed * exp(t n)`` on the transversal slice ``last = 0``,
+    for a seed of ring elements: over the ring without the generator
+    ``last``, whose first generator is ``t``."""
+    rows = [[e.evaluate(last, 0) for e in row] for row in seed]
+    R, shape = rows[0][0].ring, (len(rows), len(rows))
+    domain = R.to_domain()
+    exp = triang.exp_nilpotent(len(rows) - 1, R.gens[0])
+    product = DomainMatrix(rows, shape, domain) * DomainMatrix(exp, shape, domain)
+    return tuple(map(tuple, product.to_list()))
 
 
 def build_perturbed_family(kind: str, u: object | None = None) -> SectionFamily:
@@ -213,6 +261,7 @@ def build_perturbed_family(kind: str, u: object | None = None) -> SectionFamily:
         u_sym = sp.Rational(Fraction(u))
         if abs(Fraction(u)) >= 1:
             raise ValueError("perturbation parameter must satisfy |u| < 1")
+    symbolic = (u_sym,) if isinstance(u_sym, sp.Symbol) else ()
     if kind == "betaprime":
         betas = [1 + u_sym * t, sp.Integer(1), 1 - u_sym * t]
         M0 = base.M.subs(t, 0)  # sliced seed
@@ -222,20 +271,23 @@ def build_perturbed_family(kind: str, u: object | None = None) -> SectionFamily:
         for j in (2, 1, 0):
             integrand = betas[j] * sp.Matrix(out[j + 1])
             out[j] = cols[j] + integrand.applyfunc(lambda e: sp.integrate(e, t))
-        M = sp.expand(sp.Matrix.hstack(*out))
+        R = ring((t,) + base.x_vars + symbolic, QQ)[0]
+        M = sp.Matrix.hstack(*out)
         return SectionFamily(
-            sigma=acb, n=3, x_vars=base.x_vars, t=t, M=M,
-            u=u_sym, x_weights=base.x_weights,
+            sigma=acb, n=3, x_vars=base.x_vars, t=t, u=u_sym,
+            x_weights=base.x_weights,
+            _M=tuple(tuple(map(R, row)) for row in M.tolist()),
         )
     if kind == "matrix_u":
-        Mt = base.Mtilde_full.copy()
-        Mt[2, 1] = -u_sym  # row 3 = (-1, -u, 0, 0)
-        M_full = sp.expand(Mt * sp.Matrix(triang.exp_nilpotent(3, t)))
-        xs_all = sp.symbols("x1:4")
-        M = sp.expand(M_full.subs(xs_all[-1], 0))
+        # a copy of the shared seed, over QQ[t, x1, x2, x3] (+ u)
+        R = ring(base._seed[0][0].ring.symbols + symbolic, QQ)[0]
+        seed = [[e.set_ring(R) for e in row] for row in base._seed]
+        seed[2][1] = -R(u_sym)  # row 3 = (-1, -u, 0, 0)
+        seed = tuple(map(tuple, seed))
         return SectionFamily(
-            sigma=acb, n=3, x_vars=base.x_vars, t=t, M=M,
-            Mtilde_full=Mt, u=u_sym, x_weights=base.x_weights,
+            sigma=acb, n=3, x_vars=base.x_vars, t=t, u=u_sym,
+            x_weights=base.x_weights,
+            _M=_sliced_times_exp(seed, R.gens[3]), _seed=seed,
         )
     raise ValueError(f"unknown family kind {kind!r}")
 
@@ -509,20 +561,43 @@ class ExactEvent:
         the float ``x`` it returns is certified by :func:`_certify` at one
         and then four units in the last place of ``x``, on a bracket inside
         ``interval``, which holds no other root.  When it does not certify,
-        sympy refines the isolating interval to one unit and ``approx`` is
-        its midpoint.
+        or a coefficient of ``certificate`` is beyond the float range, sympy
+        refines the isolating interval to one unit in the last place of the
+        root's own magnitude (:func:`_refine`) and ``approx`` is its
+        midpoint.
         """
         if self.root is not None:
             return float(self.root)
         h = list(self.certificate)
         lo, hi = self.interval
-        x = _newton(h, float(lo), float(hi), _sign(h, lo))
+        try:
+            x = _newton(h, float(lo), float(hi), _sign(h, lo))
+        except OverflowError:
+            return _refine(h, lo, hi)
         bracket = _certify(h, x, (1, 4))
         if bracket is not None and lo < bracket[0] and bracket[1] < hi:
             return x
-        eps = _qq(Fraction(math.ulp(x)))
-        a, b = dup_refine_real_root(h, _qq(lo), _qq(hi), ZZ, eps=eps)
-        return float((_fraction(a) + _fraction(b)) / 2)
+        return _refine(h, lo, hi)
+
+
+def _refine(h: list, lo: Fraction, hi: Fraction) -> float:
+    """The midpoint of an isolating interval of the irrational root of ``h``
+    in ``(lo, hi)``, refined by sympy until it is at most one unit in the
+    last place of its end nearest zero wide: that end bounds the root's
+    magnitude from below, so the midpoint as a float is within two units in
+    the last place of the root.  ``h`` is
+    irreducible of degree at least 2, so zero is not its root, and an
+    interval across zero is first cut there."""
+    if lo < 0 < hi:
+        zero = Fraction(0)
+        lo, hi = (lo, zero) if _sign(h, lo) != _sign(h, zero) else (zero, hi)
+    while True:
+        near = min(abs(lo), abs(hi))
+        eps = Fraction(math.ulp(float(near))) if near else (hi - lo) / 2
+        if near and hi - lo <= eps:
+            return float((lo + hi) / 2)
+        a, b = dup_refine_real_root(h, _qq(lo), _qq(hi), ZZ, eps=_qq(eps))
+        lo, hi = _fraction(a), _fraction(b)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ rather than to a wrong answer.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -67,16 +68,28 @@ def necessary_conditions(
         reasons.append(
             f"too few letters to form {len(w1)} nonempty blocks"
         )
-    m0, m1 = mult_of_word(w0, n), mult_of_word(w1, n)
+    (m0, q0), (m1, q1) = _invariants(w0, n), _invariants(w1, n)
     if any(a > b for a, b in zip(m0, m1)):
         reasons.append(
             f"multiplicity is upper semicontinuous but {m0} exceeds {m1}"
         )
-    q0 = spinalg.q_of_word(w0, n)
-    q1 = spinalg.q_of_word(w1, n)
-    if q0.terms != q1.terms:
+    if q0 != q1:
         reasons.append("endpoint q_of_word differs")
     return (not reasons, reasons)
+
+
+# (word, n) -> (mult_of_word, q_of_word terms), during one hasse call
+_DIAGRAM_INVARIANTS: ContextVar = ContextVar("diagram_invariants", default=None)
+
+
+def _invariants(word: Word, n: int) -> tuple:
+    """``mult_of_word`` and the terms of ``q_of_word`` of ``word``, read
+    once per word within one :func:`hasse` call."""
+    memo = _DIAGRAM_INVARIANTS.get()
+    memo = {} if memo is None else memo
+    if (word, n) not in memo:
+        memo[word, n] = mult_of_word(word, n), spinalg.q_of_word(word, n).terms
+    return memo[word, n]
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +260,8 @@ def hasse(words: Iterable[Word], oracle: Callable, n: int):
 
     Returns a networkx DiGraph whose nodes are word names.  Unknown
     comparisons are treated as absent edges but recorded in the graph
-    attribute ``unknown_pairs``.
+    attribute ``unknown_pairs``.  Within the call, the multiplicity vector
+    and ``q_of_word`` of each word (and block) are read once.
     """
     import networkx as nx
 
@@ -257,15 +271,19 @@ def hasse(words: Iterable[Word], oracle: Callable, n: int):
     unknown_pairs = []
     for w in words:
         g.add_node(names[w])
-    for a in words:
-        for b in words:
-            if a == b:
-                continue
-            cert = prec(a, b, oracle, n=n)
-            if cert.status == "yes":
-                g.add_edge(names[a], names[b])
-            elif cert.status == "unknown":
-                unknown_pairs.append((names[a], names[b]))
+    token = _DIAGRAM_INVARIANTS.set({})
+    try:
+        for a in words:
+            for b in words:
+                if a == b:
+                    continue
+                cert = prec(a, b, oracle, n=n)
+                if cert.status == "yes":
+                    g.add_edge(names[a], names[b])
+                elif cert.status == "unknown":
+                    unknown_pairs.append((names[a], names[b]))
+    finally:
+        _DIAGRAM_INVARIANTS.reset(token)
     red = nx.transitive_reduction(g)
     red.graph["unknown_pairs"] = sorted(unknown_pairs)
     return red

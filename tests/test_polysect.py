@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,114 @@ class TestWeightedHomogeneity:
                     assert sp.expand(coeff - m) == 0, symgrp.letter_name(sigma)
                     count += 1
         assert count == 1 + 5 * 2 + 23 * 3
+
+
+class TestRingSections:
+    """Sections are built in sympy's polynomial ring, once per letter, and
+    read-only; ``M``, ``Mtilde_full`` and the minors are expression views."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_ring_minors_equal_expression_determinants(self, n):
+        # the determinant of the expression view is the reference: 1, 5, 23
+        # and 119 letters of n = 1..4
+        for sigma in symgrp.all_permutations(n):
+            if sigma.is_identity():
+                continue
+            section = polysect.build_section(sigma)
+            M = section.M
+            expected = tuple(
+                sp.expand(M[n + 1 - j :, :j].det()) for j in range(1, n + 1)
+            )
+            assert polysect.minors(section) == expected, symgrp.letter_name(sigma)
+
+    def test_one_shared_read_only_section_per_letter(self):
+        sigma = symgrp.letter_from_name(3, "acb")
+        section = polysect.build_section(sigma)
+        assert polysect.build_section(symgrp.letter_from_name(3, "acb")) is section
+        for view in (section.M, section.Mtilde_full):
+            with pytest.raises(TypeError):
+                view[0, 0] = 1
+        with pytest.raises(AttributeError):
+            section.x_weights = ()
+
+    def test_perturbations_leave_the_shared_section(self):
+        acb = polysect.build_section(letter(3, "acb"))
+        seed = acb.Mtilde_full
+        polysect.build_perturbed_family("matrix_u", Fraction(2, 5))
+        assert acb.Mtilde_full is seed
+        assert seed[2, 1] == 0
+
+
+t, x1, x2, x3, u = sp.symbols("t x1 x2 x3 u")
+# the perturbed families' matrices and seeds, as printed by the expression build
+BETAPRIME_M = [
+    [-t**2*u/2 - t, -1, 0, 0],
+    [t**5*u**2/30 - t**4*u/12 - t**3/6 - t**2*u*x1/2 - t*x1,
+     t**3*u/6 - t**2/2 - x1, t**2*u/2 - t, -1],
+    [-1, 0, 0, 0],
+    [t**3*u/3 + t**2/2 + x2, t, 1, 0],
+]
+MATRIX_U_M = [
+    [-t, -1, 0, 0],
+    [-t**3/6 - t*x1, -t**2/2 - x1, -t, -1],
+    [-t*u - 1, -u, 0, 0],
+    [t**2/2 + x2, t, 1, 0],
+]
+MATRIX_U_SEED = [[0, -1, 0, 0], [0, -x1, 0, -1], [-1, -u, 0, 0], [x2, x3, 1, 0]]
+
+
+@pytest.mark.parametrize("value", [None, Fraction(2, 5)])
+@pytest.mark.parametrize(
+    "kind, M, seed",
+    [("betaprime", BETAPRIME_M, None), ("matrix_u", MATRIX_U_M, MATRIX_U_SEED)],
+)
+def test_perturbed_family_matrices(kind, M, seed, value):
+    fam = polysect.build_perturbed_family(kind, value)
+    at = {} if value is None else {u: sp.Rational(value)}
+    assert fam.M == sp.Matrix(M).subs(at)
+    if seed is None:
+        assert fam.Mtilde_full is None
+    else:
+        assert fam.Mtilde_full == sp.Matrix(seed).subs(at)
+    assert fam.point_vars == (x1, x2) + ((u,) if value is None else ())
+
+
+class TestApprox:
+    """``ExactEvent.approx`` is within 4 units in the last place of the
+    exact time, however large the certificate's coefficients or small the
+    time against its isolating interval."""
+
+    cba = polysect.build_section(letter(3, "cba"))
+
+    @staticmethod
+    def assert_close(approx, exact: Fraction):
+        assert abs(Fraction(approx) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+
+    def test_certificate_beyond_the_float_range(self):
+        # m_2 = t**2/2 - x2 vanishes at -+sqrt(2 x2); its certificate has
+        # coefficients near 10**400
+        x2 = Fraction(10**400 + 1, 3 * 10**400)
+        cls = polysect.classify_point(self.cba, (0, x2))
+        assert cls.label == "b[ac]b"
+        low, _, high = cls.events
+        assert max(abs(c) for c in low.certificate) > 10**400
+        square = 2 * x2.numerator * x2.denominator << 400
+        root = Fraction(math.isqrt(square), x2.denominator << 200)
+        self.assert_close(high.approx, root)
+        self.assert_close(low.approx, -root)
+
+    def test_root_far_smaller_than_its_interval(self):
+        # m_3 = t**2 + 10**160 t + 1 (times -1/6): the root near -1e-160
+        # in the isolating interval (-1, 0)
+        b = 10**160
+        point = (Fraction(-b, 6), Fraction(b * b - 1, 6))
+        cls = polysect.classify_point(self.cba, point)
+        assert cls.label == "ca"
+        event = cls.events[0]
+        assert event.certificate == (1, b, 1)
+        # -2 / (b + sqrt(b**2 - 4)), the root nearer zero
+        root = Fraction(-2 << 1000, (b << 1000) + math.isqrt((b * b - 4) << 2000))
+        self.assert_close(event.approx, root)
 
 
 class TestGrids:

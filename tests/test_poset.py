@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from artifact import polysect, poset, symgrp
+from artifact import polysect, poset, spinalg, symgrp
 
 
 def word(n, text):
@@ -174,6 +174,27 @@ class TestHasse:
             ("baba", "[ba]a"), ("baba", "b[ab]"),
         }
         assert set(g.edges) == expected_covers
+
+    def test_word_invariants_read_once_per_diagram(self, monkeypatch):
+        # every word and block of one diagram reads q_of_word once; the
+        # memo ends with the hasse call
+        calls = []
+        inner = spinalg.q_of_word
+
+        def counted(word, n=None):
+            calls.append(tuple(word))
+            return inner(word, n)
+
+        monkeypatch.setattr(spinalg, "q_of_word", counted)
+        aba = symgrp.letter_from_name(2, "aba")
+        words = poset.letter_oracle_section(aba)
+        for _ in range(2):
+            calls.clear()
+            poset.hasse(words, poset.oracle_from_sections(2), n=2)
+            assert len(calls) == len(set(calls)) == 17
+        assert poset._DIAGRAM_INVARIANTS.get() is None
+        poset.necessary_conditions(word(2, "aa"), word(2, "[aba]"), 2)
+        assert len(calls) == 17 + 2
 
     def test_dot_deterministic(self):
         aba = symgrp.letter_from_name(2, "aba")
