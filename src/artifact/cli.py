@@ -24,7 +24,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from . import curvelab, polysect, poset, spinalg, symgrp, triang
+# polysect and poset load sympy: only the commands that do exact work import them
+from . import curvelab, spinalg, symgrp, triang
 
 __all__ = ["RunConfig", "main"]
 
@@ -230,6 +231,8 @@ def _curve_from_spec(spec: dict, cfg: RunConfig) -> curvelab.FrameCurve:
         t0, t1 = _spec_domain(spec, 0.0)
         return curvelab.integrate_frame(n, values, t0=t0, t1=t1)
     if kind == "section":
+        from . import polysect
+
         sigma_name = spec.get("sigma")
         if sigma_name is None:
             raise UsageError("section spec needs 'sigma'")
@@ -244,11 +247,7 @@ def _curve_from_spec(spec: dict, cfg: RunConfig) -> curvelab.FrameCurve:
             raise UsageError(
                 f"need {len(section.x_vars)} coordinates, got {len(point)}"
             )
-        import sympy as sp
-
-        subs = dict(zip(section.x_vars, [sp.Rational(p) for p in point]))
-        M = section.M.subs(subs)
-        mfun = sp.lambdify(section.t, M, "numpy")
+        mfun = polysect.matrix_path(section, point)
         t0, t1 = _spec_domain(spec, -1.0)
         samples = _spec_number("samples", spec.get("samples", 201), int, low=2)
         ts = [t0 + k * (t1 - t0) / (samples - 1) for k in range(samples)]
@@ -316,6 +315,8 @@ def _parse_grid(text: str) -> int:
 
 
 def cmd_section(args, cfg: RunConfig) -> int:
+    from . import polysect
+
     n = _rank(args, cfg)
     for flag, needs in (("u", "family"), ("radius", "grid"), ("csv", "grid")):
         if getattr(args, flag) is not None and not getattr(args, needs):
@@ -385,6 +386,8 @@ def cmd_section(args, cfg: RunConfig) -> int:
 
 
 def cmd_poset(args, cfg: RunConfig) -> int:
+    from . import poset
+
     n = _rank(args, cfg)
     if args.hasse and not args.below:
         raise UsageError("--hasse needs --below")

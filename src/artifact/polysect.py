@@ -9,10 +9,13 @@ free variables fill the positions ``(i, j)`` with ``j < i**rho`` and
 last variable to zero.
 
 A section is built once per letter, in sympy's sparse polynomial ring
-``QQ[t, x...]``, and is read-only: the southwest minors ``m_j`` are ring
+``QQ[t, x...]``, and is read-only; both perturbed families of the acb
+section are built in the ring too.  The southwest minors ``m_j`` are ring
 determinants, and ``M``, the seed matrix and the minors as sympy
-expressions are views computed on first read (for lambdify, printing and
-the discriminants ``d_j`` and mutual resultants ``r_{i,j}``).
+expressions are views computed on first read, for printing, the
+discriminants ``d_j`` and mutual resultants ``r_{i,j}``, and a lambdify
+over ``(t, x...)`` at once.  :func:`matrix_path` is the numeric entry
+point: the float matrix path of a section at a rational point.
 Classification of rational parameter points is exact.  Each minor is kept
 as integer terms in ``t`` and the point variables, read from the ring
 element, and is evaluated at a point in integers, leaving an integer
@@ -35,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import sympy as sp
@@ -60,6 +63,7 @@ __all__ = [
     "IdentityLetter",
     "build_section",
     "build_perturbed_family",
+    "matrix_path",
     "minors",
     "discriminants",
     "resultants",
@@ -96,10 +100,11 @@ class SectionFamily:
 
     ``M``, ``Mtilde_full`` and :func:`minors` are views computed on first
     read, as ``ImmutableMatrix`` and sympy expressions in ``x_vars`` (+
-    optionally ``u``) and ``t``: for lambdify, the discriminants and
-    resultants and printing.  ``x_weights`` holds the quasi-homogeneous
-    weight of each of ``x_vars``.  :func:`build_section` returns one shared
-    section per letter.
+    optionally ``u``) and ``t``: for printing, the discriminants and
+    resultants, and a lambdify over ``(t, x...)`` at once.  A float matrix
+    path at one point is :func:`matrix_path`, read from the ring rows.
+    ``x_weights`` holds the quasi-homogeneous weight of each of ``x_vars``.
+    :func:`build_section` returns one shared section per letter.
     """
 
     sigma: Permutation
@@ -247,49 +252,52 @@ def build_perturbed_family(kind: str, u: object | None = None) -> SectionFamily:
     """One-parameter perturbations of the acb section (n = 3).
 
     ``kind`` is ``"betaprime"`` (curvature perturbation ``beta_1 = 1+ut``,
-    ``beta_2 = 1``, ``beta_3 = 1-ut``, integrated symbolically) or
-    ``"matrix_u"`` (seed-matrix perturbation).  ``u`` is a rational, or
-    None for a symbolic parameter.
+    ``beta_2 = 1``, ``beta_3 = 1-ut``: column j of the sliced seed plus the
+    integral from 0 of ``beta_j`` times column j + 1) or ``"matrix_u"``
+    (seed-matrix perturbation), both built in the ring.  ``u`` is a
+    rational, or None for a symbolic parameter.
     """
     acb = symgrp.letter_from_name(3, "acb")
     base = build_section(acb)
-    t = base.t
-    u_sym: sp.Symbol | sp.Rational
-    if u is None:
-        u_sym = sp.Symbol("u")
-    else:
-        u_sym = sp.Rational(Fraction(u))
-        if abs(Fraction(u)) >= 1:
-            raise ValueError("perturbation parameter must satisfy |u| < 1")
-    symbolic = (u_sym,) if isinstance(u_sym, sp.Symbol) else ()
+    if u is not None and abs(Fraction(u)) >= 1:
+        raise ValueError("perturbation parameter must satisfy |u| < 1")
+    u_sym = sp.Symbol("u") if u is None else sp.Rational(Fraction(u))
+    # a copy of the shared seed, over QQ[t, x1, x2, x3] (+ u)
+    R = ring(base._seed[0][0].ring.symbols + ((u_sym,) if u is None else ()), QQ)[0]
+    seed = [[e.set_ring(R) for e in row] for row in base._seed]
     if kind == "betaprime":
-        betas = [1 + u_sym * t, sp.Integer(1), 1 - u_sym * t]
-        M0 = base.M.subs(t, 0)  # sliced seed
-        cols = [M0[:, j] for j in range(4)]
-        out = [None] * 4
-        out[3] = cols[3]
-        for j in (2, 1, 0):
-            integrand = betas[j] * sp.Matrix(out[j + 1])
-            out[j] = cols[j] + integrand.applyfunc(lambda e: sp.integrate(e, t))
-        R = ring((t,) + base.x_vars + symbolic, QQ)[0]
-        M = sp.Matrix.hstack(*out)
-        return SectionFamily(
-            sigma=acb, n=3, x_vars=base.x_vars, t=t, u=u_sym,
-            x_weights=base.x_weights,
-            _M=tuple(tuple(map(R, row)) for row in M.tolist()),
-        )
-    if kind == "matrix_u":
-        # a copy of the shared seed, over QQ[t, x1, x2, x3] (+ u)
-        R = ring(base._seed[0][0].ring.symbols + symbolic, QQ)[0]
-        seed = [[e.set_ring(R) for e in row] for row in base._seed]
+        ut = (R(u_sym) * R.gens[0]).drop(3)  # u t on the slice x3 = 0
+        cols = [[e.evaluate(R.gens[3], 0) for e in col] for col in zip(*seed)]
+        for j, beta in ((2, 1 - ut), (1, 1), (0, 1 + ut)):
+            cols[j] = [c + _integral(beta * e) for c, e in zip(cols[j], cols[j + 1])]
+        M, seed = tuple(zip(*cols)), None
+    elif kind == "matrix_u":
         seed[2][1] = -R(u_sym)  # row 3 = (-1, -u, 0, 0)
         seed = tuple(map(tuple, seed))
-        return SectionFamily(
-            sigma=acb, n=3, x_vars=base.x_vars, t=t, u=u_sym,
-            x_weights=base.x_weights,
-            _M=_sliced_times_exp(seed, R.gens[3]), _seed=seed,
-        )
-    raise ValueError(f"unknown family kind {kind!r}")
+        M = _sliced_times_exp(seed, R.gens[3])
+    else:
+        raise ValueError(f"unknown family kind {kind!r}")
+    return SectionFamily(
+        sigma=acb, n=3, x_vars=base.x_vars, t=base.t, u=u_sym,
+        x_weights=base.x_weights, _M=M, _seed=seed,
+    )
+
+
+def _integral(p):
+    """The integral of the ring element ``p`` in its first generator, from 0."""
+    return p.ring.from_dict({(m[0] + 1,) + m[1:]: c / (m[0] + 1) for m, c in p.terms()})
+
+
+def matrix_path(section: SectionFamily, values: Sequence) -> Callable:
+    """``mfun(t)``, the section matrix at a rational point (one value per
+    point variable) as a numpy function of t, for
+    :func:`artifact.curvelab.frame_curve_from_matrix_path`: the ring rows
+    evaluated at the point, over ``QQ[t]``, lambdified."""
+    gens = section._M[0][0].ring.gens[1:]  # the point variables
+    at = [(x, _qq(Fraction(v))) for x, v in zip(gens, values, strict=True)]
+    rows = [[(e.evaluate(at) if at else e).as_expr() for e in row]
+            for row in section._M]
+    return sp.lambdify(section.t, sp.Matrix(rows), "numpy")
 
 
 def minors(section: SectionFamily) -> tuple:
@@ -360,17 +368,25 @@ def _minors_at(section: SectionFamily, values: Sequence[Fraction]) -> list:
     return out
 
 
-def _certify(p: Sequence[int], x: float, ulps: Sequence[int]) -> tuple | None:
+def _certify(
+    p: Sequence[int], x: float, ulps: Sequence[int], within=None
+) -> tuple | None:
     """A bracket of a root of ``p`` around the float ``x``: the dyadic
-    rationals ``x -+ k`` units in the last place of ``x``, for the first
-    ``k`` of ``ulps`` at which the exact signs of ``p`` differ; None when
-    none does."""
+    rationals ``x -+ k`` units in the last place of ``x``, each end cut to
+    the interval ``within`` when given, for the first ``k`` of ``ulps`` at
+    which the exact signs of ``p`` differ; None when none does."""
     num, den = x.as_integer_ratio()
     step, scale = math.ulp(x).as_integer_ratio()  # x is a multiple: scale >= den
     mid = num * (scale // den)
     for k in ulps:
-        if _sign_at(p, mid - k * step, scale) * _sign_at(p, mid + k * step, scale) < 0:
-            return Fraction(mid - k * step, scale), Fraction(mid + k * step, scale)
+        a, b = mid - k * step, mid + k * step
+        if within is None:  # each cubic root of _brackets: signs in integers
+            if _sign_at(p, a, scale) * _sign_at(p, b, scale) < 0:
+                return Fraction(a, scale), Fraction(b, scale)
+            continue
+        lo, hi = max(Fraction(a, scale), within[0]), min(Fraction(b, scale), within[1])
+        if lo < hi and _sign(p, lo) * _sign(p, hi) < 0:
+            return lo, hi
     return None
 
 
@@ -558,10 +574,12 @@ class ExactEvent:
 
         An irrational time is polished by Newton's method on
         ``certificate`` in floats from the midpoint of ``interval``, and
-        the float ``x`` it returns is certified by :func:`_certify` at one
-        and then four units in the last place of ``x``, on a bracket inside
-        ``interval``, which holds no other root.  When it does not certify,
-        or a coefficient of ``certificate`` is beyond the float range, sympy
+        the float ``x`` it returns is certified by :func:`_certify`: the
+        signs of ``certificate`` differ across ``x -+ k`` units in the last
+        place of ``x``, k = 1 and then 4, with each end cut to ``interval``.
+        That bracket lies in ``interval``, which holds no other root, and
+        within k units of ``x``.  When it does not certify, or a
+        coefficient of ``certificate`` is beyond the float range, sympy
         refines the isolating interval to one unit in the last place of the
         root's own magnitude (:func:`_refine`) and ``approx`` is its
         midpoint.
@@ -574,10 +592,9 @@ class ExactEvent:
             x = _newton(h, float(lo), float(hi), _sign(h, lo))
         except OverflowError:
             return _refine(h, lo, hi)
-        bracket = _certify(h, x, (1, 4))
-        if bracket is not None and lo < bracket[0] and bracket[1] < hi:
-            return x
-        return _refine(h, lo, hi)
+        if _certify(h, x, (1, 4), within=(lo, hi)) is None:
+            return _refine(h, lo, hi)
+        return x
 
 
 def _refine(h: list, lo: Fraction, hi: Fraction) -> float:

@@ -32,8 +32,7 @@ def letter(n, name):
 
 
 def section_curve(section, point, t0=-1.0, t1=1.0, samples=201):
-    subs = dict(zip(section.x_vars, [sp.Rational(p) for p in point]))
-    mfun = sp.lambdify(section.t, section.M.subs(subs), "numpy")
+    mfun = polysect.matrix_path(section, point)
     ts = np.linspace(t0, t1, samples)
     return curvelab.frame_curve_from_matrix_path(section.n, mfun, ts)
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,8 +15,7 @@ def circle_kappas(n):
 
 
 def section_curve(section, point, t0=-1.0, t1=1.0, samples=201):
-    subs = dict(zip(section.x_vars, [sp.Rational(p) for p in point]))
-    mfun = sp.lambdify(section.t, section.M.subs(subs), "numpy")
+    mfun = polysect.matrix_path(section, point)
     ts = np.linspace(t0, t1, samples)
     return curvelab.frame_curve_from_matrix_path(section.n, mfun, ts)
 
@@ -544,8 +542,7 @@ class TestStackedMinors:
 
     def aba_path(self):
         section = polysect.build_section(symgrp.letter_from_name(2, "aba"))
-        subs = dict(zip(section.x_vars, [sp.Rational(p) for p in self.POINT]))
-        return sp.lambdify(section.t, section.M.subs(subs), "numpy")
+        return polysect.matrix_path(section, self.POINT)
 
     def curves(self):
         return {
@@ -714,8 +711,7 @@ class TestStackedRefinement:
         # from |t| = 64 on, adjacent doubles are wider than the 1e-14
         # bracket width: a bracket stops once its midpoint rounds to an end
         aba = polysect.build_section(symgrp.letter_from_name(2, "aba"))
-        point = dict(zip(aba.x_vars, (Fraction(1, 3), Fraction(-1, 18))))
-        mfun = sp.lambdify(aba.t, aba.M.subs(point), "numpy")
+        mfun = polysect.matrix_path(aba, (Fraction(1, 3), Fraction(-1, 18)))
         curve = curvelab.frame_curve_from_matrix_path(
             2, lambda t: mfun(t - T), np.linspace(T - 1, T + 1, 201)
         )
@@ -736,7 +732,7 @@ class TestStackedRefinement:
         # near 8192 adjacent doubles are 1.8e-12 apart, so a dip bracket
         # never gets 1e-12 narrow: the step cap must end its refinement
         aba = polysect.build_section(symgrp.letter_from_name(2, "aba"))
-        mfun = sp.lambdify(aba.t, aba.M.subs(dict.fromkeys(aba.x_vars, 0)), "numpy")
+        mfun = polysect.matrix_path(aba, (0, 0))
         curve = curvelab.frame_curve_from_matrix_path(
             2, lambda t: mfun(t - T), np.linspace(T - 1, T + 1.5, 201)
         )

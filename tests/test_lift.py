@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
-import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -143,8 +142,7 @@ class TestNoMatrixFunctions:
     def test_section_curve_label(self, no_matrix_functions):
         section = polysect.build_section(symgrp.letter_from_name(2, "aba"))
         point = (Fraction(1, 3), Fraction(-1, 8))
-        subs = dict(zip(section.x_vars, [sp.Rational(p) for p in point]))
-        mfun = sp.lambdify(section.t, section.M.subs(subs), "numpy")
+        mfun = polysect.matrix_path(section, point)
         curve = curvelab.frame_curve_from_matrix_path(
             section.n, mfun, np.linspace(-1.0, 1.0, 201)
         )

@@ -1,8 +1,11 @@
+import inspect
 import math
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.rootisolation import dup_refine_real_root
 
 from artifact import polysect, symgrp
 
@@ -236,6 +239,27 @@ def test_perturbed_family_matrices(kind, M, seed, value):
     assert fam.point_vars == (x1, x2) + ((u,) if value is None else ())
 
 
+@pytest.mark.parametrize(
+    "section, point",
+    [
+        (polysect.build_section(letter(1, "a")), ()),
+        (polysect.build_section(letter(2, "aba")), (Fraction(1, 3), Fraction(-1, 8))),
+        (polysect.build_section(letter(3, "acb")), (0, Fraction(-7, 11))),
+        (polysect.build_perturbed_family("betaprime", Fraction(2, 5)), (1, 0)),
+        (polysect.build_perturbed_family("matrix_u", None), (1, 2, Fraction(-1, 3))),
+    ],
+    ids=["a", "aba", "acb", "betaprime", "matrix_u"],
+)
+def test_matrix_path_is_the_expression_matrix_at_the_point(section, point):
+    # the ring rows at the point print as the expression view substituted
+    at = dict(zip(section.point_vars, map(sp.Rational, point)))
+    expected = sp.lambdify(section.t, section.M.subs(at), "numpy")
+    got = polysect.matrix_path(section, point)
+    assert inspect.getsource(got) == inspect.getsource(expected)
+    with pytest.raises(ValueError):
+        polysect.matrix_path(section, point + (0,))
+
+
 class TestApprox:
     """``ExactEvent.approx`` is within 4 units in the last place of the
     exact time, however large the certificate's coefficients or small the
@@ -272,6 +296,26 @@ class TestApprox:
         # -2 / (b + sqrt(b**2 - 4)), the root nearer zero
         root = Fraction(-2 << 1000, (b << 1000) + math.isqrt((b * b - 4) << 2000))
         self.assert_close(event.approx, root)
+
+
+    def test_cubic_certified_against_its_isolating_interval(self, monkeypatch):
+        # the cubic's bracket is +-4 ulps around numpy's root; the +-k-ulp
+        # bracket of the polished root reaches past it, and certifies once
+        # cut to it
+        def no_refine(*args):
+            raise AssertionError("approx fell back to sympy")
+
+        monkeypatch.setattr(polysect, "_refine", no_refine)
+        fam = polysect.build_perturbed_family("betaprime", Fraction(2, 5))
+        cls = polysect.classify_point(fam, (Fraction(-1, 5), Fraction(-97, 495)))
+        cubics = [e for e in cls.events if len(e.certificate) == 4]
+        assert len(cubics) == 2
+        for event in cubics:
+            lo, hi = (polysect._qq(end) for end in event.interval)
+            root, _ = dup_refine_real_root(
+                list(event.certificate), lo, hi, ZZ, eps=QQ(1, 10**40)
+            )
+            self.assert_close(event.approx, polysect._fraction(root))
 
 
 class TestGrids:

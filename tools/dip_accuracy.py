@@ -23,7 +23,6 @@ import random
 import statistics
 
 import numpy as np
-import sympy as sp
 
 from artifact import curvelab, polysect, symgrp
 
@@ -36,8 +35,7 @@ def cases():
     for n, names in DIP_LETTERS.items():
         for name in names:
             section = polysect.build_section(symgrp.letter_from_name(n, name))
-            M = section.M.subs(dict.fromkeys(section.x_vars, 0))
-            mfun = sp.lambdify(section.t, M, "numpy")
+            mfun = polysect.matrix_path(section, [0] * len(section.x_vars))
             curve = curvelab.frame_curve_from_matrix_path(n, mfun, np.linspace(-1, 1, 201))
             yield f"section {name} n={n} origin", curve, [0.0], [name]
     circle = [math.pi * math.sqrt(j * (3 - j)) for j in (1, 2)]
