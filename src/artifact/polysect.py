@@ -21,20 +21,21 @@ as integer terms in ``t`` and the point variables, read from the ring
 element, and is evaluated at a point in integers, leaving an integer
 polynomial in t.
 
-One exact root layer reads their roots: ``_brackets`` brackets the real
-roots of an integer polynomial of degree at most 3 with a nonzero
-discriminant, and ``_certify`` proves a bracket around a float by exact
-signs.  A generic point is read from its minors' brackets alone; any other
-point goes to sympy's square-free decomposition and real-root isolation
-(see :func:`classify_point`).  An event's exact time, isolating interval
-and irreducible factor are resolved on first read; a rational time is
-reported exactly, as a Fraction.
+One exact root layer reads their roots by exact signs: ``_brackets``
+brackets the real roots of an integer polynomial of degree at most 3 with
+a nonzero discriminant, and ``_nearest_double`` rounds a bracketed root to
+the nearest double.  A generic point is read from its minors' brackets
+alone; any other point goes to sympy's square-free decomposition and
+real-root isolation (see :func:`classify_point`).  An event's exact time,
+isolating interval and irreducible factor are resolved on first read; a
+rational time is reported exactly, as a Fraction.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -47,7 +48,7 @@ from sympy.polys.domains import QQ, ZZ
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
-from sympy.polys.rootisolation import dup_isolate_real_roots_sqf, dup_refine_real_root
+from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
 from sympy.polys.sqfreetools import dup_sqf_list, dup_sqf_part
 
 from . import spinalg, symgrp, triang
@@ -368,25 +369,18 @@ def _minors_at(section: SectionFamily, values: Sequence[Fraction]) -> list:
     return out
 
 
-def _certify(
-    p: Sequence[int], x: float, ulps: Sequence[int], within=None
-) -> tuple | None:
+def _certify(p: Sequence[int], x: float) -> tuple | None:
     """A bracket of a root of ``p`` around the float ``x``: the dyadic
-    rationals ``x -+ k`` units in the last place of ``x``, each end cut to
-    the interval ``within`` when given, for the first ``k`` of ``ulps`` at
-    which the exact signs of ``p`` differ; None when none does."""
+    rationals ``x -+ k`` units in the last place of ``x``, for the first
+    ``k`` of 4, 64 and 4096 at which the exact signs of ``p`` differ (in
+    integers); None when none does."""
     num, den = x.as_integer_ratio()
     step, scale = math.ulp(x).as_integer_ratio()  # x is a multiple: scale >= den
     mid = num * (scale // den)
-    for k in ulps:
+    for k in (4, 64, 4096):
         a, b = mid - k * step, mid + k * step
-        if within is None:  # each cubic root of _brackets: signs in integers
-            if _sign_at(p, a, scale) * _sign_at(p, b, scale) < 0:
-                return Fraction(a, scale), Fraction(b, scale)
-            continue
-        lo, hi = max(Fraction(a, scale), within[0]), min(Fraction(b, scale), within[1])
-        if lo < hi and _sign(p, lo) * _sign(p, hi) < 0:
-            return lo, hi
+        if _sign_at(p, a, scale) * _sign_at(p, b, scale) < 0:
+            return Fraction(a, scale), Fraction(b, scale)
     return None
 
 
@@ -425,13 +419,58 @@ def _brackets(p: list[int]) -> list | None:
         roots = np.roots([float(v) for v in p])
     except OverflowError:
         return None
-    out = []
-    for z in sorted(roots, key=lambda z: abs(z.imag))[: 3 if disc > 0 else 1]:
-        bracket = _certify(p, float(z.real), (4, 64, 4096))
-        if bracket is None:
-            return None
-        out.append(bracket)
-    return sorted(out)
+    real = sorted(roots, key=lambda z: abs(z.imag))[: 3 if disc > 0 else 1]
+    out = [_certify(p, float(z.real)) for z in real]
+    return None if None in out else sorted(out)
+
+
+def _key(num: int, den: int) -> int:
+    """The ordered integer key of the double nearest ``num / den``, or of an
+    infinity beyond the double range: consecutive doubles have consecutive
+    keys, and both zeros have key 0."""
+    try:
+        x = num / den
+    except OverflowError:
+        x = math.inf if num > 0 else -math.inf
+    (bits,) = struct.unpack("<Q", struct.pack("<d", x))
+    return bits if bits >> 63 == 0 else (1 << 63) - bits
+
+
+def _ratio(key: int) -> tuple[int, int]:
+    """The double with the ordered ``key`` as ``(num, den)``, ``den`` a power
+    of two; an infinity reads as -+2**1024, and the keys past it continue in
+    steps of its last place."""
+    e, m = divmod(abs(key), 1 << 52)
+    num, e = (m + (1 << 52), e - 1075) if e else (m, -1074)  # else subnormal
+    num = -num if key < 0 else num
+    return (num << e, 1) if e > 0 else (num, 1 << -e)
+
+
+def _nearest_double(h: Sequence[int], lo: Fraction, hi: Fraction) -> float:
+    """The double nearest the root of the integer polynomial ``h`` in the
+    open interval ``(lo, hi)``, its only root there, a sign change and
+    irrational; OverflowError beyond the double range.
+
+    ``below(x)`` is whether x lies below the root: every x at or below
+    ``lo`` does, none at or above ``hi`` (another root may lie just beyond
+    an end), and one in between when ``h`` has its sign at ``lo`` there.
+    Bisection over ordered keys (:func:`_key`) finds the adjacent doubles
+    around the root, and ``below`` of their midpoint rounds: at most 64
+    steps at any magnitude, all in integers."""
+    (ln, ld), (hn, hd) = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
+    sign_lo = _sign_at(h, ln, ld)
+
+    def below(num: int, den: int) -> bool:
+        return num * ld <= ln * den or (
+            num * hd < hn * den and _sign_at(h, num, den) == sign_lo)
+
+    a, b = _key(ln, ld) - 1, _key(hn, hd) + 1
+    while b - a > 1:
+        m = (a + b) // 2
+        a, b = (m, b) if below(*_ratio(m)) else (a, m)
+    (na, da), (nb, db) = _ratio(a), _ratio(b)
+    num, den = _ratio(b if below(na * db + nb * da, 2 * da * db) else a)
+    return num / den
 
 
 @lru_cache(maxsize=None)
@@ -480,32 +519,6 @@ def _irreducible_factors(h: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(c) for c in g) for g, _ in dup_factor_list(list(h), ZZ)[1])
 
 
-def _newton(h: list, lo: float, hi: float, sign_lo: int) -> float:
-    """A float root of the integer polynomial ``h`` in ``[lo, hi]``, where
-    it changes sign (``sign_lo`` at ``lo``): Newton's method from the
-    midpoint, bisecting when a step leaves the bracket, until a step moves
-    less than two units in the last place."""
-    c = [float(v) for v in h]
-    x = 0.5 * (lo + hi)
-    for _ in range(100):
-        p = dp = 0.0
-        for v in c:
-            dp = dp * x + p
-            p = p * x + v
-        if p == 0.0:
-            return x
-        if (p > 0) == (sign_lo > 0):
-            lo = x
-        else:
-            hi = x
-        step = x - p / dp if dp else lo  # a flat point bisects
-        step = step if lo < step < hi else 0.5 * (lo + hi)
-        if abs(step - x) <= 2 * math.ulp(x):
-            return step
-        x = step
-    return x
-
-
 @dataclass(frozen=True)
 class ExactEvent:
     """One singular time of a section curve, exactly certified.
@@ -524,10 +537,7 @@ class ExactEvent:
     ``interval`` is ``(root, root)``.  Otherwise ``root`` is None and
     ``interval`` is an open isolating interval of the time: it holds no
     other root of any minor.  At a generic point it is the root's bracket
-    from :func:`_brackets` (a quadratic's is 2**-33 / a wide, ``a`` the
-    certificate's leading coefficient; a cubic's spans 4, 64 or 4096 units
-    in the last place of a float on each side of it), elsewhere sympy's
-    isolating interval.
+    from :func:`_brackets`, elsewhere sympy's isolating interval.
     """
 
     letter: Permutation
@@ -569,52 +579,12 @@ class ExactEvent:
 
     @cached_property
     def approx(self) -> float:
-        """The time as a float, within 4 units in its last place of the
-        exact value (a rational time is the nearest float).
-
-        An irrational time is polished by Newton's method on
-        ``certificate`` in floats from the midpoint of ``interval``, and
-        the float ``x`` it returns is certified by :func:`_certify`: the
-        signs of ``certificate`` differ across ``x -+ k`` units in the last
-        place of ``x``, k = 1 and then 4, with each end cut to ``interval``.
-        That bracket lies in ``interval``, which holds no other root, and
-        within k units of ``x``.  When it does not certify, or a
-        coefficient of ``certificate`` is beyond the float range, sympy
-        refines the isolating interval to one unit in the last place of the
-        root's own magnitude (:func:`_refine`) and ``approx`` is its
-        midpoint.
-        """
+        """The double nearest the time: ``float(root)`` for a rational time,
+        else :func:`_nearest_double` of ``certificate`` over ``interval``.
+        OverflowError when the time is beyond the double range."""
         if self.root is not None:
             return float(self.root)
-        h = list(self.certificate)
-        lo, hi = self.interval
-        try:
-            x = _newton(h, float(lo), float(hi), _sign(h, lo))
-        except OverflowError:
-            return _refine(h, lo, hi)
-        if _certify(h, x, (1, 4), within=(lo, hi)) is None:
-            return _refine(h, lo, hi)
-        return x
-
-
-def _refine(h: list, lo: Fraction, hi: Fraction) -> float:
-    """The midpoint of an isolating interval of the irrational root of ``h``
-    in ``(lo, hi)``, refined by sympy until it is at most one unit in the
-    last place of its end nearest zero wide: that end bounds the root's
-    magnitude from below, so the midpoint as a float is within two units in
-    the last place of the root.  ``h`` is
-    irreducible of degree at least 2, so zero is not its root, and an
-    interval across zero is first cut there."""
-    if lo < 0 < hi:
-        zero = Fraction(0)
-        lo, hi = (lo, zero) if _sign(h, lo) != _sign(h, zero) else (zero, hi)
-    while True:
-        near = min(abs(lo), abs(hi))
-        eps = Fraction(math.ulp(float(near))) if near else (hi - lo) / 2
-        if near and hi - lo <= eps:
-            return float((lo + hi) / 2)
-        a, b = dup_refine_real_root(h, _qq(lo), _qq(hi), ZZ, eps=_qq(eps))
-        lo, hi = _fraction(a), _fraction(b)
+        return _nearest_double(self.certificate, *self.interval)
 
 
 @dataclass(frozen=True)

@@ -325,8 +325,10 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation(images)
 
 
+@functools.lru_cache(maxsize=None)
 def letter_name(sigma: Permutation) -> str:
     """Render a letter as a string over a..h via its least reduced word.
+    Memoized: a label names the same few letters over and over.
 
     >>> letter_name(Permutation((3, 1, 4, 2)))
     'acb'

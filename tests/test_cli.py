@@ -25,7 +25,7 @@ class TestConfig:
 
     def test_config_roundtrip(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n = 3\nsing_grid = 256\n")
+        cfg.write_text("# run settings\n\nn = 3  # rank\n   \nsing_grid = 256\n")
         code, out, _ = run(capsys, "--config", str(cfg), "--dump-config")
         assert code == 0
         assert "n = 3" in out
@@ -226,6 +226,16 @@ class TestUsage:
         code, _, _ = run(capsys, "--definitely-not-a-flag")
         assert code == 1
 
+    def test_broken_invariant_exits_3(self, capsys, monkeypatch):
+        def broken(args, cfg):
+            raise AssertionError("broken")
+
+        monkeypatch.setitem(cli._COMMANDS, "group", broken)
+        code, out, err = run(capsys, "group", "qword", "abab", "--n", "2")
+        assert code == 3
+        assert out == ""
+        assert err == "internal invariant violation: broken\n"
+
 
 class TestSectionCsv:
     def test_grid_csv_written_and_closed(self, capsys, tmp_path, monkeypatch):
@@ -365,8 +375,10 @@ class TestSectionFlagCombinations:
             (("--u", "2/5"), "--u needs --family"),
             (("--radius", "1/5"), "--radius needs --grid"),
             (("--csv", "map.csv"), "--csv needs --grid"),
+            (("--family", "nope"), "unknown family 'nope'"),
         ],
-        ids=["family-of-another-letter", "u-alone", "radius-alone", "csv-alone"],
+        ids=["family-of-another-letter", "u-alone", "radius-alone", "csv-alone",
+             "unknown-family"],
     )
     def test_rejected(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)

@@ -220,6 +220,11 @@ class TestConvexity:
         )
         assert curvelab.is_convex_arc(curve)
 
+    @pytest.mark.parametrize("t1, convex", [(1.0, False), (0.99, True)])
+    def test_circle_is_convex_short_of_one_turn(self, t1, convex):
+        curve = curvelab.integrate_frame(2, circle_kappas(2), t1=t1)
+        assert curvelab.is_convex_arc(curve) is convex
+
 
 class TestCurveWithItinerary:
     def test_empty_word_is_circle(self):

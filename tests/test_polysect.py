@@ -261,15 +261,16 @@ def test_matrix_path_is_the_expression_matrix_at_the_point(section, point):
 
 
 class TestApprox:
-    """``ExactEvent.approx`` is within 4 units in the last place of the
-    exact time, however large the certificate's coefficients or small the
-    time against its isolating interval."""
+    """``ExactEvent.approx`` is the double nearest the exact time, however
+    large the certificate's coefficients or small the time against its
+    isolating interval."""
 
     cba = polysect.build_section(letter(3, "cba"))
 
     @staticmethod
-    def assert_close(approx, exact: Fraction):
-        assert abs(Fraction(approx) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+    def assert_nearest(approx, root: Fraction):
+        """``root`` is within 2**-200 of the exact time."""
+        assert approx == float(root)
 
     def test_certificate_beyond_the_float_range(self):
         # m_2 = t**2/2 - x2 vanishes at -+sqrt(2 x2); its certificate has
@@ -281,8 +282,8 @@ class TestApprox:
         assert max(abs(c) for c in low.certificate) > 10**400
         square = 2 * x2.numerator * x2.denominator << 400
         root = Fraction(math.isqrt(square), x2.denominator << 200)
-        self.assert_close(high.approx, root)
-        self.assert_close(low.approx, -root)
+        self.assert_nearest(high.approx, root)
+        self.assert_nearest(low.approx, -root)
 
     def test_root_far_smaller_than_its_interval(self):
         # m_3 = t**2 + 10**160 t + 1 (times -1/6): the root near -1e-160
@@ -295,17 +296,10 @@ class TestApprox:
         assert event.certificate == (1, b, 1)
         # -2 / (b + sqrt(b**2 - 4)), the root nearer zero
         root = Fraction(-2 << 1000, (b << 1000) + math.isqrt((b * b - 4) << 2000))
-        self.assert_close(event.approx, root)
+        self.assert_nearest(event.approx, root)
 
-
-    def test_cubic_certified_against_its_isolating_interval(self, monkeypatch):
-        # the cubic's bracket is +-4 ulps around numpy's root; the +-k-ulp
-        # bracket of the polished root reaches past it, and certifies once
-        # cut to it
-        def no_refine(*args):
-            raise AssertionError("approx fell back to sympy")
-
-        monkeypatch.setattr(polysect, "_refine", no_refine)
+    def test_cubic_certified_against_its_isolating_interval(self):
+        # the cubic's bracket is +-4 ulps around numpy's root
         fam = polysect.build_perturbed_family("betaprime", Fraction(2, 5))
         cls = polysect.classify_point(fam, (Fraction(-1, 5), Fraction(-97, 495)))
         cubics = [e for e in cls.events if len(e.certificate) == 4]
@@ -313,9 +307,38 @@ class TestApprox:
         for event in cubics:
             lo, hi = (polysect._qq(end) for end in event.interval)
             root, _ = dup_refine_real_root(
-                list(event.certificate), lo, hi, ZZ, eps=QQ(1, 10**40)
+                list(event.certificate), lo, hi, ZZ, eps=QQ(1, 2**200)
             )
-            self.assert_close(event.approx, polysect._fraction(root))
+            self.assert_nearest(event.approx, polysect._fraction(root))
+
+    def test_two_roots_within_one_ulp(self):
+        # t**3 - 2 (10**20 t - 1)**2 vanishes at 1e-20 (1 -+ 7.1e-31), both
+        # within one unit in the last place of 1/10**20, which lies between
+        # them: the midpoint of the doubles around a root is beyond an end
+        # of one of the two intervals, and that end decides
+        h = [1, -2 * 10**40, 4 * 10**20, -2]
+        c, eps = Fraction(1, 10**20), Fraction(1, 10**49)
+        for lo, hi in ((c - eps, c), (c, c + eps)):
+            assert polysect._sign(h, lo) != polysect._sign(h, hi)
+            assert polysect._nearest_double(h, lo, hi) == float(c)
+
+    def test_root_beyond_the_double_range(self):
+        # aba at (0, -10**800 / 2): m_1 = t**2/2 + x2 vanishes at -+10**400
+        section = polysect.build_section(letter(2, "aba"))
+        point = (0, Fraction(-(10**800), 2))
+        cls = polysect.classify_point(section, point, domain=None)
+        assert [e.root for e in cls.events] == [-(10**400), 10**400]
+        for event in cls.events:
+            with pytest.raises(OverflowError):
+                event.approx
+        # the largest double, and the overflow threshold halfway past it
+        big = 2**1024 - 2**971
+        top = big + 2**970
+        h = [1, 0, -(big * big + 1)]  # a root just above big rounds to it
+        assert polysect._nearest_double(h, Fraction(big), Fraction(top)) == float(big)
+        h = [1, 0, -(top * top + 1)]  # one just above top overflows
+        with pytest.raises(OverflowError):
+            polysect._nearest_double(h, Fraction(big), Fraction(top + 1))
 
 
 class TestGrids:

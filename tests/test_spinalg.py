@@ -170,6 +170,14 @@ class TestSignedCell:
             corner = spinalg.acute(symgrp.longest_element(n))
             assert spinalg.signed_cell(corner * corner) is None
 
+    def test_non_unit_element_has_no_signed_cell(self):
+        # twice a unit element of the open cell has that cell's rank
+        # pattern, but its exit angles cannot be peeled
+        i, j, k = symgrp.reduced_word(symgrp.longest_element(2))
+        y = spinalg.alpha(2, i, 0.4) * spinalg.alpha(2, j, 1.3) * spinalg.alpha(2, k, 2.2)
+        assert spinalg.signed_cell(y) == spinalg.CliffordEven.one(2)
+        assert spinalg.signed_cell(y.scale(2.0)) is None
+
     def test_positive_chart_roundtrip(self):
         n = 2
         eta = symgrp.longest_element(n)
