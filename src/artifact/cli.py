@@ -218,6 +218,8 @@ def _spec_domain(spec: dict, t0: float) -> tuple[float, float]:
 def _curve_from_spec(spec: dict, cfg: RunConfig) -> curvelab.FrameCurve:
     kind = spec["kind"]
     n = _spec_number("n", spec.get("n", cfg.n), int, low=1)
+    if n > len(symgrp.GENERATOR_CHARS):  # letters are named over a..h
+        raise UsageError(f"n must be at most {len(symgrp.GENERATOR_CHARS)}, got {n}")
     if kind == "constant":
         kappa = spec.get("kappa", "h")
         if kappa == "h":

@@ -674,7 +674,7 @@ def curve_with_itinerary(
             curve = _assemble_curve(table, times, d, r)
             if verify:
                 got = itinerary(curve)
-                if [g.images for g in got] != [w.images for w in word]:
+                if got != word:
                     raise PathNotAccessible(
                         f"re-extracted itinerary {symgrp.word_name(got)} "
                         "differs from request"
@@ -739,7 +739,7 @@ def _chart_product(n: int, q: Spinor, eta_word, thetas) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _arc_end_charts(images: tuple[int, ...], r: float) -> tuple:
+def _arc_end_charts(sigma: Permutation, r: float) -> tuple:
     """Chart angles of the two ends of a model arc of the letter sigma,
     each in the cell it lies in.
 
@@ -748,7 +748,6 @@ def _arc_end_charts(images: tuple[int, ...], r: float) -> tuple:
     acute(eta) grave(sigma) exp(r c h)``; their charts in the cells of
     ``q_{j-1}`` and ``q_j`` depend on sigma and r alone, so each is read
     once per letter and r, as ``(start, end)``."""
-    sigma = Permutation(images)
     n = sigma.n
     a = spinalg.acute(symgrp.longest_element(n))
     c = math.pi / 4
@@ -779,7 +778,7 @@ def _assemble_curve(table, times, d, r) -> FrameCurve:
     # row by row so that a row does not depend on the rest of its stack
     arcs = [table.integer[j + 1].to_float().left_matrix().T for j in range(ell)]
     qs = [qj.to_float() for qj in table.q]
-    charts = [_arc_end_charts(sigma.images, r) for sigma in word]
+    charts = [_arc_end_charts(sigma, r) for sigma in word]
 
     def arc(j):
         return lambda t: (

@@ -24,11 +24,12 @@ polynomial in t.
 One exact root layer reads their roots by exact signs: ``_brackets``
 brackets the real roots of an integer polynomial of degree at most 3 with
 a nonzero discriminant, and ``_nearest_double`` rounds a bracketed root to
-the nearest double.  A generic point is read from its minors' brackets
-alone; any other point goes to sympy's square-free decomposition and
-real-root isolation (see :func:`classify_point`).  An event's exact time,
-isolating interval and irreducible factor are resolved on first read; a
-rational time is reported exactly, as a Fraction.
+the nearest double.  Two root sources read a point's roots as sorted
+``(mult, bracket, factor)``: ``_simple_roots`` a generic point from its
+minors' brackets alone, ``_isolated_roots`` any other point by sympy's
+square-free real-root isolation; :func:`classify_point` makes each root an
+event.  An event's exact time, isolating interval and irreducible factor
+are resolved on first read; a rational time is reported exactly.
 """
 
 from __future__ import annotations
@@ -384,7 +385,7 @@ def _certify(p: Sequence[int], x: float) -> tuple | None:
     return None
 
 
-def _brackets(p: list[int]) -> list | None:
+def _brackets(p: Sequence[int]) -> list | None:
     """The real roots of the primitive integer polynomial ``p`` (positive
     leading coefficient) as sorted brackets, each holding one root: ``(r,
     r)`` for a linear root, through ``isqrt`` of the discriminant for a
@@ -484,9 +485,10 @@ def _letter(mult: tuple[int, ...], n: int) -> Permutation:
 
 def _simple_roots(polys: Sequence[list[int]], domain) -> list | None:
     """The real roots of the integer polynomials ``polys`` (one per minor)
-    as ``(lo, hi, j, p)``, sorted, when every one is certified simple and
+    as sorted ``(mult, (lo, hi), p)`` when every one is certified simple and
     no two polynomials share one; None otherwise.
 
+    A root of ``polys[j]`` has the unit multiplicity vector ``e_j``, and
     ``p`` is the primitive ``polys[j]`` with a positive leading coefficient
     and ``[lo, hi]`` one of its :func:`_brackets`, which holds no root of
     another polynomial.  With a ``domain``, only the roots strictly inside
@@ -496,20 +498,69 @@ def _simple_roots(polys: Sequence[list[int]], domain) -> list | None:
     found = []
     for j, p in enumerate(polys):
         g = math.gcd(*p)
-        p = [c // g for c in p] if p[0] > 0 else [-c // g for c in p]
+        p = tuple(c // g for c in p) if p[0] > 0 else tuple(-c // g for c in p)
         brackets = _brackets(p)
         if brackets is None:
             return None
-        found += [(lo, hi, j, p) for lo, hi in brackets]
-    found.sort(key=lambda root: root[0])
-    if any(not a[1] < b[0] for a, b in zip(found, found[1:])):
+        mult = tuple(int(i == j) for i in range(len(polys)))
+        found += [(mult, bracket, p) for bracket in brackets]
+    found.sort(key=lambda root: root[1][0])
+    if any(not a[1][1] < b[1][0] for a, b in zip(found, found[1:])):
         return None
     if domain is None:
         return found
     lo, hi = domain
-    if any(not (r[1] < lo or hi < r[0] or lo < r[0] and r[1] < hi) for r in found):
+    if any(not (b < lo or hi < a or lo < a and b < hi) for _, (a, b), _ in found):
         return None
-    return [r for r in found if lo < r[0] and r[1] < hi]
+    return [r for r in found if lo < r[1][0] < hi]  # each is inside or outside
+
+
+def _isolated_roots(polys: Sequence[list[int]], domain) -> list:
+    """The real roots of the integer polynomials ``polys`` (one per minor)
+    in the open interval ``domain`` (on all of R when it is None) as sorted
+    ``(mult, (lo, hi), g)``, for any point.
+
+    Each minor is split into its square-free integer factors ``g_{j,k}``
+    (``m_j = c * prod_k g_{j,k}**k``); the square-free part of their
+    product has the roots of the minors, all simple, and sympy isolates
+    them once (Vincent-Akritas-Strzebonski) as rational roots ``(r, r)``
+    and open brackets.  A root has multiplicity ``k`` in ``m_j`` when
+    ``g_{j,k}`` vanishes there: exactly at a rational root, by a sign
+    change across an open bracket.  ``g`` is the shortest such factor.
+    """
+    factors = []  # (j, k, g_{j,k}): primitive, positive leading coefficient
+    for j, p in enumerate(polys):
+        factors += [(j, k, g) for g, k in dup_sqf_list(p, ZZ)[1]]
+    product = [ZZ.one]
+    for _, _, g in factors:
+        product = dup_mul(product, g, ZZ)
+    bounds = {} if domain is None else {"inf": _qq(domain[0]), "sup": _qq(domain[1])}
+
+    out = []
+    for a, b in dup_isolate_real_roots_sqf(dup_sqf_part(product, ZZ), ZZ, **bounds):
+        a, b = _fraction(a), _fraction(b)
+        if domain and a == b and a in domain:
+            continue  # a root on an end of the domain comes back as (end, end)
+        mult, vanishing = [0] * len(polys), []
+        for j, k, g in factors:
+            if a == b:
+                vanishes = not _sign(g, a)
+            else:
+                sa, sb = _sign(g, a), _sign(g, b)
+                if not (sa and sb):
+                    # a rational root of g on an end of the bracket would hide
+                    # the sign change across it: divide its linear factor out
+                    for end, sign in ((a, sa), (b, sb)):
+                        if not sign:
+                            g = dup_exquo(g, [end.denominator, -end.numerator], ZZ)
+                    sa, sb = _sign(g, a), _sign(g, b)
+                vanishes = sa != sb
+            if vanishes:
+                mult[j] = k
+                vanishing.append(g)
+        g = min(vanishing, key=len)
+        out.append((tuple(mult), (a, b), tuple(int(c) for c in g)))
+    return out
 
 
 @lru_cache(maxsize=512)
@@ -617,24 +668,14 @@ def classify_point(
     at the point in integers, from its terms with cleared denominators
     (built once per section), as a positive integer multiple of it in t.
 
-    A generic point is read from those polynomials alone
-    (:func:`_simple_roots`): when :func:`_brackets` reads every minor (degree
-    at most 3, a nonzero discriminant, every float root certified by
-    :func:`_certify`), every real root is simple and bracketed exactly.
-    When all the brackets are disjoint (and, with a domain, none meets an
-    end of it), every event is a simple zero of one minor: its
-    multiplicity vector is a unit vector.  Any other point takes the
-    general path.  There each minor is split into its square-free integer
-    factors ``g_{j,k}`` (``m_j = c * prod_k g_{j,k}**k``); the square-free
-    part of the product of all of them has the same roots as the minors,
-    all simple, and sympy isolates them once (continued fractions,
-    Vincent-Akritas-Strzebonski).  The multiplicity of a root in ``m_j``
-    is the ``k`` whose ``g_{j,k}`` vanishes there, tested exactly at a
-    rational root and by a sign change across an open bracket; the
-    multiplicity vector names the letter (:func:`_letter` on both paths).
-    On both paths nothing is factored: the exact root, interval and
-    certificate of an event are resolved on first read, and they are the
-    same on both.
+    A root source reads the real roots of those polynomials as sorted
+    ``(mult, (lo, hi), factor)``: the root's multiplicity vector, an
+    isolating bracket and a square-free factor of a minor that vanishes
+    there.  :func:`_simple_roots` reads a generic point, and declines any
+    other; :func:`_isolated_roots` reads every point.  Each root becomes an
+    :class:`ExactEvent`, its letter named by ``mult`` (:func:`_letter`).
+    Neither source factors anything: an event's exact root, interval and
+    certificate are resolved on first read, the same from both.
 
     >>> section = build_section(symgrp.letter_from_name(2, 'aba'))
     >>> cls = classify_point(section, (Fraction(1, 3), Fraction(-1, 18)))
@@ -652,67 +693,14 @@ def classify_point(
     if domain is not None:
         domain = (Fraction(domain[0]), Fraction(domain[1]))
     polys = _minors_at(section, values)
-    simple = _simple_roots(polys, domain)
-    if simple is not None:
-        events = []
-        for lo, hi, j, p in simple:
-            mult = tuple(int(i == j) for i in range(section.n))
-            events.append(ExactEvent(
-                letter=_letter(mult, section.n), mult=mult,
-                _bracket=(lo, hi), _factor=tuple(p),
-            ))
-        return PointClassification(point=values, events=tuple(events))
-
-    factors = []  # (j, k, g_{j,k}): primitive, positive leading coefficient
-    for j, p in enumerate(polys):
-        factors += [(j, k, g) for g, k in dup_sqf_list(p, ZZ)[1]]
-    product = [ZZ.one]
-    for _, _, g in factors:
-        product = dup_mul(product, g, ZZ)
-
-    square_free = dup_sqf_part(product, ZZ)
-    if domain is None:
-        isolated = dup_isolate_real_roots_sqf(square_free, ZZ)
-    else:
-        # a root on an end of the domain comes back as (end, end): drop it
-        lo, hi = domain
-        isolated = [
-            (a, b)
-            for a, b in dup_isolate_real_roots_sqf(
-                square_free, ZZ, inf=_qq(lo), sup=_qq(hi)
-            )
-            if a != b or lo < _fraction(a) < hi
-        ]
-    brackets = [(_fraction(a), _fraction(b)) for a, b in isolated]
-    ends = {end for bracket in brackets for end in bracket}
-    signs = [{end: _sign(g, end) for end in ends} for _, _, g in factors]
-
-    out = []
-    for a, b in brackets:
-        mult = [0] * len(polys)
-        vanishing = []
-        for (j, k, g), sign in zip(factors, signs):
-            if a == b:
-                vanishes = not sign[a]
-            else:
-                sa, sb = sign[a], sign[b]
-                if not (sa and sb):
-                    # a rational root of g on an end of the bracket would hide
-                    # the sign change across it: divide its linear factor out
-                    for end in (a, b):
-                        if not sign[end]:
-                            g = dup_exquo(g, [end.denominator, -end.numerator], ZZ)
-                    sa, sb = _sign(g, a), _sign(g, b)
-                vanishes = sa != sb
-            if vanishes:
-                mult[j] = k
-                vanishing.append(g)
-        mult = tuple(mult)
-        out.append(ExactEvent(
-            letter=_letter(mult, section.n), mult=mult, _bracket=(a, b),
-            _factor=tuple(int(c) for c in min(vanishing, key=len)),
-        ))
-    return PointClassification(point=values, events=tuple(out))
+    roots = _simple_roots(polys, domain)
+    if roots is None:
+        roots = _isolated_roots(polys, domain)
+    events = tuple(
+        ExactEvent(_letter(mult, section.n), mult, _bracket=bracket, _factor=factor)
+        for mult, bracket, factor in roots
+    )
+    return PointClassification(point=values, events=events)
 
 
 def grid_points(radius: Fraction, count: int) -> list[tuple[Fraction, Fraction]]:

@@ -151,16 +151,15 @@ def oracle_from_sections(n: int) -> Callable:
     cache: dict = {}
 
     def letter_set(sigma: Permutation):
-        key = sigma.images
-        if key not in cache:
+        if sigma not in cache:
             try:
-                cache[key] = letter_oracle_section(sigma)
+                cache[sigma] = letter_oracle_section(sigma)
             except (polysect.UnrecognizedMultPattern, polysect.ZeroPolynomial):
-                cache[key] = None
-        return cache[key]
+                cache[sigma] = None
+        return cache[sigma]
 
     def oracle(block: Word, sigma: Permutation):
-        if len(block) == 1 and block[0].images == sigma.images:
+        if len(block) == 1 and block[0] == sigma:
             return True
         ok, _ = necessary_conditions(block, (sigma,), n)
         if not ok:

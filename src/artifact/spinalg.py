@@ -515,8 +515,7 @@ def alpha_exact(n: int, j: int, sign: int) -> CliffordEven:
 
 
 @functools.lru_cache(maxsize=None)
-def _acute_cached(images: tuple[int, ...], sign: int) -> CliffordEven:
-    sigma = Permutation(images)
+def _acute_cached(sigma: Permutation, sign: int) -> CliffordEven:
     z = CliffordEven.one(sigma.n)
     for i in symgrp.reduced_word(sigma):
         z = z * alpha_exact(sigma.n, i, sign)
@@ -525,12 +524,12 @@ def _acute_cached(images: tuple[int, ...], sign: int) -> CliffordEven:
 
 def acute(sigma: Permutation) -> CliffordEven:
     """Product of ``alpha_{i}(pi/2)`` over any reduced word of sigma."""
-    return _acute_cached(sigma.images, +1)
+    return _acute_cached(sigma, +1)
 
 
 def grave(sigma: Permutation) -> CliffordEven:
     """Product of ``alpha_{i}(-pi/2)`` over any reduced word of sigma."""
-    return _acute_cached(sigma.images, -1)
+    return _acute_cached(sigma, -1)
 
 
 SignedBlade = tuple[Blade, int]
@@ -551,10 +550,8 @@ def _from_signed_blade(n: int, b: SignedBlade) -> CliffordEven:
 
 
 @functools.lru_cache(maxsize=None)
-def _hat_cached(images: tuple[int, ...]) -> SignedBlade:
-    return _signed_blade(
-        _acute_cached(images, +1) * _acute_cached(images, -1).inverse()
-    )
+def _hat_cached(sigma: Permutation) -> SignedBlade:
+    return _signed_blade(_acute_cached(sigma, +1) * _acute_cached(sigma, -1).inverse())
 
 
 def hat(sigma: Permutation) -> CliffordEven:
@@ -565,7 +562,7 @@ def hat(sigma: Permutation) -> CliffordEven:
     >>> hat(a1).terms
     (((1, 2), QSqrt2(-1, 0)),)
     """
-    return _from_signed_blade(sigma.n, _hat_cached(sigma.images))
+    return _from_signed_blade(sigma.n, _hat_cached(sigma))
 
 
 def project(z: "CliffordEven | Spinor") -> "list[list[QSqrt2]] | np.ndarray":
@@ -680,7 +677,7 @@ def word_table(word: Sequence[Permutation], n: int | None = None) -> SpinWordTab
     cells = [_cell_cached(n, bj) for bj in b]
     half = tuple(_blade_times(qj, a) for qj in cells)
     crossings = tuple(
-        _blade_times(qj, _crossing_cached(s.images)) for qj, s in zip(cells, word)
+        _blade_times(qj, _crossing_cached(s)) for qj, s in zip(cells, word)
     )
     integer = (CliffordEven.one(n),) + crossings + (_endpoint_cached(n, b[-1]),)
     q = tuple(_from_signed_blade(n, qj) for qj in cells)
@@ -699,11 +696,11 @@ def _blade_times(b: SignedBlade, z: CliffordEven) -> CliffordEven:
 
 
 @functools.lru_cache(maxsize=None)
-def _crossing_cached(images: tuple[int, ...]) -> CliffordEven:
+def _crossing_cached(sigma: Permutation) -> CliffordEven:
     """``acute(eta) acute(sigma)``: the crossing of the letter sigma in the
     cell of the positive blade, ``B(w, j) = q_{j-1} acute(eta)
     acute(sigma_j)``."""
-    return acute(symgrp.longest_element(len(images) - 1)) * _acute_cached(images, +1)
+    return acute(symgrp.longest_element(sigma.n)) * acute(sigma)
 
 
 @functools.lru_cache(maxsize=None)
@@ -727,7 +724,7 @@ def _hat_prefixes(word: tuple[Permutation, ...]) -> list[SignedBlade]:
     blade, sign = (), 1
     prefixes = [(blade, sign)]
     for sigma in word:
-        h_blade, h_sign = _hat_cached(sigma.images)
+        h_blade, h_sign = _hat_cached(sigma)
         s, blade = _blade_mul(blade, h_blade)
         sign *= s * h_sign
         prefixes.append((blade, sign))

@@ -228,18 +228,17 @@ def all_reduced_words(sigma: Permutation) -> frozenset[tuple[int, ...]]:
     """
     if sigma.n > 6:
         raise ValueError("all_reduced_words guarded to rank <= 6")
-    return _all_reduced_words_cached(sigma.images)
+    return _all_reduced_words_cached(sigma)
 
 
 @functools.lru_cache(maxsize=None)
-def _all_reduced_words_cached(images: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    sigma = Permutation(images)
+def _all_reduced_words_cached(sigma: Permutation) -> frozenset[tuple[int, ...]]:
     if sigma.is_identity():
         return frozenset({()})
     out = set()
     for i in _right_descents(sigma):
         shorter = compose(sigma, coxeter_generator(sigma.n, i))
-        for word in _all_reduced_words_cached(shorter.images):
+        for word in _all_reduced_words_cached(shorter):
             out.add(word + (i,))
     return frozenset(out)
 

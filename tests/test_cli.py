@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from artifact import cli, curvelab, poset, symgrp
+from artifact import cli, curvelab, poset, spinalg, symgrp
 
 
 def run(capsys, *argv):
@@ -486,6 +486,37 @@ class TestNonFiniteCurves:
         )
         assert code == 0
         assert json.loads(out)["word"] == "[aba][aba]"
+
+
+class TestRankLimit:
+    """A rank beyond the eight named generators is a usage error before any
+    spinor table is built (the tables of n = 9 would take about 13 GB)."""
+
+    @pytest.mark.parametrize(
+        "spec, config",
+        [
+            ("kind = constant\nn = 9\n", None),
+            ("kind = word\nn = 12\nword = a\n", None),
+            ("kind = constant\n", "n = 9\n"),
+            ("kind = word\n", "n = 9\n"),
+        ],
+        ids=["constant", "word", "config-constant", "config-word"],
+    )
+    def test_rejected(self, capsys, tmp_path, monkeypatch, spec, config):
+        def no_tables(n):
+            raise AssertionError(f"spinor tables of rank {n} requested")
+
+        monkeypatch.setattr(spinalg, "_tables", no_tables)
+        path = tmp_path / "case.spec"
+        path.write_text(spec)
+        argv = ["iti", str(path)]
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            argv = ["--config", str(cfg)] + argv
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: n must be at most 8, got ")
 
 
 class TestHugeDomains:

@@ -338,7 +338,7 @@ class TestPerLetterChartEnds:
         h = spinalg.h_bivector(n)
         for j, sigma in enumerate(word):
             B = table.integer[j + 1].to_float()
-            got = curvelab._arc_end_charts(sigma.images, r)
+            got = curvelab._arc_end_charts(sigma, r)
             for k, (side, q) in enumerate(((-1, table.q[j]), (1, table.q[j + 1]))):
                 end = B * spinalg.clifford_exp(h.scale(side * r * math.pi / 4))
                 want = spinalg.positive_chart(q.to_float().reverse() * end)

@@ -178,6 +178,20 @@ class TestSignedCell:
         assert spinalg.signed_cell(y) == spinalg.CliffordEven.one(2)
         assert spinalg.signed_cell(y.scale(2.0)) is None
 
+    @pytest.mark.parametrize(
+        "thetas",
+        [(0.0, 0.7, 1.9), (math.pi, 0.7, 1.9), (0.4, 0.7, 0.0), (0.4, 0.7, math.pi)],
+        ids=["first-0", "first-pi", "last-0", "last-pi"],
+    )
+    def test_boundary_of_the_cell_has_no_signed_cell(self, thetas):
+        # an end angle of 0 or pi leaves the open cell for its boundary,
+        # where the rank pattern of the matrix drops below that of eta
+        z = CliffordEven.one(2).to_float()
+        for i, th in zip((1, 2, 1), thetas):
+            z = z * spinalg.alpha(2, i, th)
+        assert spinalg.signed_cell(z) is None
+        assert not spinalg.in_positive_cell(z)
+
     def test_positive_chart_roundtrip(self):
         n = 2
         eta = symgrp.longest_element(n)
@@ -196,6 +210,21 @@ class TestCellOfMatrix:
             for sigma in symgrp.all_permutations(n):
                 M = spinalg.project(spinalg.acute(sigma))
                 assert spinalg.cell_of_matrix(M) == sigma
+
+
+class TestProjectGradeOne:
+    """At n = 5 the unit even element (1 + e1e2e3e4e5e6)/sqrt2 lies outside
+    Spin_6: conjugation by it sends each vector out of grade 1."""
+
+    HALF_SQRT2 = QSqrt2(0, Fraction(1, 2))
+    Z = CliffordEven.make(5, {(): HALF_SQRT2, (1, 2, 3, 4, 5, 6): HALF_SQRT2})
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_not_in_spin(self, exact):
+        z = self.Z if exact else self.Z.to_float()
+        assert z.is_unit()
+        with pytest.raises(spinalg.NotUnit, match="did not preserve grade 1"):
+            spinalg.project(z)
 
 
 class TestProjectStack:
