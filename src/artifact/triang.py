@@ -9,11 +9,12 @@ rotation-matrix picture: LU, positive QR, and the one rotation -> spin
 lift (Cayley steps, with a diagonal sign matrix in front of a half-turn),
 continuous along a rotation path.
 
-The Lo1 algebra works on plain lists of rows whose entries are exact:
-ints, ``Fraction``s, or sympy expressions (factorization works
-generically, so the closed forms of the accessibility example can be
-reproduced symbolically).  The rotation bridges (LU, QR, spin lift) work
-on float numpy arrays.
+The Lo1 algebra takes lists of rows of ints, ``Fraction``s or sympy
+expressions (so the closed forms of the accessibility example come out
+symbolically) and computes with sympy's ``DomainMatrix`` over the field
+of the entries, where every zero test is exact; over ``QQ`` positivity
+is certified.  It returns ``Fraction``s over ``QQ``, else sympy
+expressions.  The rotation bridges (LU, QR, spin lift) are float numpy.
 """
 
 from __future__ import annotations
@@ -81,12 +82,26 @@ class DegenerateSum(ValueError):
 Matrix = list  # list[list[entry]]
 
 
-def _is_zero_entry(x) -> bool:
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    import sympy as sp
+def _field(rows):
+    """Rows of ints, Fractions or Exprs as a DomainMatrix over their field."""
+    from sympy.polys.matrices import DomainMatrix
 
-    return sp.simplify(x) == 0
+    return DomainMatrix.from_list_sympy(len(rows), len(rows[0]), rows).to_field()
+
+
+def _entry(K, a):
+    """``a`` in the field ``K`` as a Fraction over ``QQ``, else as an Expr."""
+    return Fraction(int(a.numerator), int(a.denominator)) if K.is_QQ else K.to_sympy(a)
+
+
+def _rows(M) -> Matrix:
+    return [[_entry(M.domain, a) for a in row] for row in M.to_list()]
+
+
+def _inverse(M):
+    if not (M.is_lower and all(d == M.domain.one for d in M.diagonal())):
+        raise ValueError("not a unit lower-triangular matrix")
+    return M.inv()
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -94,51 +109,16 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    m = len(A)
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(m)) for j in range(m)]
-        for i in range(m)
-    ]
+    return _rows(_field(A) * _field(B))
 
 
 def mat_inv(L: Matrix) -> Matrix:
-    """Inverse of a unit lower-triangular matrix, by forward substitution
-    (no divisions).  Any other matrix raises ``ValueError``.
+    """Inverse of a unit lower-triangular matrix, else ``ValueError``.
 
     >>> mat_inv(exp_nilpotent(1, 3))
     [[Fraction(1, 1), Fraction(0, 1)], [Fraction(-3, 1), Fraction(1, 1)]]
     """
-    m = len(L)
-    if any(
-        not _is_zero_entry(L[i][j] - int(i == j))
-        for i in range(m)
-        for j in range(i, m)
-    ):
-        raise ValueError("not a unit lower-triangular matrix")
-    X = identity_matrix(m - 1)
-    for i in range(m):
-        for j in range(i):
-            X[i][j] = -sum(L[i][k] * X[k][j] for k in range(j, i))
-    return X
-
-
-def _det(A: Matrix):
-    """Laplace-expansion determinant (small matrices, generic entries)."""
-    m = len(A)
-    if m == 1:
-        return A[0][0]
-    acc = None
-    for j in range(m):
-        if _is_zero_entry(A[0][j]):
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in A[1:]]
-        term = A[0][j] * _det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return A[0][0] * 0
-    return acc
+    return _rows(_inverse(_field(L)))
 
 
 def jacobi(n: int, j: int, t) -> Matrix:
@@ -174,72 +154,74 @@ def commute_identity(i: int, s1, s2, s3) -> tuple:
     >>> commute_identity(1, Fraction(1), Fraction(1), Fraction(1))
     (Fraction(1, 2), Fraction(2, 1), Fraction(1, 2))
     """
-    s = s1 + s3
-    if _is_zero_entry(s):
+    S = _field([[s1, s2, s3]])
+    a, b, c = S.to_list()[0]
+    s = a + c
+    if not s:
         raise DegenerateSum("s1 + s3 = 0")
-    return (s2 * s3 / s, s, s1 * s2 / s)
+    return tuple(_entry(S.domain, v) for v in (b * c / s, s, a * b / s))
+
+
+def _product(n: int, word: Sequence[int], params: Sequence):
+    """``prod jacobi(i_l, t_l)`` over the field of the parameters."""
+    P = _field([list(params)])
+    M = one = P.eye(n + 1, P.domain).to_dense()
+    for i, t in zip(word, P.to_list()[0]):
+        step = one.copy()
+        step[i, i - 1] = t
+        M = M * step
+    return M
 
 
 def product_along(n: int, word: Sequence[int], params: Sequence) -> Matrix:
     """``prod jacobi(i_l, t_l)`` for paired word letters and parameters."""
-    M = identity_matrix(n)
-    for i, t in zip(word, params):
-        M = mat_mul(M, jacobi(n, i, t))
-    return M
+    return _rows(_product(n, word, params))
+
+
+def _cell(M) -> Permutation:
+    return symgrp.from_southwest_ranks(M.shape[0], lambda i, j: M[i - 1 :, :j].rank())
 
 
 def cell_of_unitriangular(L: Matrix) -> Permutation:
     """Bruhat-type cell of a unit lower-triangular matrix via exact
     southwest ranks (:func:`symgrp.from_southwest_ranks`)."""
-    return symgrp.from_southwest_ranks(
-        len(L), lambda i, j: _rank_generic([row[:j] for row in L[i - 1 :]])
-    )
+    return _cell(_field(L))
 
 
-def _rank_generic(rows: Matrix) -> int:
-    """Row-echelon rank with exact zero tests."""
-    if not rows or not rows[0]:
-        return 0
-    M = [list(r) for r in rows]
-    nr, nc = len(M), len(M[0])
-    rank = 0
-    row = 0
-    for col in range(nc):
-        piv = next(
-            (r for r in range(row, nr) if not _is_zero_entry(M[r][col])), None
-        )
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        pv = M[row][col]
-        for r in range(row + 1, nr):
-            if not _is_zero_entry(M[r][col]):
-                f = M[r][col] / pv
-                M[r] = [a - f * b for a, b in zip(M[r], M[row])]
-        row += 1
-        rank += 1
-        if row == nr:
-            break
-    return rank
-
-
-def _peel_parameter(L: Matrix, sigma: Permutation, i: int):
-    """Parameter t such that ``jacobi(i, -t) L`` lies in the cell of
+def _peel_parameter(M, sigma: Permutation, i: int):
+    """Parameter t such that ``jacobi(i, -t) M`` lies in the cell of
     ``a_i sigma`` (shorter); solved from the pivot minor, affine in t."""
-    if not sigma.images[i - 1] > sigma.images[i]:
-        raise NotFactorizable(f"word letter {i} is not a descent of the cell")
-    w = sigma(i + 1)
-    rows = [k for k in range(i + 1, sigma.n + 2) if sigma(k) <= w]
-    cols = sorted(sigma(k) for k in rows)
-    A = [[L[r - 1][c - 1] for c in cols] for r in rows]
-    B = [
-        [L[r - 1][c - 1] if r != i + 1 else L[i - 1][c - 1] for c in cols]
-        for r in rows
-    ]
-    detA, detB = _det(A), _det(B)
-    if _is_zero_entry(detB):
+    rows = [k - 1 for k in range(i + 1, sigma.n + 2) if sigma(k) <= sigma(i + 1)]
+    cols = sorted(sigma(k + 1) - 1 for k in rows)
+    pivot = M.extract([i - 1 if r == i else r for r in rows], cols).det()
+    if not pivot:
         raise NotFactorizable("degenerate pivot minor while peeling")
-    return detA / detB
+    return M.extract(rows, cols).det() / pivot
+
+
+def _factor(M, word: Sequence[int], require_positive: bool = True) -> list:
+    """:func:`factor_along` of a ``DomainMatrix``, parameters in its field."""
+    n = M.shape[0] - 1
+    sigma = symgrp.from_word(n, word)
+    if symgrp.inversions(sigma) != len(word):
+        raise ValueError("word is not reduced")
+    K = M.domain
+    one = M.eye(n + 1, K).to_dense()
+    params = []
+    for i in word:
+        t = _peel_parameter(M, sigma, i)
+        params.append(t)
+        step = one.copy()
+        step[i, i - 1] = -t
+        M = step * M
+        sigma = symgrp.compose(symgrp.coxeter_generator(n, i), sigma)
+    if M != one:
+        raise NotFactorizable("residual after peeling all letters")
+    if require_positive and K.is_QQ:
+        for t in params:
+            if not t > 0:
+                raise NotFactorizable(f"nonpositive parameter {_entry(K, t)}")
+    return params
 
 
 def factor_along(L, word: Sequence[int], require_positive: bool = True) -> tuple:
@@ -247,37 +229,15 @@ def factor_along(L, word: Sequence[int], require_positive: bool = True) -> tuple
 
     Peels generators from the left, solving each parameter from a pivot
     minor; the result is verified by exact re-multiplication.  With
-    ``require_positive`` (the default) all parameters must be > 0, i.e.
-    membership in Pos_sigma is certified.
+    ``require_positive`` (the default) all parameters of a rational ``L``
+    must be > 0, i.e. membership in Pos_sigma is certified.
 
     >>> L = product_along(2, (1, 2, 1), (Fraction(2), Fraction(3), Fraction(5)))
     >>> factor_along(L, (1, 2, 1))
     (Fraction(2, 1), Fraction(3, 1), Fraction(5, 1))
     """
-    n = len(L) - 1
-    sigma = symgrp.from_word(n, word)
-    if symgrp.inversions(sigma) != len(word):
-        raise ValueError("word is not reduced")
-    cur = [list(r) for r in L]
-    params = []
-    cell = sigma
-    for i in word:
-        t = _peel_parameter(cur, cell, i)
-        params.append(t)
-        cur = mat_mul(jacobi(n, i, -t), cur)
-        cell = symgrp.compose(symgrp.coxeter_generator(n, i), cell)
-    # cur must now be the identity
-    for r in range(n + 1):
-        for c in range(n + 1):
-            want = 1 if r == c else 0
-            if not _is_zero_entry(cur[r][c] - want):
-                raise NotFactorizable("residual after peeling all letters")
-    exact = all(isinstance(x, (int, Fraction)) for row in L for x in row)
-    if require_positive and exact:
-        for t in params:
-            if not t > 0:
-                raise NotFactorizable(f"nonpositive parameter {t}")
-    return tuple(params)
+    M = _field(L)
+    return tuple(_entry(M.domain, t) for t in _factor(M, word, require_positive))
 
 
 def is_ll(L0, L1) -> bool:
@@ -286,11 +246,9 @@ def is_ll(L0, L1) -> bool:
     >>> is_ll(identity_matrix(2), exp_nilpotent(2, Fraction(1)))
     True
     """
-    n = len(L0) - 1
-    D = mat_mul(mat_inv(L0), L1)
-    word = symgrp.reduced_word(symgrp.longest_element(n))
+    D = _inverse(_field(L0)) * _field(L1)
     try:
-        factor_along(D, word)
+        _factor(D, symgrp.reduced_word(symgrp.longest_element(len(L0) - 1)))
         return True
     except NotFactorizable:
         return False
@@ -299,12 +257,9 @@ def is_ll(L0, L1) -> bool:
 def is_leq(L0, L1) -> bool:
     """Closure order: ``L0 <= L1`` iff ``L0^-1 L1`` lies in the closure of
     Pos_eta, i.e. factors positively along a word of its own cell."""
-    D = mat_mul(mat_inv(L0), L1)
-    sigma = cell_of_unitriangular(D)
-    if sigma.is_identity():
-        return True  # D = I
+    D = _inverse(_field(L0)) * _field(L1)
     try:
-        factor_along(D, symgrp.reduced_word(sigma))
+        _factor(D, symgrp.reduced_word(_cell(D)))
         return True
     except NotFactorizable:
         return False
@@ -331,10 +286,9 @@ class Quasiproduct:
         if len(prefix) != j - 1:
             raise ValueError("prefix length must be j-1")
         i_j = self.word[j - 1]
-        L_pref = product_along(self.n, self.word[: j - 1], list(prefix))
-        D = mat_mul(mat_inv(L_pref), self.L_x)
-        params = factor_along(D, self._eta_words[i_j], require_positive=False)
-        return params[0]
+        D = _product(self.n, self.word[: j - 1], prefix).inv() * _field(self.L_x)
+        t = _factor(D, self._eta_words[i_j], require_positive=False)[0]
+        return _entry(D.domain, t)
 
     def contains(self, point: Sequence) -> bool:
         for j, t in enumerate(point, start=1):
@@ -348,13 +302,15 @@ def accessibility_quasiproduct(L_x, word: Sequence[int]) -> Quasiproduct:
 
     ``g_j`` is the first parameter of the factorization of
     ``L_prefix^-1 L_x`` along a reduced word of eta starting with the
-    j-th letter of ``word``.
+    j-th letter of ``word``.  A rational ``L_x`` that is not totally
+    positive raises :class:`NotTotallyPositive`.
     """
     n = len(L_x) - 1
     eta = symgrp.longest_element(n)
-    if all(isinstance(x, (int, Fraction)) for row in L_x for x in row):
+    M = _field(L_x)
+    if M.domain.is_QQ:
         try:
-            factor_along(L_x, symgrp.reduced_word(eta))
+            _factor(M, symgrp.reduced_word(eta))
         except NotFactorizable as exc:
             raise NotTotallyPositive(str(exc)) from exc
     eta_words = {}
