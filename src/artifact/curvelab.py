@@ -477,8 +477,10 @@ def singular_events(
     interpolating steps (most close in a few steps; a root of order 3
     sits in rounding noise, where the steps bisect), a dip to the least
     ``|m_j|`` it finds.  A dip is a root when that least value is below
-    ``zero_rel * max |m_j|``.  The roots are clustered within
-    ``cluster_tol``.  The centres of all clusters and their ladders at two
+    ``zero_rel * max |m_j|``.  Sorted roots closer than ``max(cluster_tol,
+    1e-5 * span)`` share a cluster, so a ``cluster_tol`` below ``1e-5`` of
+    the span has no effect: the default ``1e-6`` does nothing on a domain
+    longer than 0.1.  The centres of all clusters and their ladders at two
     reaches are one stacked call, and :func:`_order` reads the vanishing
     order of each minor from its log-log slopes; an unresolved order or a
     vector that is not a letter raises :class:`UnresolvedCluster`.  An

@@ -26,10 +26,11 @@ brackets the real roots of an integer polynomial of degree at most 3 with
 a nonzero discriminant, and ``_nearest_double`` rounds a bracketed root to
 the nearest double.  Two root sources read a point's roots as sorted
 ``(mult, bracket, factor)``: ``_simple_roots`` a generic point from its
-minors' brackets alone, ``_isolated_roots`` any other point by sympy's
-square-free real-root isolation; :func:`classify_point` makes each root an
-event.  An event's exact time, isolating interval and irreducible factor
-are resolved on first read; a rational time is reported exactly.
+minors' brackets alone, ``_isolated_roots`` any other point by one sympy
+call that factors the minors and isolates the real roots of their
+irreducible factors; :func:`classify_point` makes each root an event.  An
+event's exact time, isolating interval and irreducible factor are resolved
+on first read; a rational time is reported exactly.
 """
 
 from __future__ import annotations
@@ -44,13 +45,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import sympy as sp
-from sympy.polys.densearith import dup_exquo, dup_mul
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
-from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
-from sympy.polys.sqfreetools import dup_sqf_list, dup_sqf_part
+from sympy.polys.rootisolation import dup_isolate_real_roots_list
 
 from . import spinalg, symgrp, triang
 from .spinalg import IdentityLetter
@@ -520,46 +519,22 @@ def _isolated_roots(polys: Sequence[list[int]], domain) -> list:
     in the open interval ``domain`` (on all of R when it is None) as sorted
     ``(mult, (lo, hi), g)``, for any point.
 
-    Each minor is split into its square-free integer factors ``g_{j,k}``
-    (``m_j = c * prod_k g_{j,k}**k``); the square-free part of their
-    product has the roots of the minors, all simple, and sympy isolates
-    them once (Vincent-Akritas-Strzebonski) as rational roots ``(r, r)``
-    and open brackets.  A root has multiplicity ``k`` in ``m_j`` when
-    ``g_{j,k}`` vanishes there: exactly at a rational root, by a sign
-    change across an open bracket.  ``g`` is the shortest such factor.
+    One sympy call (``dup_isolate_real_roots_list``, continued fractions,
+    Akritas-Strzebonski) factors every minor over ZZ and isolates the real
+    roots of the distinct irreducible factors at once, each with the
+    multiplicity ``k`` of its factor ``g`` in each minor ``j`` that it
+    divides: ``mult[j]`` is ``k``, else 0.  A rational root may come back
+    as ``(r, r)``, a root on an end of the domain always does and is
+    dropped; the open brackets are disjoint.
     """
-    factors = []  # (j, k, g_{j,k}): primitive, positive leading coefficient
-    for j, p in enumerate(polys):
-        factors += [(j, k, g) for g, k in dup_sqf_list(p, ZZ)[1]]
-    product = [ZZ.one]
-    for _, _, g in factors:
-        product = dup_mul(product, g, ZZ)
     bounds = {} if domain is None else {"inf": _qq(domain[0]), "sup": _qq(domain[1])}
-
     out = []
-    for a, b in dup_isolate_real_roots_sqf(dup_sqf_part(product, ZZ), ZZ, **bounds):
+    for (a, b), ks, g in dup_isolate_real_roots_list(polys, ZZ, basis=True, **bounds):
         a, b = _fraction(a), _fraction(b)
         if domain and a == b and a in domain:
-            continue  # a root on an end of the domain comes back as (end, end)
-        mult, vanishing = [0] * len(polys), []
-        for j, k, g in factors:
-            if a == b:
-                vanishes = not _sign(g, a)
-            else:
-                sa, sb = _sign(g, a), _sign(g, b)
-                if not (sa and sb):
-                    # a rational root of g on an end of the bracket would hide
-                    # the sign change across it: divide its linear factor out
-                    for end, sign in ((a, sa), (b, sb)):
-                        if not sign:
-                            g = dup_exquo(g, [end.denominator, -end.numerator], ZZ)
-                    sa, sb = _sign(g, a), _sign(g, b)
-                vanishes = sa != sb
-            if vanishes:
-                mult[j] = k
-                vanishing.append(g)
-        g = min(vanishing, key=len)
-        out.append((tuple(mult), (a, b), tuple(int(c) for c in g)))
+            continue  # a root on an end of the domain
+        mult = tuple(ks.get(j, 0) for j in range(len(polys)))
+        out.append((mult, (a, b), tuple(int(c) for c in g)))
     return out
 
 
@@ -575,12 +550,12 @@ class ExactEvent:
     """One singular time of a section curve, exactly certified.
 
     ``letter`` and ``mult`` are known when the event is made.  The other
-    fields are resolved once, on first read, from the square-free integer
-    factor of a minor that vanishes at the time (``_factor``) and the
-    time's isolating bracket (``_bracket``, two Fractions): only a factor
-    of degree >= 3 is factored (memoized by its coefficients), and a
-    rational time is a root ``(r, r)`` that :func:`_brackets` reads from an
-    irreducible factor of degree at most 2.
+    fields are resolved once, on first read, from an integer factor of a
+    minor that vanishes at the time (``_factor``) and the time's isolating
+    bracket (``_bracket``, two Fractions).  sympy's factors are
+    irreducible; a generic point's factor is its whole minor, and only a
+    cubic one is factored (memoized by its coefficients).  A rational time
+    is a bracket ``(r, r)`` or the root of a linear factor.
 
     ``certificate`` is the irreducible primitive integer factor of the
     minors that vanishes at the time (descending coefficients).  When it
@@ -600,20 +575,16 @@ class ExactEvent:
     def _exact(self) -> tuple:
         """``(root, interval, certificate)``."""
         lo, hi = self._bracket
-        h = list(self._factor)
+        h = self._factor
         if lo == hi:
             r = lo
         else:
-            if len(h) > 3:
-                (h,) = [
-                    list(g) for g in _irreducible_factors(tuple(h))
-                    if _sign(g, lo) != _sign(g, hi)
-                ]
-            # an irreducible factor of degree >= 3 has no rational root
-            roots = _brackets(h) if len(h) <= 3 else None
-            r = next((a for a, b in roots or () if a == b and lo < a < hi), None)
+            if len(h) == 4:  # a generic point's cubic minor may be reducible
+                (h,) = [g for g in _irreducible_factors(h)
+                        if _sign(g, lo) != _sign(g, hi)]
+            r = Fraction(-h[1], h[0]) if len(h) == 2 else None
         if r is None:
-            return None, (lo, hi), tuple(h)
+            return None, (lo, hi), h
         return r, (r, r), (r.denominator, -r.numerator)
 
     @property
@@ -670,12 +641,13 @@ def classify_point(
 
     A root source reads the real roots of those polynomials as sorted
     ``(mult, (lo, hi), factor)``: the root's multiplicity vector, an
-    isolating bracket and a square-free factor of a minor that vanishes
-    there.  :func:`_simple_roots` reads a generic point, and declines any
-    other; :func:`_isolated_roots` reads every point.  Each root becomes an
-    :class:`ExactEvent`, its letter named by ``mult`` (:func:`_letter`).
-    Neither source factors anything: an event's exact root, interval and
-    certificate are resolved on first read, the same from both.
+    isolating bracket and an integer factor of a minor that vanishes there.
+    :func:`_simple_roots` reads a generic point, factoring nothing, and
+    declines any other; :func:`_isolated_roots` reads every point, and its
+    factors are irreducible.  Each root becomes an :class:`ExactEvent`, its
+    letter named by ``mult`` (:func:`_letter`); an event's exact root,
+    interval and certificate are resolved on first read, the same from
+    both.
 
     >>> section = build_section(symgrp.letter_from_name(2, 'aba'))
     >>> cls = classify_point(section, (Fraction(1, 3), Fraction(-1, 18)))

@@ -12,9 +12,10 @@ continuous along a rotation path.
 The Lo1 algebra takes lists of rows of ints, ``Fraction``s or sympy
 expressions (so the closed forms of the accessibility example come out
 symbolically) and computes with sympy's ``DomainMatrix`` over the field
-of the entries, where every zero test is exact; over ``QQ`` positivity
-is certified.  It returns ``Fraction``s over ``QQ``, else sympy
-expressions.  The rotation bridges (LU, QR, spin lift) are float numpy.
+of the entries, where every zero test is exact; positivity is certified
+exactly, by comparison over ``QQ`` and by sympy's assumptions otherwise.
+It returns ``Fraction``s over ``QQ``, else sympy expressions.  The
+rotation bridges (LU, QR, spin lift) are float numpy.
 """
 
 from __future__ import annotations
@@ -217,11 +218,23 @@ def _factor(M, word: Sequence[int], require_positive: bool = True) -> list:
         sigma = symgrp.compose(symgrp.coxeter_generator(n, i), sigma)
     if M != one:
         raise NotFactorizable("residual after peeling all letters")
-    if require_positive and K.is_QQ:
+    if require_positive:
         for t in params:
-            if not t > 0:
+            if not _positive(K, t):
                 raise NotFactorizable(f"nonpositive parameter {_entry(K, t)}")
     return params
+
+
+def _positive(K, t) -> bool:
+    """Whether ``t`` in the field ``K`` is positive, decided exactly: by
+    comparison over ``QQ``, else by sympy's assumptions on its expression;
+    ``ValueError`` when they cannot decide (free symbols)."""
+    if K.is_QQ:
+        return t > 0
+    e = K.to_sympy(t)
+    if e.is_positive is None:
+        raise ValueError(f"cannot decide the sign of parameter {e}")
+    return e.is_positive
 
 
 def factor_along(L, word: Sequence[int], require_positive: bool = True) -> tuple:
@@ -229,8 +242,9 @@ def factor_along(L, word: Sequence[int], require_positive: bool = True) -> tuple
 
     Peels generators from the left, solving each parameter from a pivot
     minor; the result is verified by exact re-multiplication.  With
-    ``require_positive`` (the default) all parameters of a rational ``L``
-    must be > 0, i.e. membership in Pos_sigma is certified.
+    ``require_positive`` (the default) all parameters must be > 0, i.e.
+    membership in Pos_sigma is certified; a sign that cannot be decided
+    exactly (free symbols) raises a plain ``ValueError``.
 
     >>> L = product_along(2, (1, 2, 1), (Fraction(2), Fraction(3), Fraction(5)))
     >>> factor_along(L, (1, 2, 1))

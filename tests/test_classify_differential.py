@@ -2,10 +2,10 @@
 its generic-point filter against its general path.
 
 ``classify_point`` reads a generic point from its minors' discriminants and
-exact sign changes; at any other point it takes the square-free
-decomposition of each minor (``dup_sqf_list``) and isolates the roots of
-all its factors at once with ``dup_isolate_real_roots_sqf``, on the domain
-(-1, 1) or, with ``domain=None``, on all of R.  The first checks here go
+exact sign changes; at any other point it factors the minors and isolates
+the roots of all their irreducible factors at once with
+``dup_isolate_real_roots_list``, on the domain (-1, 1) or, with
+``domain=None``, on all of R.  The first checks here go
 through a different code path (``Poly.count_roots``, ``sqf_part``, ``rem``,
 ``real_roots``).  The last ones run every point twice, once with the filter
 forced to decline, and compare the answers.

@@ -1,13 +1,14 @@
-"""classify_point's square-free basis: endpoint roots and lazy certificates.
+"""classify_point at non-generic points, and lazy certificates.
 
-``classify_point`` isolates the roots of the square-free part of all minors
-once and reads each multiplicity off a sign change of a square-free factor
-across the root's bracket.  A factor with a rational root on an end of the
-bracket must lose that root first; the first tests pin two points where it
-matters.  The exact ``root``, ``interval`` and ``certificate`` of an event are
-resolved on first read, and only a square-free factor of degree >= 3 is ever
-factored; the last tests spy on the factoring entry point that ``polysect``
-imports.
+At a point that is not generic ``classify_point`` makes one sympy call,
+which factors every minor over ZZ and isolates the real roots of the
+irreducible factors, each with its multiplicity in each minor.  A root of
+one factor may sit on an end of another root's bracket; the first tests pin
+two points where that happens.  The exact ``root``, ``interval`` and
+``certificate`` of an event are resolved on first read.  sympy's factors
+are irreducible, and ``polysect`` itself factors only a generic point's
+cubic minor; the last tests spy on the factoring entry point that
+``polysect`` imports (sympy's isolation factors through its own).
 """
 
 from fractions import Fraction

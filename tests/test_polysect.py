@@ -1,5 +1,6 @@
 import inspect
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -297,6 +298,26 @@ class TestApprox:
         # -2 / (b + sqrt(b**2 - 4)), the root nearer zero
         root = Fraction(-2 << 1000, (b << 1000) + math.isqrt((b * b - 4) << 2000))
         self.assert_nearest(event.approx, root)
+
+    def test_huge_coefficients_on_all_of_r(self):
+        # the same point on all of R: six roots, from -1e160 to 1e160, whose
+        # isolation once took seconds; one second is the budget
+        b = 10**160
+        start = time.perf_counter()
+        cls = polysect.classify_point(
+            self.cba, (Fraction(-b, 6), Fraction(b * b - 1, 6)), domain=None
+        )
+        approx = [e.approx for e in cls.events]
+        elapsed = time.perf_counter() - start
+        assert cls.label == "cbcabc"
+        assert [e.mult for e in cls.events] == [
+            (0, 0, 1), (0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+        ]
+        assert approx == [
+            -1e160, -5.773502691896258e159, -1e-160, 0.0,
+            5.773502691896258e159, 1e160,
+        ]
+        assert elapsed < 1.0, f"budget 1 s exceeded: {elapsed:.2f} s"
 
     def test_cubic_certified_against_its_isolating_interval(self):
         # the cubic's bracket is +-4 ulps around numpy's root

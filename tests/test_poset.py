@@ -75,13 +75,13 @@ class TestLetterOracle:
         # sign changes: of 61, 49 and 69 rays, these are the ones where a
         # minor has a multiple zero or two minors share one
         calls = []
-        inner = polysect.dup_isolate_real_roots_sqf
+        inner = polysect.dup_isolate_real_roots_list
 
         def counted(f, K, **kw):
             calls.append(list(f))
             return inner(f, K, **kw)
 
-        monkeypatch.setattr(polysect, "dup_isolate_real_roots_sqf", counted)
+        monkeypatch.setattr(polysect, "dup_isolate_real_roots_list", counted)
         poset.letter_oracle_section(symgrp.letter_from_name(n, name))
         assert len(calls) == isolated
 

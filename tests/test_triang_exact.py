@@ -1,6 +1,6 @@
-"""The exact Lo1 algebra of ``triang``: positivity is certified by the field
-of the entries (``QQ``), whatever Python type carries a rational, and the
-zero tests that need cancellation are exact."""
+"""The exact Lo1 algebra of ``triang``: positivity is certified in the field
+of the entries (``QQ``, whatever Python type carries a rational, or an
+algebraic field), and the zero tests that need cancellation are exact."""
 
 from fractions import Fraction
 
@@ -76,6 +76,32 @@ class TestPositiveFactorization:
         L = [[kind(v) for v in row] for row in [[1, 0, 0], [1, 1, 0], [3, 1, 1]]]
         with pytest.raises(triang.NotTotallyPositive, match="parameter -2$"):
             triang.accessibility_quasiproduct(L, (1, 2))
+
+
+class TestAlgebraicPositivity:
+    # sqrt(2) puts the algebra in sympy's EX domain, beyond QQ
+
+    def test_nonpositive_parameter_is_rejected(self):
+        L = triang.product_along(2, (1, 2, 1), (sp.sqrt(2), -1, 1))
+        with pytest.raises(triang.NotFactorizable, match="nonpositive parameter -1$"):
+            triang.factor_along(L, (1, 2, 1))
+        assert not triang.is_ll(triang.identity_matrix(2), L)
+
+    def test_positive_parameters(self):
+        t = (sp.sqrt(2), 1, sp.sqrt(2) - 1)
+        L = triang.product_along(2, (1, 2, 1), t)
+        assert triang.factor_along(L, (1, 2, 1)) == t
+        assert triang.is_ll(triang.identity_matrix(2), L)
+        assert triang.is_leq(triang.identity_matrix(2), L)
+
+    def test_undecidable_sign_is_not_a_no(self):
+        x = sp.Symbol("x")
+        L = triang.product_along(2, (1, 2, 1), (x, 1, 1))
+        for decide in (triang.is_ll, triang.is_leq):
+            with pytest.raises(ValueError, match="cannot decide") as info:
+                decide(triang.identity_matrix(2), L)
+            assert not isinstance(info.value, triang.NotFactorizable)
+        assert triang.factor_along(L, (1, 2, 1), require_positive=False) == (x, 1, 1)
 
 
 class TestExactZeroTests:

@@ -20,9 +20,11 @@ is irrational), the ends of the isolating interval (Fractions as text),
 the certificate and ``repr(approx)``, the shortest text that reads back as
 the same float, or the class of the exception that ended the
 classification.  The last line is the number of points that took sympy's
-root isolation (``dup_isolate_real_roots_sqf``) rather than the
+root isolation (``dup_isolate_real_roots_list``) rather than the
 generic-point filter.  Run it under two trees and diff the outputs: every
-point must classify the same, bit for bit.
+point must classify the same, bit for bit, except that the isolating
+interval of an irrational root at a point that went to sympy depends on
+the isolation method.
 """
 
 from __future__ import annotations
@@ -98,14 +100,14 @@ def classify(section, point, domain) -> dict:
 def main() -> None:
     points = list(itertools.chain(oracle_points(), section_points(), grid_points()))
     isolations = 0
-    isolate = polysect.dup_isolate_real_roots_sqf
+    isolate = polysect.dup_isolate_real_roots_list
 
     def counted(*args, **kwargs):
         nonlocal isolations
         isolations += 1
         return isolate(*args, **kwargs)
 
-    polysect.dup_isolate_real_roots_sqf = counted
+    polysect.dup_isolate_real_roots_list = counted
     for name, section, point, domain in points:
         line = {
             "section": name,
