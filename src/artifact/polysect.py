@@ -23,14 +23,17 @@ polynomial in t.
 
 One exact root layer reads their roots by exact signs: ``_brackets``
 brackets the real roots of an integer polynomial of degree at most 3 with
-a nonzero discriminant, and ``_nearest_double`` rounds a bracketed root to
+a nonzero discriminant (a cubic's around closed-form float guesses, each
+proved by ``_certify``), and ``_nearest_double`` rounds a bracketed root to
 the nearest double.  Two root sources read a point's roots as sorted
-``(mult, bracket, factor)``: ``_simple_roots`` a generic point from its
-minors' brackets alone, ``_isolated_roots`` any other point by one sympy
-call that factors the minors and isolates the real roots of their
-irreducible factors; :func:`classify_point` makes each root an event.  An
-event's exact time, isolating interval and irreducible factor are resolved
-on first read; a rational time is reported exactly.
+``(mult, bracket, factor)``, a bracket being integers ``(lo, hi, den)``:
+``_simple_roots`` a generic point from its minors' trailing zeros (the
+root t = 0, exactly) and the brackets of the rest, compared in integers,
+``_isolated_roots`` any other point by one sympy call that factors the
+minors and isolates the real roots of their irreducible factors;
+:func:`classify_point` makes each root an event.  An event's exact time,
+isolating interval and irreducible factor are resolved on first read; a
+rational time is reported exactly.
 """
 
 from __future__ import annotations
@@ -335,11 +338,6 @@ def _fraction(v) -> Fraction:
     return Fraction(int(v.numerator), int(v.denominator))
 
 
-def _sign(g: Sequence[int], v: Fraction) -> int:
-    """The sign of the integer polynomial ``g`` at the Fraction ``v``."""
-    return _sign_at(g, v.numerator, v.denominator)
-
-
 def _sign_at(g: Sequence[int], num: int, den: int) -> int:
     """The sign of the integer polynomial ``g`` at ``num / den``, ``den > 0``:
     of ``den**deg(g) * g(num / den)``, evaluated in integers."""
@@ -370,58 +368,91 @@ def _minors_at(section: SectionFamily, values: Sequence[Fraction]) -> list:
 
 
 def _certify(p: Sequence[int], x: float) -> tuple | None:
-    """A bracket of a root of ``p`` around the float ``x``: the dyadic
-    rationals ``x -+ k`` units in the last place of ``x``, for the first
-    ``k`` of 4, 64 and 4096 at which the exact signs of ``p`` differ (in
-    integers); None when none does."""
+    """A bracket of a root of ``p`` around the float ``x``, as integers ``(a,
+    b, den)``: the dyadic rationals ``x -+ k`` units in the last place of
+    ``x``, for the first ``k`` of 4, 64 and 4096 at which the exact signs of
+    ``p`` differ (in integers); None when none does."""
     num, den = x.as_integer_ratio()
     step, scale = math.ulp(x).as_integer_ratio()  # x is a multiple: scale >= den
     mid = num * (scale // den)
     for k in (4, 64, 4096):
         a, b = mid - k * step, mid + k * step
         if _sign_at(p, a, scale) * _sign_at(p, b, scale) < 0:
-            return Fraction(a, scale), Fraction(b, scale)
+            return a, b, scale
     return None
 
 
-def _brackets(p: Sequence[int]) -> list | None:
+def _cubic_guesses(p: Sequence[int], three: bool) -> list | None:
+    """Float guesses of the real roots of the integer cubic ``p``, three or
+    one as ``three`` says: the trigonometric form, or Cardano's, of the
+    monic cubic in floats, each followed by two Newton steps.  None when a
+    coefficient or a guess is no finite float."""
+    try:
+        lead, b, c, d = (float(v) for v in p)
+        b, c, d = b / lead, c / lead, d / lead
+        q = (b * b - 3 * c) / 9
+        r = (b * (2 * b * b - 9 * c) + 27 * d) / 54
+
+        def newton(x: float) -> float:
+            slope = (3 * x + 2 * b) * x + c
+            return x - (((x + b) * x + c) * x + d) / slope if slope else x
+
+        if three:
+            s = math.sqrt(q)
+            theta = math.acos(max(-1.0, min(1.0, r / (s * s * s))))
+            guesses = [-2 * s * math.cos((theta + k * 2 * math.pi) / 3) - b / 3
+                       for k in range(3)]
+            # the smaller roots from the largest one, t**2 + e t + f, whose
+            # coefficients are quotients: no cancellation against it
+            x = newton(max(guesses, key=abs))
+            f = -d / x
+            e = (f - c) / x
+            h = -(e + math.copysign(math.sqrt(max(e * e - 4 * f, 0.0)), e)) / 2
+            guesses = [x, h, f / h]
+        else:
+            u = (abs(r) + math.sqrt(max(r * r - q**3, 0.0))) ** (1 / 3)
+            u = -math.copysign(u, r)
+            guesses = [u + (q / u if u else 0.0) - b / 3]
+        guesses = [newton(newton(x)) for x in guesses]
+    except (ArithmeticError, ValueError):  # no float, or sqrt of q < 0
+        return None
+    return guesses if all(map(math.isfinite, guesses)) else None
+
+
+def _brackets(p: Sequence[int]) -> tuple | None:
     """The real roots of the primitive integer polynomial ``p`` (positive
-    leading coefficient) as sorted brackets, each holding one root: ``(r,
-    r)`` for a linear root, through ``isqrt`` of the discriminant for a
-    quadratic (exact when it is a square), by :func:`_certify` around
-    numpy's floats for a cubic.  None at a zero discriminant, a degree above
-    3 or a root that does not certify."""
+    leading coefficient) as ``(den, brackets)``: sorted integer pairs ``(lo,
+    hi)``, each holding one root in ``[lo / den, hi / den]``.  ``lo == hi``
+    for a linear root, through ``isqrt`` of the discriminant for a
+    quadratic (exact when it is a square), by :func:`_certify` around the
+    floats of :func:`_cubic_guesses` for a cubic.  None at a zero
+    discriminant, a degree above 3 or a root that does not certify."""
     if len(p) == 1:
-        return []
+        return 1, []
     if len(p) == 2:
-        r = Fraction(-p[1], p[0])
-        return [(r, r)]
+        return p[0], [(-p[1], -p[1])]
     if len(p) == 3:
         a, b, c = p
         disc = b * b - 4 * a * c
         if disc <= 0:
-            return [] if disc else None
+            return (1, []) if disc else None
         # 2**32 sqrt(disc) is s, or lies in (s, s + 1) when irrational
         s = math.isqrt(disc << 64)
         w = int(s * s != disc << 64)
-        return [
-            (Fraction(lo, a << 33), Fraction(lo + w, a << 33))
-            for lo in (-(b << 32) - s - w, -(b << 32) + s)
-        ]
+        return a << 33, [(lo, lo + w) for lo in (-(b << 32) - s - w, -(b << 32) + s)]
     if len(p) > 4:
         return None
     a, b, c, d = p
     disc = (18 * a * b * c * d - 4 * b**3 * d + b * b * c * c
             - 4 * a * c**3 - 27 * a * a * d * d)
-    if disc == 0:
+    guesses = _cubic_guesses(p, disc > 0) if disc else None
+    if guesses is None:
         return None
-    try:
-        roots = np.roots([float(v) for v in p])
-    except OverflowError:
+    out = [_certify(p, x) for x in guesses]
+    if None in out:
         return None
-    real = sorted(roots, key=lambda z: abs(z.imag))[: 3 if disc > 0 else 1]
-    out = [_certify(p, float(z.real)) for z in real]
-    return None if None in out else sorted(out)
+    den = max(scale for _, _, scale in out)  # powers of two
+    return den, sorted((lo * (den // sc), hi * (den // sc)) for lo, hi, sc in out)
 
 
 def _key(num: int, den: int) -> int:
@@ -484,40 +515,57 @@ def _letter(mult: tuple[int, ...], n: int) -> Permutation:
 
 def _simple_roots(polys: Sequence[list[int]], domain) -> list | None:
     """The real roots of the integer polynomials ``polys`` (one per minor)
-    as sorted ``(mult, (lo, hi), p)`` when every one is certified simple and
-    no two polynomials share one; None otherwise.
+    as sorted ``(mult, (lo, hi, den), p)``, bracketed in ``[lo / den, hi /
+    den]``, when every root off t = 0 is certified simple and no two
+    polynomials share one; None otherwise.
 
-    A root of ``polys[j]`` has the unit multiplicity vector ``e_j``, and
-    ``p`` is the primitive ``polys[j]`` with a positive leading coefficient
-    and ``[lo, hi]`` one of its :func:`_brackets`, which holds no root of
-    another polynomial.  With a ``domain``, only the roots strictly inside
+    The root t = 0 is read exactly, from the trailing zero coefficients:
+    ``mult[j]`` is their number in ``polys[j]``, the bracket is ``lo = hi =
+    0`` and ``p`` is ``(1, 0)``.  Any other root is one of the stripped
+    ``polys[j]``, with the unit multiplicity vector ``e_j``: ``p`` is that
+    polynomial made primitive with a positive leading coefficient, and the
+    bracket one of its :func:`_brackets`, which holds no root of another
+    polynomial.  With a ``domain``, only the roots strictly inside
     it are kept, and a bracket that meets an end declines, as do a
     polynomial that :func:`_brackets` declines and brackets that meet.
+    Brackets are ordered and compared in integers, over one common
+    denominator.
     """
-    found = []
+    found, zeros = [], []
     for j, p in enumerate(polys):
-        g = math.gcd(*p)
-        p = tuple(c // g for c in p) if p[0] > 0 else tuple(-c // g for c in p)
-        brackets = _brackets(p)
-        if brackets is None:
+        k = len(p)
+        while not p[k - 1]:  # p[0] is not zero
+            k -= 1
+        zeros.append(len(p) - k)
+        g = math.gcd(*p[:k])
+        p = tuple(c // g for c in p[:k]) if p[0] > 0 else tuple(-c // g for c in p[:k])
+        read = _brackets(p)
+        if read is None:
             return None
-        mult = tuple(int(i == j) for i in range(len(polys)))
-        found += [(mult, bracket, p) for bracket in brackets]
-    found.sort(key=lambda root: root[1][0])
-    if any(not a[1][1] < b[1][0] for a, b in zip(found, found[1:])):
+        mult = (0,) * j + (1,) + (0,) * (len(polys) - j - 1)
+        found += [(mult, bracket, read[0], p) for bracket in read[1]]
+    if any(zeros):
+        found.append((tuple(zeros), (0, 0), 1, (1, 0)))
+    ends = () if domain is None else (domain[0].denominator, domain[1].denominator)
+    den = math.lcm(*(root[2] for root in found), *ends)
+    ordered = sorted(
+        (lo * (den // d), hi * (den // d), i)
+        for i, (_, (lo, hi), d, _) in enumerate(found)
+    )
+    if any(not a[1] < b[0] for a, b in zip(ordered, ordered[1:])):
         return None
-    if domain is None:
-        return found
-    lo, hi = domain
-    if any(not (b < lo or hi < a or lo < a and b < hi) for _, (a, b), _ in found):
-        return None
-    return [r for r in found if lo < r[1][0] < hi]  # each is inside or outside
+    if domain is not None:
+        lo, hi = (end.numerator * (den // end.denominator) for end in domain)
+        if any(not (b < lo or hi < a or lo < a and b < hi) for a, b, _ in ordered):
+            return None
+        ordered = [r for r in ordered if lo < r[0] < hi]  # each is inside or outside
+    return [(found[i][0], (a, b, den), found[i][3]) for a, b, i in ordered]
 
 
 def _isolated_roots(polys: Sequence[list[int]], domain) -> list:
     """The real roots of the integer polynomials ``polys`` (one per minor)
     in the open interval ``domain`` (on all of R when it is None) as sorted
-    ``(mult, (lo, hi), g)``, for any point.
+    ``(mult, (lo, hi, den), g)``, for any point.
 
     One sympy call (``dup_isolate_real_roots_list``, continued fractions,
     Akritas-Strzebonski) factors every minor over ZZ and isolates the real
@@ -525,7 +573,8 @@ def _isolated_roots(polys: Sequence[list[int]], domain) -> list:
     multiplicity ``k`` of its factor ``g`` in each minor ``j`` that it
     divides: ``mult[j]`` is ``k``, else 0.  A rational root may come back
     as ``(r, r)``, a root on an end of the domain always does and is
-    dropped; the open brackets are disjoint.
+    dropped; the open brackets are disjoint.  Each bracket is put over the
+    common denominator of its ends.
     """
     bounds = {} if domain is None else {"inf": _qq(domain[0]), "sup": _qq(domain[1])}
     out = []
@@ -534,7 +583,9 @@ def _isolated_roots(polys: Sequence[list[int]], domain) -> list:
         if domain and a == b and a in domain:
             continue  # a root on an end of the domain
         mult = tuple(ks.get(j, 0) for j in range(len(polys)))
-        out.append((mult, (a, b), tuple(int(c) for c in g)))
+        den = math.lcm(a.denominator, b.denominator)
+        lo, hi = (end.numerator * (den // end.denominator) for end in (a, b))
+        out.append((mult, (lo, hi, den), tuple(int(c) for c in g)))
     return out
 
 
@@ -552,10 +603,11 @@ class ExactEvent:
     ``letter`` and ``mult`` are known when the event is made.  The other
     fields are resolved once, on first read, from an integer factor of a
     minor that vanishes at the time (``_factor``) and the time's isolating
-    bracket (``_bracket``, two Fractions).  sympy's factors are
-    irreducible; a generic point's factor is its whole minor, and only a
-    cubic one is factored (memoized by its coefficients).  A rational time
-    is a bracket ``(r, r)`` or the root of a linear factor.
+    bracket (``_bracket``, integers ``(lo, hi, den)`` for ``[lo / den, hi /
+    den]``).  sympy's factors are irreducible; a generic point's factor is
+    its minor without the factor t, or t itself, and only a cubic one is
+    factored (memoized by its coefficients).  A rational time is a bracket
+    with ``lo == hi`` or the root of a linear factor.
 
     ``certificate`` is the irreducible primitive integer factor of the
     minors that vanishes at the time (descending coefficients).  When it
@@ -568,23 +620,23 @@ class ExactEvent:
 
     letter: Permutation
     mult: tuple[int, ...]
-    _bracket: tuple[Fraction, Fraction] = field(repr=False)
+    _bracket: tuple[int, int, int] = field(repr=False)
     _factor: tuple[int, ...] = field(repr=False)
 
     @cached_property
     def _exact(self) -> tuple:
         """``(root, interval, certificate)``."""
-        lo, hi = self._bracket
+        lo, hi, den = self._bracket
         h = self._factor
         if lo == hi:
-            r = lo
+            r = Fraction(lo, den)
         else:
             if len(h) == 4:  # a generic point's cubic minor may be reducible
                 (h,) = [g for g in _irreducible_factors(h)
-                        if _sign(g, lo) != _sign(g, hi)]
+                        if _sign_at(g, lo, den) != _sign_at(g, hi, den)]
             r = Fraction(-h[1], h[0]) if len(h) == 2 else None
         if r is None:
-            return None, (lo, hi), h
+            return None, (Fraction(lo, den), Fraction(hi, den)), h
         return r, (r, r), (r.denominator, -r.numerator)
 
     @property
@@ -640,11 +692,13 @@ def classify_point(
     (built once per section), as a positive integer multiple of it in t.
 
     A root source reads the real roots of those polynomials as sorted
-    ``(mult, (lo, hi), factor)``: the root's multiplicity vector, an
-    isolating bracket and an integer factor of a minor that vanishes there.
-    :func:`_simple_roots` reads a generic point, factoring nothing, and
-    declines any other; :func:`_isolated_roots` reads every point, and its
-    factors are irreducible.  Each root becomes an :class:`ExactEvent`, its
+    ``(mult, (lo, hi, den), factor)``: the root's multiplicity vector, an
+    isolating bracket ``[lo / den, hi / den]`` and an integer factor of a
+    minor that vanishes there.  :func:`_simple_roots` reads a generic point
+    (the root t = 0 from trailing zeros, any other root simple and
+    unshared), factoring nothing, and declines any other;
+    :func:`_isolated_roots` reads every point, and its factors are
+    irreducible.  Each root becomes an :class:`ExactEvent`, its
     letter named by ``mult`` (:func:`_letter`); an event's exact root,
     interval and certificate are resolved on first read, the same from
     both.

@@ -109,11 +109,13 @@ def letter_oracle_section(sigma: Permutation) -> frozenset:
     root counted.  This classifies the weighted grid of 9**k points on the
     unit box (k the number of section parameters) with ``domain=None``,
     one point per ray (:func:`_ray`), and returns the words that occur.
-    At most rays every zero of every minor is simple and no two minors
-    share one, and :func:`artifact.polysect.classify_point` reads the
-    label from the minors' discriminants and exact sign changes; only the
-    rest go through sympy's root isolation.  The one-letter word itself
-    (the origin) is always included.
+    At most rays every zero of every minor off t = 0 is simple and no two
+    minors share one, and :func:`artifact.polysect.classify_point` reads
+    the label from the minors' trailing zero coefficients (the root t = 0,
+    exactly), their discriminants and exact sign changes; only the rest
+    (the few rays where a minor has a multiple zero off t = 0 or two
+    minors share one) go through sympy's root isolation.  The one-letter
+    word itself (the origin) is always included.
 
     The grid is finite, and a word whose stratum it misses is absent from
     the set: the oracle then answers a definite ``False`` for that word,
@@ -131,13 +133,19 @@ def letter_oracle_section(sigma: Permutation) -> frozenset:
 
 def _ray(point: Sequence[Fraction], weights: Sequence[int]) -> tuple:
     """An exact key of the ray ``{lam**w x : lam > 0}`` through ``point``:
-    the sign pattern and the rationals ``|x_l|**(L/w_l) / max``, with
-    ``L = lcm(w)``; each ``|x_l|**(L/w_l)`` scales by ``lam**L``.  A section
-    without parameters has the one point ``()``, whose ray is ``((), ())``."""
+    the sign pattern and the primitive integer vector proportional to
+    ``|x_l|**(L/w_l)``, with ``L = lcm(w)``; each ``|x_l|**(L/w_l)`` scales
+    by ``lam**L``.  Read in integers from the numerators and denominators.
+    A section without parameters has the one point ``()``, whose ray is
+    ``((), ())``."""
     L = math.lcm(*weights)
-    powers = [abs(Fraction(x)) ** (L // w) for x, w in zip(point, weights)]
-    top = max(powers, default=0) or 1
-    return tuple((x > 0) - (x < 0) for x in point), tuple(p / top for p in powers)
+    powers = [(abs(x.numerator) ** (L // w), x.denominator ** (L // w))
+              for x, w in zip(point, weights)]
+    den = math.lcm(*(d for _, d in powers))
+    nums = [n * (den // d) for n, d in powers]
+    g = math.gcd(*nums) or 1
+    signs = tuple((x.numerator > 0) - (x.numerator < 0) for x in point)
+    return signs, tuple(v // g for v in nums)
 
 
 def oracle_from_sections(n: int) -> Callable:

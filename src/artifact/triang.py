@@ -220,21 +220,22 @@ def _factor(M, word: Sequence[int], require_positive: bool = True) -> list:
         raise NotFactorizable("residual after peeling all letters")
     if require_positive:
         for t in params:
-            if not _positive(K, t):
+            positive = _positive(K, t)
+            if positive is None:
+                raise ValueError(f"cannot decide the sign of parameter {_entry(K, t)}")
+            if not positive:
                 raise NotFactorizable(f"nonpositive parameter {_entry(K, t)}")
     return params
 
 
-def _positive(K, t) -> bool:
+def _positive(K, t) -> bool | None:
     """Whether ``t`` in the field ``K`` is positive, decided exactly: by
-    comparison over ``QQ``, else by sympy's assumptions on its expression;
-    ``ValueError`` when they cannot decide (free symbols)."""
+    comparison over ``QQ``, else by sympy's assumptions on its expression
+    (never by the domain's ``is_positive``, which is no order on an
+    algebraic field); None when they cannot decide (free symbols)."""
     if K.is_QQ:
         return t > 0
-    e = K.to_sympy(t)
-    if e.is_positive is None:
-        raise ValueError(f"cannot decide the sign of parameter {e}")
-    return e.is_positive
+    return K.to_sympy(t).is_positive
 
 
 def factor_along(L, word: Sequence[int], require_positive: bool = True) -> tuple:
@@ -316,17 +317,21 @@ def accessibility_quasiproduct(L_x, word: Sequence[int]) -> Quasiproduct:
 
     ``g_j`` is the first parameter of the factorization of
     ``L_prefix^-1 L_x`` along a reduced word of eta starting with the
-    j-th letter of ``word``.  A rational ``L_x`` that is not totally
-    positive raises :class:`NotTotallyPositive`.
+    j-th letter of ``word``.  An ``L_x`` that is not totally positive
+    raises :class:`NotTotallyPositive`: every parameter of its
+    factorization along a word of eta whose sign :func:`_positive` decides
+    must be positive; an undecidable sign (free symbols) is skipped.
     """
     n = len(L_x) - 1
     eta = symgrp.longest_element(n)
     M = _field(L_x)
-    if M.domain.is_QQ:
-        try:
-            _factor(M, symgrp.reduced_word(eta))
-        except NotFactorizable as exc:
-            raise NotTotallyPositive(str(exc)) from exc
+    try:
+        params = _factor(M, symgrp.reduced_word(eta), require_positive=False)
+    except NotFactorizable as exc:
+        raise NotTotallyPositive(str(exc)) from exc
+    for t in params:
+        if _positive(M.domain, t) is False:
+            raise NotTotallyPositive(f"nonpositive parameter {_entry(M.domain, t)}")
     eta_words = {}
     for i in set(word):
         a_i = symgrp.coxeter_generator(n, i)

@@ -1,14 +1,16 @@
 """classify_point against sympy's Poly API on random rational points, and
 its generic-point filter against its general path.
 
-``classify_point`` reads a generic point from its minors' discriminants and
-exact sign changes; at any other point it factors the minors and isolates
-the roots of all their irreducible factors at once with
-``dup_isolate_real_roots_list``, on the domain (-1, 1) or, with
-``domain=None``, on all of R.  The first checks here go
-through a different code path (``Poly.count_roots``, ``sqf_part``, ``rem``,
-``real_roots``).  The last ones run every point twice, once with the filter
-forced to decline, and compare the answers.
+``classify_point`` reads a generic point from its minors' trailing zero
+coefficients (the root t = 0), discriminants and exact sign changes; at
+any other point it factors the minors and isolates the roots of all their
+irreducible factors at once with ``dup_isolate_real_roots_list``, on the
+domain (-1, 1) or, with ``domain=None``, on all of R.  The first checks
+here go through a different code path (``Poly.count_roots``, ``sqf_part``,
+``rem``, ``real_roots``).  The later ones run every point twice, once with
+the filter forced to decline, and compare the answers; the last one
+compares the two root sources on random integer polynomials times powers
+of t.
 """
 
 import math
@@ -208,10 +210,10 @@ READ = [
 # Near the double root of m_1 at -5/2, as (case, declines)
 CLOSE_ROOTS = [
     # m_1 has two roots 2**-43.5 apart, closer than 4096 units in the last
-    # place: no bracket around numpy's floats holds just one
+    # place: no bracket around the float guesses holds just one
     (("betaprime+", (Fraction(1), Fraction(-25, 24) + Fraction(1, 2**90)), None), True),
-    # m_1's two roots lie 2**-9.5 apart and certify only at 4096 units in
-    # the last place, and one root of m_3 only at 64
+    # m_1's two roots lie 2**-9.5 apart, and each certifies only at 64
+    # units in the last place
     (("betaprime+", (Fraction(1), Fraction(-25, 24) + Fraction(1, 2**20)), None), False),
 ]
 
@@ -284,19 +286,29 @@ def integer_polynomials(draw):
 @example(p=[1, 22885555, 0, -1])  # roots -22885555.00 and +-0.000209
 @example(p=[1, -3, 3, -1])  # (t - 1)**3
 @example(p=[1, 0, 0, -(10**400)])  # no float coefficients
+# three roots 10**-6 apart: the float guesses need not separate them
+@example(p=[10**12, -3 * 10**12, 3 * 10**12 - 1, -(10**12) + 1])
+@example(p=[10**6, -3 * 10**6, 3 * 10**6, -(10**6) + 1])  # one root near 1
+# coefficients over 24 orders of magnitude: roots 10**12, 1 and 10**-12
+@example(p=[10**12, -(10**24) - 10**12 - 1, 10**24 + 10**12 + 1, -(10**12)])
+@example(p=[1, 10**15, 0, -1])  # -10**15 and +-10**-7.5
+@example(p=[1, 10**15, 10**30, 1])  # one real root near -10**-30
 @given(p=integer_polynomials())
 def test_brackets_of_integer_polynomials(p):
     poly = sp.Poly(p, sp.Symbol("t"))
-    brackets = polysect._brackets(p)
+    read = polysect._brackets(p)
     if poly.degree() > 3 or poly.degree() >= 2 and poly.discriminant() == 0:
-        assert brackets is None
+        assert read is None
         return
-    if brackets is None:
+    if read is None:
         # a cubic whose coefficients are no floats, or some root of which
-        # numpy cannot place within 4096 units in the last place: here the
-        # two small roots of t**3 + 22885555 t**2 - 1
+        # the float guesses do not place within 4096 units in the last
+        # place: here three roots 10**-6 apart, or the one real root of
+        # t**3 + 10**15 t**2 + 10**30 t + 1
         assert poly.degree() == 3
         return
+    den, pairs = read
+    brackets = [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in pairs]
     assert len(brackets) == poly.count_roots()
     for (_, hi), (lo, _) in zip(brackets, brackets[1:]):
         assert hi < lo
@@ -306,3 +318,45 @@ def test_brackets_of_integer_polynomials(p):
         else:
             assert lo < hi
             assert poly.eval(sp.Rational(lo)) * poly.eval(sp.Rational(hi)) < 0
+
+
+@st.composite
+def minors_times_powers_of_t(draw):
+    """One to three integer polynomials, each a random polynomial of degree
+    0 to 3 with small coefficients (so that rational, multiple and shared
+    roots occur) times t**k, k up to 3; and a domain."""
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = [draw(st.integers(1, 6)) * draw(st.sampled_from([1, -1]))]
+        p += [draw(st.integers(-6, 6)) for _ in range(draw(st.integers(0, 3)))]
+        polys.append(p + [0] * draw(st.integers(0, 3)))
+    domain = draw(st.sampled_from([None, (LO, HI), (Fraction(-1, 2), Fraction(3, 2))]))
+    return polys, domain
+
+
+@settings(max_examples=300, deadline=None)
+@example(case=([[1, 0, 0], [8, -1, 0]], None))  # t**2 and t (8t - 1)
+@example(case=([[1, 0, -2, 0], [1, -3, 2, 0, 0]], (LO, HI)))
+@example(case=([[2, 0, -1, 0]], (Fraction(0), HI)))  # t = 0 on an end
+@given(case=minors_times_powers_of_t())
+def test_simple_roots_match_the_isolated_roots(case):
+    polys, domain = case
+    simple = polysect._simple_roots(polys, domain)
+    if simple is None:
+        return
+    isolated = polysect._isolated_roots(polys, domain)
+    assert [m for m, _, _ in simple] == [m for m, _, _ in isolated]
+    t = sp.Symbol("t")
+    square_free = sp.Poly(sp.sqf_part(sp.prod(sp.Poly(p, t) for p in polys)), t)
+    for (mult, bracket, p), (_, _, g) in zip(simple, isolated):
+        fast = polysect.ExactEvent(None, mult, _bracket=bracket, _factor=p)
+        exact = polysect.ExactEvent(None, mult, _bracket=bracket, _factor=g)
+        assert fast.root == exact.root
+        lo, hi = fast.interval
+        # the bracket holds one root of the minors, and it is a root of g
+        if lo == hi:
+            assert square_free.eval(sp.Rational(lo)) == 0
+            assert sp.Poly(g, t).eval(sp.Rational(lo)) == 0
+        else:
+            assert square_free.count_roots(lo, hi) == 1
+            assert sp.Poly(g, t).count_roots(lo, hi) == 1

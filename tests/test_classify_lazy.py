@@ -4,7 +4,9 @@ At a point that is not generic ``classify_point`` makes one sympy call,
 which factors every minor over ZZ and isolates the real roots of the
 irreducible factors, each with its multiplicity in each minor.  A root of
 one factor may sit on an end of another root's bracket; the first tests pin
-two points where that happens.  The exact ``root``, ``interval`` and
+two points where that happens.  Their shared root is t = 0, which the
+generic-point filter now reads exactly from trailing zero coefficients, so
+they run again with the filter forced to decline.  The exact ``root``, ``interval`` and
 ``certificate`` of an event are resolved on first read.  sympy's factors
 are irreducible, and ``polysect`` itself factors only a generic point's
 cubic minor; the last tests spy on the factoring entry point that
@@ -35,6 +37,12 @@ def test_linear_factor_on_a_bracket_end():
 def test_mirror_point():
     cls = polysect.classify_point(ABA, (Fraction(1, 64), Fraction(0)))
     assert cls.label == "b[ab]"
+
+
+def test_bracket_end_points_through_sympy(monkeypatch):
+    monkeypatch.setattr(polysect, "_simple_roots", lambda polys, domain: None)
+    test_linear_factor_on_a_bracket_end()
+    test_mirror_point()
 
 
 @pytest.fixture

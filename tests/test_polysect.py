@@ -320,7 +320,7 @@ class TestApprox:
         assert elapsed < 1.0, f"budget 1 s exceeded: {elapsed:.2f} s"
 
     def test_cubic_certified_against_its_isolating_interval(self):
-        # the cubic's bracket is +-4 ulps around numpy's root
+        # the cubic's bracket is +-4 ulps around its float guess
         fam = polysect.build_perturbed_family("betaprime", Fraction(2, 5))
         cls = polysect.classify_point(fam, (Fraction(-1, 5), Fraction(-97, 495)))
         cubics = [e for e in cls.events if len(e.certificate) == 4]
@@ -340,7 +340,8 @@ class TestApprox:
         h = [1, -2 * 10**40, 4 * 10**20, -2]
         c, eps = Fraction(1, 10**20), Fraction(1, 10**49)
         for lo, hi in ((c - eps, c), (c, c + eps)):
-            assert polysect._sign(h, lo) != polysect._sign(h, hi)
+            assert (polysect._sign_at(h, lo.numerator, lo.denominator)
+                    != polysect._sign_at(h, hi.numerator, hi.denominator))
             assert polysect._nearest_double(h, lo, hi) == float(c)
 
     def test_root_beyond_the_double_range(self):

@@ -67,13 +67,16 @@ class TestLetterOracle:
         assert len({poset._ray(p, weights) for p in points}) == rays
 
     @pytest.mark.parametrize(
-        "n, name, isolated", [(2, "aba", 5), (3, "acb", 6), (3, "cba", 5)]
+        "n, name, isolated", [(2, "aba", 2), (3, "acb", 1), (3, "cba", 0)]
     )
     def test_sympy_isolates_only_the_non_generic_rays(self, monkeypatch, n, name,
                                                       isolated):
-        # every other ray is read from its minors' discriminants and exact
-        # sign changes: of 61, 49 and 69 rays, these are the ones where a
-        # minor has a multiple zero or two minors share one
+        # every other ray is read by the generic-point filter: the root
+        # t = 0 from trailing zero coefficients, any other from discriminants
+        # and exact sign changes.  Of 61, 49 and 69 rays, these are the ones
+        # where a minor has a multiple zero off t = 0 or two minors share
+        # one: on aba, (t -+ 1)**2 in m_2 and t**2 - 1 in m_1; on acb,
+        # m_1 = m_3 = 2t**2 - 1
         calls = []
         inner = polysect.dup_isolate_real_roots_list
 

@@ -103,6 +103,20 @@ class TestAlgebraicPositivity:
             assert not isinstance(info.value, triang.NotFactorizable)
         assert triang.factor_along(L, (1, 2, 1), require_positive=False) == (x, 1, 1)
 
+    def test_accessibility_needs_total_positivity(self):
+        # along (1, 2, 1) the parameters are sqrt(2) - 3, 1 and 3
+        L = [[1, 0, 0], [sp.sqrt(2), 1, 0], [3, 1, 1]]
+        with pytest.raises(triang.NotTotallyPositive,
+                           match=r"nonpositive parameter -3 \+ sqrt\(2\)$"):
+            triang.accessibility_quasiproduct(L, (1, 2))
+        L[2][0] = 1  # sqrt(2) - 1, 1 and 1
+        assert triang.accessibility_quasiproduct(L, (1, 2)).c1 == sp.sqrt(2) - 1
+
+    def test_accessibility_skips_an_undecidable_sign(self):
+        x = sp.Symbol("x")
+        L = triang.product_along(2, (1, 2, 1), (x, 1, 1))
+        assert triang.accessibility_quasiproduct(L, (1, 2)).c1 == x
+
 
 class TestExactZeroTests:
     x = sp.Symbol("x")

@@ -19,12 +19,14 @@ the multiplicity vector, the exact root (a Fraction as text, null when it
 is irrational), the ends of the isolating interval (Fractions as text),
 the certificate and ``repr(approx)``, the shortest text that reads back as
 the same float, or the class of the exception that ended the
-classification.  The last line is the number of points that took sympy's
-root isolation (``dup_isolate_real_roots_list``) rather than the
-generic-point filter.  Run it under two trees and diff the outputs: every
-point must classify the same, bit for bit, except that the isolating
-interval of an irrational root at a point that went to sympy depends on
-the isolation method.
+classification.  The last line counts the points that took sympy's root
+isolation (``dup_isolate_real_roots_list``) rather than the generic-point
+filter: in all (``isolations``) and per section (``per_section``).  Run it
+under two trees and diff the outputs: every point must classify the same,
+bit for bit, except the isolating interval of an irrational root.  Its
+ends depend on how the root was read: at a point that went to sympy, on
+the isolation method; at a generic point whose root is one of a cubic
+minor, on the float guess that the bracket was certified around.
 """
 
 from __future__ import annotations
@@ -99,16 +101,17 @@ def classify(section, point, domain) -> dict:
 
 def main() -> None:
     points = list(itertools.chain(oracle_points(), section_points(), grid_points()))
-    isolations = 0
+    isolations = dict.fromkeys((name for name, *_ in points), 0)
     isolate = polysect.dup_isolate_real_roots_list
+    current = None
 
     def counted(*args, **kwargs):
-        nonlocal isolations
-        isolations += 1
+        isolations[current] += 1
         return isolate(*args, **kwargs)
 
     polysect.dup_isolate_real_roots_list = counted
     for name, section, point, domain in points:
+        current = name
         line = {
             "section": name,
             "point": [str(v) for v in point],
@@ -119,7 +122,8 @@ def main() -> None:
         except (polysect.ZeroPolynomial, polysect.UnrecognizedMultPattern) as exc:
             line["error"] = type(exc).__name__
         print(json.dumps(line), flush=True)
-    print(json.dumps({"isolations": isolations}))
+    total = sum(isolations.values())
+    print(json.dumps({"isolations": total, "per_section": isolations}))
 
 
 if __name__ == "__main__":
